@@ -254,7 +254,8 @@ func main() {
 	tree["bench_churn.rs"] = churn(0)
 
 	fmt.Fprintln(os.Stderr, "bench session/warm-push...")
-	pool := sessionpool.New(sessionpool.Config{})
+	sessEng := engine.New(engine.Config{Workers: 1})
+	pool := sessionpool.New(sessEng, sessionpool.Config{})
 	if _, err := pool.Push(context.Background(), "bench", tree); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -269,6 +270,7 @@ func main() {
 		}
 	})
 	pool.Close()
+	sessEng.Close()
 	rec.Benchmarks["session/warm-push"] = toResult(warmSess)
 
 	// One worker: the ratio compares total analysis work per push (the

@@ -110,7 +110,7 @@ func main() {
 	}
 	var pool *sessionpool.Pool
 	if *sessions > 0 {
-		pool = sessionpool.New(sessionpool.Config{
+		pool = sessionpool.New(eng, sessionpool.Config{
 			MaxSessions: *sessions,
 			IdleTTL:     *sessionTTL,
 			Store:       st,

@@ -160,34 +160,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.eng.Analyze(ctx, req)
 	if err != nil {
-		var reqErr *engine.RequestError
-		var srcErr *engine.SourceError
-		var intErr *engine.InternalError
-		switch {
-		case errors.As(err, &reqErr):
-			writeError(w, http.StatusBadRequest, reqErr.Error(), "")
-		case errors.As(err, &srcErr):
-			writeError(w, http.StatusUnprocessableEntity, srcErr.Error(), srcErr.Diags)
-		case errors.Is(err, engine.ErrQueueFull):
-			// Backpressure, not failure: tell the client to retry.
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "analysis queue is full, retry later", "")
-		case errors.Is(err, engine.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down", "")
-		case errors.As(err, &intErr):
-			// The panic was isolated to this request; the worker pool
-			// is intact. Stack goes to the log, not the client.
-			log.Printf("rustprobed: req=%s analysis panicked: %s\n%s",
-				requestID(r.Context()), intErr.Panic, intErr.Stack)
-			writeError(w, http.StatusInternalServerError, "internal error: analysis pass panicked", "")
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "analysis timed out", "")
-		case errors.Is(err, context.Canceled):
-			// Client went away; 499 is the de-facto code for that.
-			writeError(w, 499, "client closed request", "")
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), "")
-		}
+		writeFailure(w, r, "analysis", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, analyzeResponse{
@@ -211,8 +184,8 @@ type batchResponse struct {
 
 // handleAnalyzeBatch serves POST /v1/analyze-batch: many named files in
 // one request, analyzed independently. Request-level failures (bad JSON,
-// empty set, unknown detector, timeout, saturation) map to the same
-// status codes as /v1/analyze; per-file failures are isolated inside
+// empty set, unknown detector, timeout, shutdown) map through
+// writeFailure like every endpoint; per-file failures are isolated inside
 // their entries with an error_kind clients can branch on.
 func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -238,19 +211,7 @@ func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.eng.AnalyzeBatch(ctx, req)
 	if err != nil {
-		var reqErr *engine.RequestError
-		switch {
-		case errors.As(err, &reqErr):
-			writeError(w, http.StatusBadRequest, reqErr.Error(), "")
-		case errors.Is(err, engine.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down", "")
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "batch analysis timed out", "")
-		case errors.Is(err, context.Canceled):
-			writeError(w, 499, "client closed request", "")
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), "")
-		}
+		writeFailure(w, r, "batch analysis", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, batchResponse{
@@ -346,21 +307,7 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		res, err = s.opts.pool.PushDiff(ctx, repo, req.Changed, req.Removed)
 	}
 	if err != nil {
-		var synErr *rustprobe.SyntaxError
-		switch {
-		case errors.Is(err, sessionpool.ErrNoSession):
-			writeError(w, http.StatusConflict, "no live session for this repo; push the full file map", "")
-		case errors.As(err, &synErr):
-			writeError(w, http.StatusUnprocessableEntity, "sources failed to parse or resolve", synErr.Diags)
-		case errors.Is(err, sessionpool.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down", "")
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "session push timed out", "")
-		case errors.Is(err, context.Canceled):
-			writeError(w, 499, "client closed request", "")
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), "")
-		}
+		writeFailure(w, r, "session push", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, sessionPushResponse{
@@ -368,6 +315,45 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		Stats:     res.Stats,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// writeFailure is the one error-to-status mapping every analysis
+// endpoint shares; what names the work in the timeout message. A
+// recovered panic's stack goes to the server log, never to the client.
+func writeFailure(w http.ResponseWriter, r *http.Request, what string, err error) {
+	var reqErr *engine.RequestError
+	var srcErr *engine.SourceError
+	var synErr *rustprobe.SyntaxError
+	var intErr *engine.InternalError
+	switch {
+	case errors.As(err, &reqErr):
+		writeError(w, http.StatusBadRequest, reqErr.Error(), "")
+	case errors.As(err, &srcErr):
+		writeError(w, http.StatusUnprocessableEntity, srcErr.Error(), srcErr.Diags)
+	case errors.As(err, &synErr):
+		writeError(w, http.StatusUnprocessableEntity, "sources failed to parse or resolve", synErr.Diags)
+	case errors.Is(err, sessionpool.ErrNoSession):
+		writeError(w, http.StatusConflict, "no live session for this repo; push the full file map", "")
+	case errors.Is(err, engine.ErrQueueFull):
+		// Backpressure, not failure: tell the client to retry.
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "analysis queue is full, retry later", "")
+	case errors.Is(err, engine.ErrClosed), errors.Is(err, sessionpool.ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, "server is shutting down", "")
+	case errors.As(err, &intErr):
+		// The panic was isolated to this request; the worker pool is
+		// intact.
+		log.Printf("rustprobed: req=%s %s panicked: %s\n%s",
+			requestID(r.Context()), what, intErr.Panic, intErr.Stack)
+		writeError(w, http.StatusInternalServerError, "internal error: analysis pass panicked", "")
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, what+" timed out", "")
+	case errors.Is(err, context.Canceled):
+		// Client went away; 499 is the de-facto code for that.
+		writeError(w, 499, "client closed request", "")
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error(), "")
+	}
 }
 
 func (s *server) handleDetectors(w http.ResponseWriter, r *http.Request) {

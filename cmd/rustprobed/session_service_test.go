@@ -66,7 +66,7 @@ func sessionBaseTree() map[string]string {
 func newSessionServer(t *testing.T, st *store.Store) (*httptest.Server, *sessionpool.Pool) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2, Store: st})
-	pool := sessionpool.New(sessionpool.Config{Store: st})
+	pool := sessionpool.New(eng, sessionpool.Config{Store: st})
 	srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 	t.Cleanup(func() {
 		srv.Close()
@@ -613,7 +613,7 @@ func TestSessionRestartPersistence(t *testing.T) {
 	epoch := func(dir string) (*httptest.Server, func()) {
 		st := openStore(dir)
 		eng := engine.New(engine.Config{Workers: 2, Store: st})
-		pool := sessionpool.New(sessionpool.Config{Store: st})
+		pool := sessionpool.New(eng, sessionpool.Config{Store: st})
 		srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 		return srv, func() {
 			srv.Close()
@@ -710,7 +710,7 @@ func TestSessionRestartPersistence(t *testing.T) {
 		}
 
 		eng := engine.New(engine.Config{Workers: 2, Store: st})
-		pool := sessionpool.New(sessionpool.Config{Store: st})
+		pool := sessionpool.New(eng, sessionpool.Config{Store: st})
 		srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 		defer func() { srv.Close(); pool.Close(); eng.Close() }()
 

@@ -1,0 +1,205 @@
+package rustprobe
+
+// White-box tests for the detector runner: panic isolation (a panicking
+// pass becomes a typed *PanicError instead of killing the process or a
+// pool worker), cancellation (a dead request stops the fan-out at
+// detector granularity), and the session's all-or-nothing rounds on top
+// of both. These live in package rustprobe to reach the testDetectors
+// seam.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"rustprobe/internal/detect"
+	"rustprobe/internal/incrstate"
+)
+
+type panickyDetector struct{}
+
+func (panickyDetector) Name() string                  { return "test-panic" }
+func (panickyDetector) Run(*detect.Context) []Finding { panic("injected pass panic") }
+
+type countingDetector struct{ ran *bool }
+
+func (countingDetector) Name() string                    { return "test-count" }
+func (d countingDetector) Run(*detect.Context) []Finding { *d.ran = true; return nil }
+
+func analyzeClean(t *testing.T) *Result {
+	t.Helper()
+	res, err := AnalyzeSource("clean.rs", "fn add(a: i32, b: i32) -> i32 { a + b }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestDetectCtxPanicIsolation(t *testing.T) {
+	testDetectors = []Detector{panickyDetector{}}
+	defer func() { testDetectors = nil }()
+
+	res := analyzeClean(t)
+	fs, times, err := res.DetectCtx(context.Background())
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Detector != "test-panic" {
+		t.Errorf("Detector = %q", pe.Detector)
+	}
+	if pe.Value != "injected pass panic" {
+		t.Errorf("Value = %v", pe.Value)
+	}
+	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "panickyDetector") {
+		t.Errorf("stack not captured: %q", pe.Stack)
+	}
+	if !strings.Contains(pe.Error(), "test-panic") {
+		t.Errorf("Error() = %q", pe.Error())
+	}
+	if fs != nil {
+		t.Errorf("findings returned alongside a panic: %+v", fs)
+	}
+	// The healthy passes still ran and were timed.
+	if _, ok := times["use-after-free"]; !ok {
+		t.Errorf("times missing healthy detectors: %+v", times)
+	}
+}
+
+func TestDetectCtxCancelled(t *testing.T) {
+	ran := false
+	testDetectors = []Detector{countingDetector{ran: &ran}}
+	defer func() { testDetectors = nil }()
+
+	res := analyzeClean(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already dead before the fan-out starts
+	fs, _, err := res.DetectCtx(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if fs != nil {
+		t.Errorf("cancelled fan-out returned findings: %+v", fs)
+	}
+	if ran {
+		t.Error("detector ran despite pre-cancelled context")
+	}
+}
+
+// TestDetectRepanics: the non-context entry point keeps the historical
+// contract — a detector panic surfaces as a panic to the caller, not as
+// a silently dropped error.
+func TestDetectRepanics(t *testing.T) {
+	testDetectors = []Detector{panickyDetector{}}
+	defer func() { testDetectors = nil }()
+
+	res := analyzeClean(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("Detect swallowed a detector panic")
+		}
+	}()
+	res.Detect()
+}
+
+// TestSessionFailedRoundKeepsState: a round that fails in detection — a
+// detector panic or a cancelled ctx — returns the error instead of
+// panicking and leaves the session exactly at its last good round:
+// byte-equal exported state, the same FileSet size, the same carried
+// fact caches. Re-sending the same push then matches a stateless
+// analysis, with the patched-call-graph cross-check on. Both round
+// shapes are covered: a body-only edit (incremental) and an interface
+// edit (full rebuild).
+func TestSessionFailedRoundKeepsState(t *testing.T) {
+	t.Setenv("RUSTPROBE_GRAPH_CHECK", "1")
+	base := map[string]string{
+		"util.rs": "fn stale(v: Vec<i32>) {\n    let p = v.as_ptr();\n    drop(v);\n    unsafe { let x = *p; }\n}\nfn helper(x: i32) -> i32 {\n    x + 1\n}\n",
+		"lib.rs":  "struct Shared { mu: Mutex<i32> }\nimpl Shared {\n    fn twice(&self) {\n        let a = self.mu.lock().unwrap();\n        let b = self.mu.lock().unwrap();\n    }\n}\n",
+	}
+	edits := map[string]map[string]string{
+		"body edit":      {"util.rs": strings.Replace(base["util.rs"], "x + 1", "x + 2", 1)},
+		"interface edit": {"util.rs": base["util.rs"] + "fn added() {}\n"},
+	}
+	failures := map[string]func() (context.Context, func()){
+		"detector panic": func() (context.Context, func()) {
+			testDetectors = []Detector{panickyDetector{}}
+			return context.Background(), func() { testDetectors = nil }
+		},
+		"cancelled": func() (context.Context, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, func() {}
+		},
+	}
+	for editName, edit := range edits {
+		for failName, fail := range failures {
+			t.Run(editName+"/"+failName, func(t *testing.T) {
+				s := NewSession()
+				if _, err := s.Analyze(base); err != nil {
+					t.Fatal(err)
+				}
+				next := clone(base)
+				for k, v := range edit {
+					next[k] = v
+				}
+				stateBefore := encodeState(t, s)
+				sizeBefore := s.fset.Size()
+				carriesBefore := make(map[string]detect.Carry, len(s.carries))
+				for k, v := range s.carries {
+					carriesBefore[k] = v
+				}
+
+				ctx, restore := fail()
+				up, err := s.AnalyzeCtx(ctx, next)
+				restore()
+				var pe *PanicError
+				if failName == "detector panic" && !errors.As(err, &pe) {
+					t.Fatalf("err = %v, want *PanicError", err)
+				}
+				if failName == "cancelled" && !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if up != nil {
+					t.Fatalf("failed round returned an update: %+v", up.Stats)
+				}
+
+				if after := encodeState(t, s); !bytes.Equal(after, stateBefore) {
+					t.Errorf("failed round changed the exported state\nbefore: %s\n after: %s", stateBefore, after)
+				}
+				if got := s.fset.Size(); got != sizeBefore {
+					t.Errorf("failed round changed the FileSet size: %d -> %d", sizeBefore, got)
+				}
+				if len(s.carries) != len(carriesBefore) {
+					t.Errorf("failed round changed the carries: %d -> %d", len(carriesBefore), len(s.carries))
+				}
+				for k, v := range carriesBefore {
+					if s.carries[k] != v {
+						t.Errorf("failed round replaced the %s carry", k)
+					}
+				}
+
+				up, err = s.Analyze(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantFull := editName == "interface edit"; up.Stats.Full != wantFull {
+					t.Errorf("retry round Full = %t, want %t: %+v", up.Stats.Full, wantFull, up.Stats)
+				}
+				if got, want := sessionStrings(up), fullDetect(t, next); !equalStrings(got, want) {
+					t.Fatalf("retry round diverged\n got: %v\nwant: %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+func encodeState(t *testing.T, s *Session) []byte {
+	t.Helper()
+	b, err := incrstate.Encode(s.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

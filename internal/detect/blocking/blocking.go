@@ -28,6 +28,7 @@ import (
 
 	"rustprobe/internal/cfg"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/alias"
 	"rustprobe/internal/detect/doublelock"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
@@ -181,7 +182,7 @@ type chanProv struct {
 type funcInfo struct {
 	name     string
 	body     *mir.Body
-	res      *resolver
+	res      *alias.Resolver
 	own      []*event // recv/send/once/wait/notify events in this body
 	calls    []callSite
 	spawns   []spawnSite
@@ -277,7 +278,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	g := cfg.New(body)
 	guards := doublelock.Guards(body)
 	live := doublelock.LiveGuards(body, g, guards)
-	res := newResolver(ctx, name, body, guards)
+	res := alias.New(ctx, name, body, guards)
 	info := &funcInfo{
 		name:     name,
 		body:     body,
@@ -305,7 +306,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 	}
 	localProv := func(path string) bool {
-		l, ok := res.byName[pathRoot(path)]
+		l, ok := res.Local(alias.Root(path))
 		return ok && endpoint[l]
 	}
 
@@ -313,11 +314,11 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		held := doublelock.Held(live.StateAt(blk, idx), guards)
 		canon := make(map[string]doublelock.Mode, len(held))
 		for id, m := range held {
-			canon[res.canonPath(id)] = m
+			canon[res.CanonPath(id)] = m
 		}
 		return canon
 	}
-	valid := func(p string) bool { return p != "" && pathDepth(p) <= maxPathDepth }
+	valid := func(p string) bool { return p != "" && alias.Depth(p) <= maxPathDepth }
 	mustRecv := mustRecvIn(body, g, res)
 	afterAt := func(blk mir.BlockID) map[string]bool {
 		in := mustRecv[blk]
@@ -341,7 +342,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 		switch c.Intrinsic {
 		case mir.IntrinsicChanRecv, mir.IntrinsicChanSend:
-			p := res.canonPath(c.RecvPath)
+			p := res.CanonPath(c.RecvPath)
 			if c.RecvPath == "" || !valid(p) {
 				continue
 			}
@@ -363,7 +364,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			})
 			continue
 		case mir.IntrinsicCondvarWait:
-			if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+			if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 				info.waits = append(info.waits, waitSite{cv: p, span: c.Span})
 				info.own = append(info.own, &event{
 					Kind: opWait, Res: p, Fn: name, Span: c.Span,
@@ -384,7 +385,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		case mir.IntrinsicNone:
 			switch methodName(c.Callee) {
 			case "notify_one", "notify_all":
-				if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+				if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 					guaranteed := unavoidable(body, g, blk.ID)
 					info.notifies = append(info.notifies, notifySite{
 						cv:         p,
@@ -398,7 +399,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 					continue
 				}
 			case "call_once":
-				if p := res.canonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
+				if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 					site := onceSite{once: p, span: c.Span, closureParam: -1}
 					for _, a := range c.Args[1:] {
 						if pl, ok := mir.OperandPlace(a); ok && pl.IsLocal() {
@@ -432,7 +433,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			p := ""
 			cn := ""
 			if pl, ok := mir.OperandPlace(a); ok {
-				p = res.valuePath(pl)
+				p = res.ValuePath(pl)
 				if pl.IsLocal() && len(pl.Proj) == 0 {
 					cn = closureOf[pl.Local]
 				}
@@ -451,11 +452,11 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 // terminator — the must-precede relation behind send events' After
 // sets. Forward must-dataflow: intersection at joins, recv terminators
 // generate their resource.
-func mustRecvIn(body *mir.Body, g *cfg.Graph, res *resolver) map[mir.BlockID]map[string]bool {
+func mustRecvIn(body *mir.Body, g *cfg.Graph, res *alias.Resolver) map[mir.BlockID]map[string]bool {
 	gen := map[mir.BlockID]string{}
 	for _, blk := range body.Blocks {
 		if c, ok := blk.Term.(mir.Call); ok && c.Intrinsic == mir.IntrinsicChanRecv && c.RecvPath != "" {
-			if p := res.canonPath(c.RecvPath); p != "" && pathDepth(p) <= maxPathDepth {
+			if p := res.CanonPath(c.RecvPath); p != "" && alias.Depth(p) <= maxPathDepth {
 				gen[blk.ID] = p
 			}
 		}
@@ -545,7 +546,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				params := paramNames(ctx.Bodies[cs.callee])
 				for _, e := range calleeSum {
 					p := summary.TranslateRoot(e.Res, params, cs.argPaths)
-					if p == "" || pathDepth(p) > maxPathDepth {
+					if p == "" || alias.Depth(p) > maxPathDepth {
 						continue
 					}
 					t := e.clone()
@@ -562,7 +563,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 					if len(e.After) > 0 {
 						t.After = map[string]bool{}
 						for a := range e.After {
-							if ta := summary.TranslateRoot(a, params, cs.argPaths); ta != "" && pathDepth(ta) <= maxPathDepth {
+							if ta := summary.TranslateRoot(a, params, cs.argPaths); ta != "" && alias.Depth(ta) <= maxPathDepth {
 								t.After[ta] = true
 							}
 						}
@@ -1029,7 +1030,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 			if e.Kind != opNotify || e.Fn == name {
 				continue
 			}
-			root := pathRoot(e.Res)
+			root := alias.Root(e.Res)
 			info := infos[name]
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // still unresolved at this level
@@ -1076,7 +1077,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	for _, name := range names {
 		info := infos[name]
 		for _, w := range info.waits {
-			root := pathRoot(w.cv)
+			root := alias.Root(w.cv)
 			// A condvar handed in from outside (parameter or closure
 			// capture) is judged at the caller that can name it — the
 			// propagated pass below — and stays silent if no caller can.
@@ -1092,7 +1093,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 			if e.Kind != opWait || e.Fn == name {
 				continue
 			}
-			root := pathRoot(e.Res)
+			root := alias.Root(e.Res)
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // the identity never resolved: escape = silence
 			}
@@ -1119,10 +1120,10 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 				continue
 			}
 			t := e.Res
-			root := pathRoot(t)
+			root := alias.Root(t)
 			if closureInfo != nil && closureInfo.captures[root] {
-				if canon := info.res.canonName(root); canon != "" {
-					t = rewriteRoot(t, root, canon)
+				if canon := info.res.CanonName(root); canon != "" {
+					t = alias.RewriteRoot(t, root, canon)
 				}
 			}
 			if summary.NormalizePath(t) == site {
@@ -1178,7 +1179,7 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 					continue
 				}
 				oncePath := summary.TranslateRoot(oc.once, params, cs.argPaths)
-				if oncePath == "" || pathDepth(oncePath) > maxPathDepth {
+				if oncePath == "" || alias.Depth(oncePath) > maxPathDepth {
 					continue
 				}
 				e := reentrant(info, cn, oncePath)
@@ -1218,11 +1219,11 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 		// name shared with a spawned closure) to a visible channel and
 		// which half it is.
 		chanOf := func(path string) (idx int, recvHalf bool, ok bool) {
-			root := pathRoot(path)
+			root := alias.Root(path)
 			if path != root {
 				return 0, false, false // projections: not a plain endpoint
 			}
-			l, has := info.res.byName[root]
+			l, has := info.res.Local(root)
 			if !has {
 				return 0, false, false
 			}
@@ -1260,7 +1261,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 				// In a spawned context, only capture-rooted paths name
 				// the spawner's channels; closure-local channels are a
 				// different resource even under a colliding name.
-				if capInfo != nil && !capInfo.captures[pathRoot(e.Res)] {
+				if capInfo != nil && !capInfo.captures[alias.Root(e.Res)] {
 					continue
 				}
 				ci, recvHalf, ok := chanOf(e.Res)
@@ -1278,7 +1279,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 				}
 				after := map[int]bool{}
 				for a := range e.After {
-					if capInfo != nil && !capInfo.captures[pathRoot(a)] {
+					if capInfo != nil && !capInfo.captures[alias.Root(a)] {
 						continue
 					}
 					if ai, aRecv, ok := chanOf(a); ok && aRecv {

@@ -186,7 +186,19 @@ type Carry interface{}
 
 // Incremental is a detector whose whole-program pass splits into
 // per-function fact extraction (cacheable) and a cheap global pairing
-// phase. RunIncremental re-extracts facts only for functions in dirty
+// phase.
+//
+// Implementing Incremental is what makes a detector global. A global
+// detector pairs facts across possibly unrelated functions (lock orders
+// across function pairs, races across spawn sites, one type's methods),
+// so a change anywhere can flip its findings: a session round always
+// runs it over the whole program, through its carry. Every other
+// detector is local: its findings are attributed to the analyzed root
+// and depend only on that root, its transitive callees and the resolved
+// program, so a session round re-runs it only over the dirty callgraph
+// closure and replays cached findings for every other root.
+//
+// RunIncremental re-extracts facts only for functions in dirty
 // (or whose cached body no longer matches), warm-starts any summary
 // fixpoints from the carry, and re-runs pairing over the full fact set.
 //

@@ -27,6 +27,7 @@ import (
 
 	"rustprobe/internal/cfg"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/alias"
 	"rustprobe/internal/detect/doublelock"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
@@ -108,7 +109,7 @@ type funcInfo struct {
 	name   string
 	body   *mir.Body
 	g      *cfg.Graph
-	res    *resolver
+	res    *alias.Resolver
 	own    []*Access
 	calls  []callSite
 	spawns []spawnSite
@@ -175,7 +176,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	g := cfg.New(body)
 	guards := doublelock.Guards(body)
 	live := doublelock.LiveGuards(body, g, guards)
-	res := newResolver(ctx, name, body, guards)
+	res := alias.New(ctx, name, body, guards)
 	info := &funcInfo{name: name, body: body, g: g, res: res}
 
 	closureOf := closureLocals(body)
@@ -184,7 +185,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		held := doublelock.Held(live.StateAt(blk, idx), guards)
 		canon := make(map[string]doublelock.Mode, len(held))
 		for id, m := range held {
-			canon[res.canonPath(id)] = m
+			canon[res.CanonPath(id)] = m
 		}
 		return canon
 	}
@@ -192,8 +193,8 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		if len(pl.Proj) == 0 && !isStaticLocal(body, pl.Local) {
 			return // a bare binding is not a shared-memory access
 		}
-		p := res.placePath(pl)
-		if p == "" || pathDepth(p) > maxPathDepth {
+		p := res.PlacePath(pl)
+		if p == "" || alias.Depth(p) > maxPathDepth {
 			return
 		}
 		info.own = append(info.own, &Access{
@@ -276,7 +277,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			for _, a := range c.Args {
 				p := ""
 				if pl, ok := mir.OperandPlace(a); ok {
-					p = res.valuePath(pl)
+					p = res.ValuePath(pl)
 				}
 				cs.argPaths = append(cs.argPaths, p)
 			}
@@ -284,8 +285,8 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[methodName(c.Callee)] {
 			// A mutating container method through an unknown callee is an
 			// interior write to the receiver's storage.
-			p := res.canonPath(c.RecvPath)
-			if p != "" && pathDepth(p) <= maxPathDepth {
+			p := res.CanonPath(c.RecvPath)
+			if p != "" && alias.Depth(p) <= maxPathDepth {
 				info.own = append(info.own, &Access{
 					Path: p, Write: true, Interior: true,
 					Fn: name, Span: c.Span, At: blk.ID, Locks: cloneLocks(held),
@@ -320,7 +321,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				params := paramNames(ctx.Bodies[cs.callee])
 				for _, a := range calleeSum {
 					p := summary.TranslateRoot(a.Path, params, cs.argPaths)
-					if p == "" || pathDepth(p) > maxPathDepth {
+					if p == "" || alias.Depth(p) > maxPathDepth {
 						continue
 					}
 					t := a.clone()
@@ -460,8 +461,8 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			continue
 		}
 		for _, c := range cbody.Captures {
-			if root := info.res.canonName(c); root != "" {
-				escaped[pathRoot(root)] = true
+			if root := info.res.CanonName(c); root != "" {
+				escaped[alias.Root(root)] = true
 			}
 		}
 	}
@@ -484,7 +485,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			inLoop: info.g.ReachableFrom(sp.target)[sp.at],
 		}
 		for _, a := range sortedAccs(sums[sp.closure]) {
-			root := pathRoot(a.Path)
+			root := alias.Root(a.Path)
 			var rewritten *Access
 			switch {
 			case strings.HasPrefix(root, "static "):
@@ -492,18 +493,18 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			case caps[root]:
 				// Capture-rooted: rename into the spawner's namespace
 				// through the alias map (svc → service).
-				canon := info.res.canonName(root)
+				canon := info.res.CanonName(root)
 				if canon == "" {
 					canon = root
 				}
 				rewritten = a.clone()
-				rewritten.Path = rewriteRoot(a.Path, root, canon)
+				rewritten.Path = alias.RewriteRoot(a.Path, root, canon)
 				newLocks := map[string]doublelock.Mode{}
 				for id, m := range rewritten.Locks {
-					lr := pathRoot(id)
+					lr := alias.Root(id)
 					if caps[lr] {
-						if lc := info.res.canonName(lr); lc != "" {
-							id = rewriteRoot(id, lr, lc)
+						if lc := info.res.CanonName(lr); lc != "" {
+							id = alias.RewriteRoot(id, lr, lc)
 						}
 					}
 					newLocks[id] = m
@@ -523,7 +524,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 	// other, since they are program-ordered on the spawner thread.
 	var spawnerAccs []*Access
 	for _, a := range sortedAccs(sums[name]) {
-		root := pathRoot(a.Path)
+		root := alias.Root(a.Path)
 		if escaped[root] || strings.HasPrefix(root, "static ") {
 			spawnerAccs = append(spawnerAccs, a)
 		}
@@ -531,9 +532,9 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 
 	var out []detect.Finding
 	emit := func(a, b *Access) {
-		root := pathRoot(a.Path)
+		root := alias.Root(a.Path)
 		if !escaped[root] && !strings.HasPrefix(root, "static ") &&
-			!escaped[pathRoot(b.Path)] && !strings.HasPrefix(pathRoot(b.Path), "static ") {
+			!escaped[alias.Root(b.Path)] && !strings.HasPrefix(alias.Root(b.Path), "static ") {
 			return
 		}
 		key := pairKey(a, b)
@@ -733,4 +734,19 @@ func resolvedCallee(ctx *detect.Context, c mir.Call) string {
 		return c.Callee
 	}
 	return ""
+}
+
+// overlap reports whether two canonical paths may name overlapping
+// storage: equal, or one a field/index extension of the other.
+func overlap(a, b string) bool {
+	if a == b {
+		return true
+	}
+	if strings.HasPrefix(a, b) && (a[len(b)] == '.' || a[len(b)] == '[') {
+		return true
+	}
+	if strings.HasPrefix(b, a) && (b[len(a)] == '.' || b[len(a)] == '[') {
+		return true
+	}
+	return false
 }

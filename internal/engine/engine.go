@@ -181,14 +181,14 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
-// job is one queued unit of work. Its ctx is the owning flight's
-// context: cancelled once every waiter has given up, which lets a
-// worker skip (or stop fanning out) work nobody is waiting for.
+// job is one admitted unit of work: an Analyze leader's analysis or a
+// session round. run executes on a worker under job ctx; done receives
+// its outcome exactly once — including a skip (ctx already dead when the
+// job reached a worker) and a recovered panic (*InternalError).
 type job struct {
-	req    Request
-	key    string
-	ctx    context.Context
-	flight *flight
+	ctx  context.Context
+	run  func(ctx context.Context) error
+	done func(err error)
 }
 
 // New starts an engine with cfg's pool and cache sizes.
@@ -220,7 +220,7 @@ func New(cfg Config) *Engine {
 		go func() {
 			defer e.wg.Done()
 			for j := range e.jobs {
-				e.run(j)
+				e.work(j)
 			}
 		}()
 	}
@@ -290,83 +290,130 @@ func (e *Engine) Analyze(ctx context.Context, req Request) (*Response, error) {
 		return e.await(ctx, f, start)
 	}
 
-	j := &job{req: req, key: key, ctx: f.ctx, flight: f}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		e.finishFlight(f, key, nil, ErrClosed)
-		return e.await(ctx, f, start)
-	}
-	// The read lock is held across the send so Close cannot close the
-	// channel mid-send; workers keep draining, so the send cannot block
-	// Close indefinitely.
-	if e.cfg.QueueReject {
-		select {
-		case e.jobs <- j:
-			e.mu.RUnlock()
-		default:
-			e.mu.RUnlock()
-			e.ctr.queueRejected.Add(1)
-			e.finishFlight(f, key, nil, ErrQueueFull)
-			return e.await(ctx, f, start)
-		}
-	} else {
-		select {
-		case e.jobs <- j:
-			e.mu.RUnlock()
-		case <-ctx.Done():
-			e.mu.RUnlock()
-			e.ctr.canceled.Add(1)
-			e.finishFlight(f, key, nil, ctx.Err())
-			return e.await(ctx, f, start)
-		}
+	var resp *Response
+	err := e.submit(ctx, &job{
+		ctx: f.ctx,
+		run: func(ctx context.Context) (err error) {
+			resp, err = e.analyze(ctx, req, key)
+			return err
+		},
+		done: func(err error) {
+			if err != nil && !isCancel(err) {
+				e.ctr.failed.Add(1)
+			}
+			e.finishFlight(f, key, resp, err)
+		},
+	})
+	if err != nil {
+		e.finishFlight(f, key, nil, err)
 	}
 	return e.await(ctx, f, start)
 }
 
-// run executes one job on a worker goroutine: frontend, then the
-// detector fan-out and the unsafe scan in parallel. Every exit path —
-// including a panic anywhere in the pipeline — finishes the job's
-// flight exactly once, so clients never block on a lost worker and the
-// pool never shrinks.
-func (e *Engine) run(j *job) {
-	e.ctr.inFlight.Add(1)
-	defer e.ctr.inFlight.Add(-1)
-	start := time.Now()
-
-	finished := false
-	finish := func(resp *Response, err error) {
-		finished = true
-		e.finishFlight(j.flight, j.key, resp, err)
+// Do runs fn on a pool worker, admitted exactly like an Analyze job, and
+// blocks until it has finished. It fails fast with ErrClosed after Close
+// and with ErrQueueFull on a saturated queue under Config.QueueReject;
+// otherwise it waits for a queue slot until ctx is done. Once admitted,
+// fn runs under ctx unless ctx is already done when a worker picks it up
+// (then Do returns ctx.Err() without running it), and Do waits for it
+// even if ctx expires meanwhile: callers such as session rounds hold
+// state that fn mutates. A panic in fn is recovered on the worker and
+// returned as *InternalError, as is a *rustprobe.PanicError from fn.
+func (e *Engine) Do(ctx context.Context, fn func(ctx context.Context) error) error {
+	result := make(chan error, 1)
+	if err := e.submit(ctx, &job{ctx: ctx, run: fn, done: func(err error) { result <- err }}); err != nil {
+		return err
 	}
+	return <-result
+}
+
+// submit is the one admission path into the worker pool: the closed
+// check, then the bounded queue — fail fast with ErrQueueFull under
+// Config.QueueReject, otherwise wait for a slot until ctx is done. On a
+// non-nil return the job was not admitted and its done is never called.
+func (e *Engine) submit(ctx context.Context, j *job) error {
+	// The read lock is held across the send so Close cannot close the
+	// channel mid-send; workers keep draining, so the send cannot block
+	// Close indefinitely.
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if e.cfg.QueueReject {
+		select {
+		case e.jobs <- j:
+			return nil
+		default:
+			e.ctr.queueRejected.Add(1)
+			return ErrQueueFull
+		}
+	}
+	select {
+	case e.jobs <- j:
+		return nil
+	case <-ctx.Done():
+		e.ctr.canceled.Add(1)
+		return ctx.Err()
+	}
+}
+
+// work executes one admitted job on a worker goroutine. A job whose ctx
+// died while it sat in the queue is skipped; a panic anywhere in it —
+// or a detector panic the fan-out isolated — becomes an *InternalError.
+// Either way done runs exactly once, so callers never block on a lost
+// worker and the pool never shrinks.
+func (e *Engine) work(j *job) {
+	e.ctr.inFlight.Add(1)
+	err := j.ctx.Err()
+	if err == nil {
+		err = runRecovered(j)
+	}
+	var pe *rustprobe.PanicError
+	var ie *InternalError
+	switch {
+	case errors.As(err, &pe):
+		err = &InternalError{Panic: fmt.Sprintf("detector %s: %v", pe.Detector, pe.Value), Stack: string(pe.Stack)}
+		e.ctr.panics.Add(1)
+	case errors.As(err, &ie):
+		e.ctr.panics.Add(1)
+	case isCancel(err):
+		// Skipped in the queue or stopped early: nobody is waiting for
+		// the result.
+		e.ctr.canceled.Add(1)
+	}
+	// Settle the counters before done wakes the caller, so a caller that
+	// reads Stats right after its job returns sees them final.
+	e.ctr.inFlight.Add(-1)
+	j.done(err)
+}
+
+// runRecovered runs j, turning a panic into an *InternalError.
+func runRecovered(j *job) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			e.ctr.panics.Add(1)
-			e.ctr.failed.Add(1)
-			if !finished {
-				finish(nil, &InternalError{Panic: fmt.Sprint(v), Stack: string(debug.Stack())})
-			}
+			err = &InternalError{Panic: fmt.Sprint(v), Stack: string(debug.Stack())}
 		}
 	}()
+	return j.run(j.ctx)
+}
 
-	if err := j.ctx.Err(); err != nil {
-		// Every waiter gave up while the job sat in the queue: skip
-		// the work entirely and free the worker for live requests.
-		e.ctr.canceled.Add(1)
-		finish(nil, err)
-		return
-	}
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
 
-	res, err := analyzeFrontend(j.req)
+// analyze is an Analyze job's body: frontend, then the detector fan-out
+// and the unsafe scan in parallel.
+func (e *Engine) analyze(ctx context.Context, req Request, key string) (*Response, error) {
+	start := time.Now()
+	res, err := analyzeFrontend(req)
 	e.ctr.frontendNs.Add(int64(time.Since(start)))
 	if err != nil {
-		e.ctr.failed.Add(1)
-		finish(nil, err)
-		return
+		return nil, err
 	}
 
 	if hook := e.cfg.TestDetectHook; hook != nil {
-		hook(j.ctx, j.req)
+		hook(ctx, req)
 	}
 
 	// The §4 unsafe scan overlaps the detector fan-out. Its recover
@@ -390,43 +437,25 @@ func (e *Engine) run(j *job) {
 		e.ctr.scanNs.Add(int64(time.Since(t)))
 	}()
 	t := time.Now()
-	findings, times, derr := res.DetectParallelTimedCtx(j.ctx, j.req.Detectors...)
+	findings, times, err := res.DetectCtx(ctx, req.Detectors...)
 	e.ctr.detectNs.Add(int64(time.Since(t)))
 	e.ctr.addDetectorTimes(times)
 	<-scanDone
-
-	switch {
-	case scanPanic != nil:
-		e.ctr.panics.Add(1)
-		e.ctr.failed.Add(1)
-		finish(nil, scanPanic)
-		return
-	case derr != nil:
-		var pe *rustprobe.PanicError
-		if errors.As(derr, &pe) {
-			e.ctr.panics.Add(1)
-			e.ctr.failed.Add(1)
-			finish(nil, &InternalError{
-				Panic: fmt.Sprintf("detector %s: %v", pe.Detector, pe.Value),
-				Stack: string(pe.Stack),
-			})
-			return
-		}
-		// Cancelled mid-job: the fan-out stopped early, nobody is
-		// waiting for the result.
-		e.ctr.canceled.Add(1)
-		finish(nil, derr)
-		return
+	if scanPanic != nil {
+		return nil, scanPanic
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	resp := &Response{Findings: FindingsFrom(res.Fset, findings), Unsafe: scan}
 	if e.cache != nil {
-		e.cache.put(j.key, resp)
+		e.cache.put(key, resp)
 	}
-	e.storePut(j.key, resp)
+	e.storePut(key, resp)
 	e.ctr.completed.Add(1)
 	e.ctr.analyzeNs.Add(int64(time.Since(start)))
-	finish(resp, nil)
+	return resp, nil
 }
 
 // storeGet consults the persistent tier (read-through). A hit is

@@ -10,9 +10,12 @@ import (
 // serve from a hot /stats endpoint. Cumulative per-stage latencies are
 // reported in milliseconds; divide by JobsCompleted for averages.
 type Stats struct {
-	Workers       int    `json:"workers"`
-	QueueDepth    int    `json:"queue_depth"`
-	QueueCapacity int    `json:"queue_capacity"`
+	Workers       int `json:"workers"`
+	QueueDepth    int `json:"queue_depth"`
+	QueueCapacity int `json:"queue_capacity"`
+	// JobsInFlight, JobsCanceled, Panics and QueueRejected cover every
+	// admitted job, session rounds (Do) included; JobsSubmitted,
+	// JobsCompleted and JobsFailed count Analyze requests only.
 	JobsInFlight  int64  `json:"jobs_in_flight"`
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsCompleted uint64 `json:"jobs_completed"`

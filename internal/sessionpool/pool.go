@@ -8,8 +8,13 @@
 // Concurrency contract: pushes to the same repo serialize on the
 // session entry's lock (a session round mutates shared reuse state;
 // interleaving two rounds would diff against a moving base), while
-// pushes to distinct repos run fully in parallel. The pool lock guards
-// only the entry table and is never held across an analysis round.
+// pushes to distinct repos run in parallel. A round takes the entry lock
+// first and only then submits itself to the engine's worker pool, so
+// rounds get the engine's admission rules (closed check, queue bound and
+// ErrQueueFull backpressure, skip-if-cancelled, panic recovery into
+// *engine.InternalError) and pushes queued behind the same repo never
+// park a worker. The pool lock guards only the entry table and is never
+// held across an analysis round.
 //
 // Lifecycle: entries are created on first push, touched on every push,
 // and evicted LRU once the pool exceeds MaxSessions or idle past
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"rustprobe"
+	"rustprobe/internal/engine"
 	"rustprobe/internal/incrstate"
 	"rustprobe/internal/store"
 )
@@ -70,8 +76,9 @@ type Config struct {
 	Now func() time.Time
 
 	// TestRoundHook, when set, is called at the start of every analysis
-	// round while the entry lock is held; the returned func runs at round
-	// end. Tests use it to assert same-repo serialization.
+	// round, on the engine worker while the entry lock is held; the
+	// returned func runs at round end. Tests use it to assert same-repo
+	// serialization and to inject panics and stalls into a round.
 	TestRoundHook func(repo string) func()
 }
 
@@ -134,6 +141,7 @@ type entry struct {
 // Pool is a repo-keyed session pool. Safe for concurrent use.
 type Pool struct {
 	cfg Config
+	eng *engine.Engine
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -154,15 +162,15 @@ type Pool struct {
 	graphPatchedRounds atomic.Uint64
 }
 
-// New builds a pool from cfg.
-func New(cfg Config) *Pool {
+// New builds a pool from cfg whose rounds run on eng's workers.
+func New(eng *engine.Engine, cfg Config) *Pool {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Pool{cfg: cfg, entries: make(map[string]*entry)}
+	return &Pool{cfg: cfg, eng: eng, entries: make(map[string]*entry)}
 }
 
 // SessionKey names a repo's persisted session state in the store. The
@@ -218,9 +226,11 @@ func (p *Pool) PushDiff(ctx context.Context, repo string, changed map[string]str
 	})
 }
 
-// run is the shared push core: acquire/create the entry, serialize on
-// it, restore from the store if this is the entry's first round,
-// analyze, persist, release.
+// run is the shared push core: acquire/create the entry, run one round
+// on it, release. A failed round (including a panic, which the engine
+// turns into *engine.InternalError) still releases the entry, so it stays
+// evictable. Eviction runs on both acquire and release, so the cap holds
+// once pushes drain even when every excess entry was busy at acquire.
 func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[string]string, error)) (*Result, error) {
 	now := p.cfg.Now()
 
@@ -247,13 +257,18 @@ func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[s
 	p.evictLocked(now)
 	p.mu.Unlock()
 
+	defer func() {
+		p.mu.Lock()
+		e.refs--
+		e.lastUsed = p.cfg.Now()
+		// Entries that were mid-push when the cap was last enforced are
+		// evictable now.
+		p.evictLocked(e.lastUsed)
+		p.mu.Unlock()
+	}()
+
 	p.pushes.Add(1)
 	res, err := p.round(ctx, e, mkFiles)
-
-	p.mu.Lock()
-	e.refs--
-	e.lastUsed = p.cfg.Now()
-	p.mu.Unlock()
 
 	if res != nil {
 		res.Stats.SessionHit = hit
@@ -261,20 +276,28 @@ func (p *Pool) run(ctx context.Context, repo string, mkFiles func(*entry) (map[s
 	return res, err
 }
 
-// round runs the analysis under the entry lock.
+// round serializes on the entry lock, then runs the round as one engine
+// job.
 func (p *Pool) round(ctx context.Context, e *entry, mkFiles func(*entry) (map[string]string, error)) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p.cfg.TestRoundHook != nil {
-		done := p.cfg.TestRoundHook(e.repo)
-		defer done()
-	}
-	// A push that queued behind a long round may have outlived its
-	// client; don't start work for it.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	var res *Result
+	err := p.eng.Do(ctx, func(ctx context.Context) error {
+		if p.cfg.TestRoundHook != nil {
+			done := p.cfg.TestRoundHook(e.repo)
+			defer done()
+		}
+		var err error
+		res, err = p.analyze(ctx, e, mkFiles)
+		return err
+	})
+	return res, err
+}
 
+// analyze is one round's work on an engine worker: restore, analyze,
+// persist. The session leaves its state untouched on failure, and e.src
+// moves only after a successful round.
+func (p *Pool) analyze(ctx context.Context, e *entry, mkFiles func(*entry) (map[string]string, error)) (*Result, error) {
 	// First round of this entry: seed from the persisted snapshot, if
 	// any. Decode failures (corrupt payload past the store's checksum,
 	// stale version) and Restore refusals just mean a full round.
@@ -295,7 +318,7 @@ func (p *Pool) round(ctx context.Context, e *entry, mkFiles func(*entry) (map[st
 	if err != nil {
 		return nil, err
 	}
-	up, err := e.sess.Analyze(files)
+	up, err := e.sess.AnalyzeCtx(ctx, files)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func TestPoolConcurrentStress(t *testing.T) {
 	inRound := make([]atomic.Int32, repos)
 	var maxConcurrentDistinct atomic.Int32
 	var active atomic.Int32
-	p := New(Config{
+	p := New(testEngine(t), Config{
 		MaxSessions: 3, // < repos: constant LRU pressure
 		IdleTTL:     2 * time.Millisecond,
 		Now:         func() time.Time { return time.Unix(0, clockNs.Load()) },
@@ -166,7 +166,7 @@ func TestPoolConcurrentStress(t *testing.T) {
 func TestPoolDistinctReposRunInParallel(t *testing.T) {
 	barrier := make(chan struct{})
 	arrived := make(chan string, 2)
-	p := New(Config{
+	p := New(testEngine(t), Config{
 		TestRoundHook: func(repo string) func() {
 			arrived <- repo
 			<-barrier

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rustprobe"
+	"rustprobe/internal/engine"
 	"rustprobe/internal/incrstate"
 	"rustprobe/internal/store"
 )
@@ -34,6 +35,15 @@ impl Shared {
 }
 `
 )
+
+// testEngine is the worker pool a test pool's rounds run on, closed when
+// the test ends.
+func testEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	eng := engine.New(engine.Config{Workers: 4})
+	t.Cleanup(eng.Close)
+	return eng
+}
 
 func baseTree() map[string]string {
 	return map[string]string{"util.rs": uafSrc, "lib.rs": dlockSrc}
@@ -69,7 +79,7 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 func TestPoolPushAndDiff(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	ctx := context.Background()
 	files := baseTree()
 
@@ -119,14 +129,14 @@ func TestPoolPushAndDiff(t *testing.T) {
 }
 
 func TestPoolDiffWithoutSession(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	if _, err := p.PushDiff(context.Background(), "never-pushed", map[string]string{"a.rs": "fn f() {}\n"}, nil); err != ErrNoSession {
 		t.Fatalf("diff without session: err = %v, want ErrNoSession", err)
 	}
 }
 
 func TestPoolSyntaxErrorKeepsSession(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	ctx := context.Background()
 	if _, err := p.Push(ctx, "r", baseTree()); err != nil {
 		t.Fatal(err)
@@ -147,7 +157,7 @@ func TestPoolSyntaxErrorKeepsSession(t *testing.T) {
 }
 
 func TestPoolLRUEviction(t *testing.T) {
-	p := New(Config{MaxSessions: 2})
+	p := New(testEngine(t), Config{MaxSessions: 2})
 	ctx := context.Background()
 	tree := map[string]string{"a.rs": "fn f() {}\n"}
 	for _, repo := range []string{"r1", "r2", "r3"} {
@@ -170,7 +180,7 @@ func TestPoolLRUEviction(t *testing.T) {
 func TestPoolTTLEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	p := New(Config{IdleTTL: time.Minute, Now: clock})
+	p := New(testEngine(t), Config{IdleTTL: time.Minute, Now: clock})
 	ctx := context.Background()
 	tree := map[string]string{"a.rs": "fn f() {}\n"}
 	if _, err := p.Push(ctx, "r", tree); err != nil {
@@ -198,7 +208,7 @@ func TestPoolStoreRestore(t *testing.T) {
 	ctx := context.Background()
 	files := baseTree()
 
-	p1 := New(Config{Store: open()})
+	p1 := New(testEngine(t), Config{Store: open()})
 	if _, err := p1.Push(ctx, "repo", files); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestPoolStoreRestore(t *testing.T) {
 
 	// New pool, same store: the first push restores and a body-only edit
 	// runs incrementally.
-	p2 := New(Config{Store: open()})
+	p2 := New(testEngine(t), Config{Store: open()})
 	edited := baseTree()
 	edited["util.rs"] = strings.Replace(uafSrc, "x + 1", "x + 9", 1)
 	res, err := p2.Push(ctx, "repo", edited)
@@ -225,7 +235,7 @@ func TestPoolStoreRestore(t *testing.T) {
 
 	// A diff push right after restart still fails: the diff base is the
 	// in-memory tree, which did not survive.
-	p3 := New(Config{Store: open()})
+	p3 := New(testEngine(t), Config{Store: open()})
 	if _, err := p3.PushDiff(ctx, "repo", map[string]string{"util.rs": uafSrc}, nil); err != ErrNoSession {
 		t.Fatalf("post-restart diff err = %v, want ErrNoSession", err)
 	}
@@ -241,7 +251,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1 := New(Config{Store: s1})
+		p1 := New(testEngine(t), Config{Store: s1})
 		if _, err := p1.Push(ctx, "repo", files); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +273,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2 := New(Config{Store: s2})
+		p2 := New(testEngine(t), Config{Store: s2})
 		res, err := p2.Push(ctx, "repo", files)
 		if err != nil {
 			t.Fatalf("push over corrupt state failed: %v", err)
@@ -298,7 +308,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err := s1.Put(SessionKey("repo"), payload); err != nil {
 			t.Fatal(err)
 		}
-		p := New(Config{Store: s1})
+		p := New(testEngine(t), Config{Store: s1})
 		res, err := p.Push(ctx, "repo", files)
 		if err != nil {
 			t.Fatalf("push over stale state failed: %v", err)
@@ -313,7 +323,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 }
 
 func TestPoolClosed(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	p.Close()
 	if _, err := p.Push(context.Background(), "r", map[string]string{"a.rs": "fn f() {}\n"}); err != ErrClosed {
 		t.Fatalf("push after close: err = %v, want ErrClosed", err)
@@ -321,7 +331,7 @@ func TestPoolClosed(t *testing.T) {
 }
 
 func TestPoolContextCancelled(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Push(ctx, "r", map[string]string{"a.rs": "fn f() {}\n"}); err != context.Canceled {
@@ -333,7 +343,7 @@ func TestPoolContextCancelled(t *testing.T) {
 // a client reusing its map buffer between pushes cannot corrupt the
 // session's diff base.
 func TestPoolCallerOwnedInputs(t *testing.T) {
-	p := New(Config{})
+	p := New(testEngine(t), Config{})
 	ctx := context.Background()
 	files := baseTree()
 	if _, err := p.Push(ctx, "r", files); err != nil {

@@ -27,7 +27,7 @@ var Insights = []Insight{
 	{"S1", "4.1", "Export only the true source of unsafety as an unsafe interface, minimizing unsafe surface.", "internal/unsafety"},
 	{"S2", "4.2", "Encapsulate unsafe code behind interior-unsafe functions before exposing unsafe interfaces.", "internal/unsafety"},
 	{"S3", "4.3", "If a function's safety depends on its caller, mark it unsafe rather than interior unsafe.", "internal/unsafety"},
-	{"S4", "4.3", "Restrict interior mutability, especially functions returning references; distinguish it from truly immutable functions.", "internal/borrowck"},
+	{"S4", "4.3", "Restrict interior mutability, especially functions returning references; distinguish it from truly immutable functions.", "internal/detect/interiormut"},
 	{"S5", "5.1", "Memory-bug detectors can skip safe code unrelated to unsafe code, cutting false positives and cost.", "internal/detect/uaf"},
 	{"S6", "6.1", "IDEs should highlight the location of Rust's implicit unlock (critical-section boundaries).", "internal/visualize"},
 	{"S7", "6.1", "Mutex should gain an explicit unlock API (mem::drop of an unsaved guard is inconvenient).", "internal/visualize"},

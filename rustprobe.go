@@ -100,7 +100,7 @@ type Result struct {
 	Diags   *source.Diagnostics
 
 	// Precise selects the SafeDrop-style path-sensitive detector variants
-	// for Detect/DetectParallel: default candidate findings that the
+	// for Detect/DetectCtx: default candidate findings that the
 	// shared dropflow analysis refutes are dropped. Off by default so the
 	// paper's §7 results stay reproducible.
 	Precise bool
@@ -406,7 +406,9 @@ func Detectors() []Detector { return detectorRegistry(false) }
 
 // detectorRegistry builds the static suite; precise selects the
 // path-sensitive (dropflow-refuting) variants of the memory detectors.
-// The lock and concurrency detectors have no precise variant.
+// The lock and concurrency detectors have no precise variant. A detector
+// is global iff it implements detect.Incremental; every other one is
+// local (see detect.Incremental for what that means to a session).
 func detectorRegistry(precise bool) []Detector {
 	return []Detector{
 		&uaf.Detector{Precise: precise},
@@ -415,34 +417,6 @@ func detectorRegistry(precise bool) []Detector {
 		blocking.New(),
 		&dfree.Detector{Precise: precise},
 		&uninit.Detector{Precise: precise},
-		interiormut.New(),
-		race.New(),
-	}
-}
-
-// localDetectors are the passes whose findings are attributed to the
-// analyzed root function and depend only on that function, its transitive
-// callees, and the (always fully present) resolved program registry.
-// Incremental sessions re-run them only over the dirty callgraph closure
-// and reuse cached findings for every other root.
-func localDetectors(precise bool) []Detector {
-	return []Detector{
-		&uaf.Detector{Precise: precise},
-		doublelock.New(),
-		&dfree.Detector{Precise: precise},
-		&uninit.Detector{Precise: precise},
-	}
-}
-
-// globalDetectors pair facts across possibly unrelated functions —
-// conflicting lock orders across function pairs, data races across spawn
-// sites and statics, interior-mutability conflicts across one type's
-// methods — so a change anywhere can flip their findings and they always
-// re-run whole-program.
-func globalDetectors() []Detector {
-	return []Detector{
-		lockorder.New(),
-		blocking.New(),
 		interiormut.New(),
 		race.New(),
 	}
@@ -460,54 +434,41 @@ func DetectorNames() []string {
 
 // Detect runs the named detectors (the full static suite when none are
 // named) and returns the merged, position-sorted findings. The "dynamic"
-// detector only runs when named explicitly.
+// detector only runs when named explicitly. A detector panic re-panics
+// on the caller's goroutine; callers that want panics as values, or
+// cancellation, use DetectCtx.
 func (r *Result) Detect(names ...string) []Finding {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
+	out, _, err := r.DetectCtx(context.Background(), names...)
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		panic(fmt.Sprintf("%v\n%s", pe, pe.Stack))
 	}
-	var out []Finding
-	for _, d := range detectorRegistry(r.Precise) {
-		if len(want) > 0 && !want[d.Name()] {
-			continue
-		}
-		out = append(out, d.Run(r.Context())...)
-	}
-	if want["dynamic"] {
-		out = append(out, dynamic.New().Run(r.Context())...)
-	}
-	detect.SortFindings(out)
 	return out
 }
 
-// DetectParallel runs the same detector selection as Detect, but with
-// each detector pass on its own goroutine over the shared Context.
-// The merged, sorted findings are identical to Detect's; the engine
-// uses this to overlap independent passes within one analysis job.
-func (r *Result) DetectParallel(names ...string) []Finding {
-	out, _ := r.DetectParallelTimed(names...)
-	return out
-}
-
-// DetectParallelTimed is DetectParallel plus a per-detector wall-time
-// breakdown (keyed by detector name). A detector panic re-panics on the
-// caller's goroutine (matching Detect's behavior); context-aware callers
-// that want panics as values use DetectParallelTimedCtx.
-func (r *Result) DetectParallelTimed(names ...string) ([]Finding, map[string]time.Duration) {
-	out, times, err := r.DetectParallelTimedCtx(context.Background(), names...)
+// DetectCtx runs the same selection as Detect, each detector on its own
+// goroutine over the shared Context, and also returns a per-detector
+// wall-time breakdown keyed by detector name.
+//
+// If ctx is cancelled, detectors not yet launched are skipped and the
+// context error is returned once the in-flight passes drain (individual
+// passes are not interruptible; cancellation stops the fan-out at
+// detector granularity). If any pass panics, a *PanicError for the
+// first panicking detector is returned instead of findings. The timing
+// breakdown is valid in every case.
+func (r *Result) DetectCtx(ctx context.Context, names ...string) ([]Finding, map[string]time.Duration, error) {
+	out, err := r.detect(ctx, detectRound{names: names, full: true})
 	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			panic(fmt.Sprintf("%v\n%s", pe, pe.Stack))
-		}
+		return nil, out.times, err
 	}
-	return out, times
+	detect.SortFindings(out.findings)
+	return out.findings, out.times, nil
 }
 
-// PanicError reports that a detector pass panicked during the parallel
-// fan-out. The recovered value and the panicking goroutine's stack are
-// preserved so servers can isolate the failure and log it instead of
-// losing the process (or a pool worker) to one bad input.
+// PanicError reports that a detector pass panicked during the fan-out.
+// The recovered value and the panicking goroutine's stack are preserved
+// so servers can isolate the failure and log it instead of losing the
+// process (or a pool worker) to one bad input.
 type PanicError struct {
 	Detector string
 	Value    any
@@ -522,20 +483,49 @@ func (e *PanicError) Error() string {
 // exercise panic isolation without a real detector that can panic.
 var testDetectors []Detector
 
-// DetectParallelTimedCtx is the context-aware detector fan-out: each
-// selected detector runs on its own goroutine over the shared Context,
-// with a per-detector recover. It returns the merged, sorted findings
-// and a per-detector wall-time breakdown.
-//
-// If ctx is cancelled, detectors not yet launched are skipped and the
-// context error is returned once the in-flight passes drain (individual
-// passes are not interruptible; cancellation stops the fan-out at
-// detector granularity). If any pass panics, a *PanicError for the
-// first panicking detector is returned instead of findings. The timing
-// breakdown is valid in every case.
-func (r *Result) DetectParallelTimedCtx(ctx context.Context, names ...string) ([]Finding, map[string]time.Duration, error) {
+// detectRound is one run of the detector suite over a Result. A full
+// round treats every function as dirty; an incremental round names the
+// functions whose MIR changed since the round that produced carries.
+type detectRound struct {
+	names   []string // detector selection; empty means the static suite
+	full    bool     // every function is dirty; changed is ignored
+	changed []string // incremental rounds: functions whose MIR changed
+
+	// carries holds the global detectors' fact caches by detector name.
+	// Non-nil gives every global detector a carry slot: it runs
+	// RunIncremental (a missing entry extracts from scratch) and the
+	// round returns the next carries. Nil runs the global detectors with
+	// Run and carries nothing.
+	carries map[string]detect.Carry
+}
+
+// detectOutcome is what one round computed.
+type detectOutcome struct {
+	findings []Finding // every selected detector's, in registry order, unsorted
+	local    []Finding // the local detectors' share of findings
+
+	// recomputed is, for an incremental round, the dirty callgraph
+	// closure: the roots whose local findings were recomputed. Every root
+	// outside it keeps its previous local findings.
+	recomputed map[string]bool
+
+	carries map[string]detect.Carry // next round's fact caches; nil without slots
+	reused  int                     // per-function global facts reused from carries
+	times   map[string]time.Duration
+}
+
+// detect is the one detector runner behind Detect, DetectCtx and every
+// Session round. Each selected detector runs on its own goroutine with a
+// recover that turns a panic into a *PanicError, and ctx is checked
+// before each launch. Local detectors run over the dirty closure's own
+// context when that closure is a strict subset of Bodies (otherwise over
+// r.Context(), so a full round builds one call graph); global detectors
+// always see the whole program. The outcome, including its timings, is
+// non-nil even when an error is returned, and the caller decides whether
+// to install its carries.
+func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, error) {
 	want := map[string]bool{}
-	for _, n := range names {
+	for _, n := range rd.names {
 		want[n] = true
 	}
 	ds := detectorRegistry(r.Precise)
@@ -543,8 +533,36 @@ func (r *Result) DetectParallelTimedCtx(ctx context.Context, names ...string) ([
 		ds = append(ds, dynamic.New())
 	}
 	ds = append(ds, testDetectors...)
+
+	out := &detectOutcome{times: make(map[string]time.Duration, len(ds))}
 	rctx := r.Context() // build once, before the fan-out
+	lctx := rctx
+	var dirty map[string]bool
+	if !rd.full {
+		var seeds []string
+		seeds, out.recomputed = r.dirtyClosure(rctx.Graph, rd.changed)
+		if len(out.recomputed) < len(r.Bodies) {
+			restricted := make(map[string]*mir.Body, len(out.recomputed))
+			for n := range out.recomputed {
+				if b, ok := r.Bodies[n]; ok {
+					restricted[n] = b
+				}
+			}
+			lctx = detect.NewContext(r.Program, restricted)
+		}
+		// The dirty set handed to the global detectors is the re-lowered
+		// body set (the seeds, closures included): facts of any other
+		// function derive from an unchanged body object. The detectors
+		// widen their summary recomputation to the caller closure.
+		dirty = make(map[string]bool, len(seeds))
+		for _, n := range seeds {
+			dirty[n] = true
+		}
+	}
+
 	results := make([][]Finding, len(ds))
+	carries := make([]detect.Carry, len(ds))
+	reused := make([]int, len(ds))
 	elapsed := make([]time.Duration, len(ds))
 	ran := make([]bool, len(ds))
 	var (
@@ -573,27 +591,90 @@ func (r *Result) DetectParallelTimedCtx(ctx context.Context, names ...string) ([
 				}
 			}()
 			t := time.Now()
-			results[i] = d.Run(rctx)
+			inc, global := d.(detect.Incremental)
+			switch {
+			case !global:
+				results[i] = d.Run(lctx)
+			case rd.carries != nil:
+				results[i], carries[i], reused[i] = inc.RunIncremental(rctx, rd.carries[d.Name()], dirty)
+			default:
+				results[i] = d.Run(rctx)
+			}
 			elapsed[i] = time.Since(t)
 		}(i, d)
 	}
 	wg.Wait()
-	times := make(map[string]time.Duration, len(ds))
-	var out []Finding
-	for i, fs := range results {
-		out = append(out, fs...)
-		if ran[i] {
-			times[ds[i].Name()] += elapsed[i]
+
+	if rd.carries != nil {
+		out.carries = make(map[string]detect.Carry, len(rd.carries))
+	}
+	for i, d := range ds {
+		if !ran[i] {
+			continue
+		}
+		out.times[d.Name()] += elapsed[i]
+		out.findings = append(out.findings, results[i]...)
+		if _, global := d.(detect.Incremental); !global {
+			out.local = append(out.local, results[i]...)
+		} else if out.carries != nil {
+			out.carries[d.Name()] = carries[i]
+			out.reused += reused[i]
 		}
 	}
 	if firstPanic != nil {
-		return nil, times, firstPanic
+		return out, firstPanic
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, times, err
+	return out, ctx.Err()
+}
+
+// dirtyClosure computes an incremental round's recompute set from the
+// functions whose MIR changed: the changed functions' bodies (closures
+// included; these are the seeds), their transitive callers (whose
+// summaries can observe the change), and the transitive callees of all of
+// those (so every summary or body lookup a local detector makes stays
+// in-set), closed over closure families (a closure body changes exactly
+// when its owner's body text does).
+func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) (seeds []string, closure map[string]bool) {
+	changed := make(map[string]bool, len(changedFns))
+	for _, q := range changedFns {
+		changed[q] = true
 	}
-	detect.SortFindings(out)
-	return out, times, nil
+	for bname := range r.Bodies {
+		if changed[closureBase(bname)] {
+			seeds = append(seeds, bname)
+		}
+	}
+	sort.Strings(seeds)
+	closure = g.TransitiveCallers(seeds...)
+	for _, bname := range seeds {
+		closure[bname] = true
+	}
+	family := map[string][]string{}
+	for bname := range r.Bodies {
+		b := closureBase(bname)
+		family[b] = append(family[b], bname)
+	}
+	var work []string
+	for n := range closure {
+		work = append(work, n)
+	}
+	add := func(n string) {
+		if !closure[n] {
+			closure[n] = true
+			work = append(work, n)
+		}
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, m := range family[closureBase(n)] {
+			add(m)
+		}
+		for _, e := range g.Callees[n] {
+			add(e.Callee)
+		}
+	}
+	return seeds, closure
 }
 
 // ScanUnsafe runs the §4 unsafe-usage scanner over the parsed crates.

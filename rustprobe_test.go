@@ -1,11 +1,14 @@
 package rustprobe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rustprobe/internal/detect"
 )
 
 func TestAnalyzeSourceAndDetect(t *testing.T) {
@@ -91,24 +94,45 @@ func TestAnalyzeDirRelativePaths(t *testing.T) {
 	}
 }
 
-// DetectParallel must produce findings identical to the serial Detect,
-// for every selection shape the engine submits.
-func TestDetectParallelMatchesDetect(t *testing.T) {
+// Detect fans the detectors out in parallel; its findings must be
+// identical to running each selected detector serially over the same
+// Context, for every selection shape the engine submits, and DetectCtx
+// must return the same findings with a timing entry per detector run.
+func TestDetectMatchesSerialRun(t *testing.T) {
 	for _, group := range []string{"detector-eval", "patterns", "unsafe", "all"} {
 		res, err := AnalyzeCorpus(group)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, names := range [][]string{nil, {"use-after-free"}, {"double-lock", "conflicting-lock-order"}} {
-			serial := res.Detect(names...)
-			parallel := res.DetectParallel(names...)
-			if len(serial) != len(parallel) {
-				t.Fatalf("%s %v: serial %d findings, parallel %d", group, names, len(serial), len(parallel))
+			want := map[string]bool{}
+			for _, n := range names {
+				want[n] = true
 			}
-			for i := range serial {
-				if serial[i].Format(res.Fset) != parallel[i].Format(res.Fset) {
-					t.Errorf("%s %v: finding %d diverges:\n serial:   %s\n parallel: %s",
-						group, names, i, serial[i].Format(res.Fset), parallel[i].Format(res.Fset))
+			var serial []Finding
+			for _, d := range detectorRegistry(res.Precise) {
+				if len(want) == 0 || want[d.Name()] {
+					serial = append(serial, d.Run(res.Context())...)
+				}
+			}
+			detect.SortFindings(serial)
+			parallel := res.Detect(names...)
+			withCtx, times, err := res.DetectCtx(context.Background(), names...)
+			if err != nil {
+				t.Fatalf("%s %v: DetectCtx: %v", group, names, err)
+			}
+			if len(want) > 0 && len(times) != len(want) {
+				t.Errorf("%s %v: timed %d detectors: %v", group, names, len(times), times)
+			}
+			for _, got := range [][]Finding{parallel, withCtx} {
+				if len(serial) != len(got) {
+					t.Fatalf("%s %v: serial %d findings, fan-out %d", group, names, len(serial), len(got))
+				}
+				for i := range serial {
+					if serial[i].Format(res.Fset) != got[i].Format(res.Fset) {
+						t.Errorf("%s %v: finding %d diverges:\n serial:  %s\n fan-out: %s",
+							group, names, i, serial[i].Format(res.Fset), got[i].Format(res.Fset))
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package rustprobe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -157,28 +158,54 @@ func (s *Session) AnalyzeDir(dir string) (*Update, error) {
 	return s.Analyze(files)
 }
 
-// Analyze runs one round over the given sources, reusing as much of the
-// previous round as the diff allows. On error (syntax errors in the new
-// sources) the session keeps its previous good state, so a later call
-// with fixed sources diffs against the last successful round.
+// Analyze runs one round over the given sources; it is AnalyzeCtx
+// without a deadline.
 func (s *Session) Analyze(files map[string]string) (*Update, error) {
+	return s.AnalyzeCtx(context.Background(), files)
+}
+
+// AnalyzeCtx runs one round over the given sources, reusing as much of
+// the previous round as the diff allows. Detection runs through the same
+// fan-out as Result.DetectCtx, so a detector panic comes back as a
+// *PanicError and a cancelled ctx stops the round at detector
+// granularity. A round that fails — syntax errors, a detector panic,
+// cancellation, or a panic anywhere in the round — leaves the session
+// exactly at its last good round: a later call diffs against the last
+// successful round, and ExportState is unchanged.
+func (s *Session) AnalyzeCtx(ctx context.Context, files map[string]string) (up *Update, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Incremental rounds register changed files in the persistent
+	// FileSet. A round that does not commit (error or panic) must not
+	// leak entries that belong to no retained artifact.
+	if fset := s.fset; fset != nil {
+		mark := fset.Mark()
+		defer func() {
+			if up == nil {
+				fset.Rollback(mark)
+			}
+		}()
+	}
+	return s.round(ctx, files)
+}
 
+// round dispatches one AnalyzeCtx round. Every path builds the next
+// state in locals and installs it only once detection has succeeded.
+func (s *Session) round(ctx context.Context, files map[string]string) (*Update, error) {
 	if s.res == nil {
 		if s.prior != nil {
-			return s.restoreRound(files)
+			return s.restoreRound(ctx, files)
 		}
-		return s.full(files, "first analysis")
+		return s.full(ctx, files, "first analysis")
 	}
 	if len(files) != len(s.src) {
-		return s.full(files, "file set changed")
+		return s.full(ctx, files, "file set changed")
 	}
 	var changed []string
 	for name, src := range files {
 		old, ok := s.src[name]
 		if !ok {
-			return s.full(files, "file set changed")
+			return s.full(ctx, files, "file set changed")
 		}
 		if old != src {
 			changed = append(changed, name)
@@ -202,25 +229,19 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 		live += len(src)
 	}
 	if s.fset.Size() > fsetCompactMinBytes && s.fset.Size() > fsetCompactFactor*live {
-		return s.full(files, "state compaction")
+		return s.full(ctx, files, "state compaction")
 	}
 
 	// Per-file frontend for the changed files only. The persistent
-	// FileSet means spans in reused ASTs and cached findings stay valid.
-	// The new registrations are rolled back if this round aborts: error
-	// rounds must not leak entries that belong to no retained artifact.
-	mark := s.fset.Mark()
+	// FileSet means spans in reused ASTs and cached findings stay valid;
+	// AnalyzeCtx rolls the new registrations back if the round fails.
 	diags := source.NewDiagnostics(s.fset)
 	newArts := make(map[string]*fileArtifact, len(changed))
 	for _, name := range changed {
 		newArts[name] = parseArtifact(s.fset, diags, name, files[name])
 	}
 	if diags.HasErrors() {
-		// Render before rollback: the diagnostics resolve their positions
-		// through the fset entries the rollback is about to discard.
-		msg := diags.String()
-		s.fset.Rollback(mark)
-		return nil, &SyntaxError{Diags: msg}
+		return nil, &SyntaxError{Diags: diags.String()}
 	}
 
 	// Anything outside a function body changed — signatures, items,
@@ -228,36 +249,30 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 	for _, name := range changed {
 		if newArts[name].interfaceHash != s.arts[name].interfaceHash ||
 			len(newArts[name].fnBodyHashes) != len(s.arts[name].fnBodyHashes) {
-			return s.full(files, "interface changed: "+name)
+			return s.full(ctx, files, "interface changed: "+name)
 		}
 	}
 
 	// Link phase: resolve over reused + fresh ASTs in the same sorted
 	// order a full build uses.
-	arts := make([]*fileArtifact, 0, len(files))
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	arts := make(map[string]*fileArtifact, len(files))
+	crates := make([]*ast.Crate, 0, len(files))
 	for _, n := range names {
-		if a, ok := newArts[n]; ok {
-			arts = append(arts, a)
-		} else {
-			arts = append(arts, s.arts[n])
+		a, ok := newArts[n]
+		if !ok {
+			a = s.arts[n]
 		}
-	}
-	crates := make([]*ast.Crate, len(arts))
-	for i, a := range arts {
-		crates[i] = a.crate
+		arts[n] = a
+		crates = append(crates, a.crate)
 	}
 	prog := resolve.Crates(s.fset, diags, crates...)
 	if diags.HasErrors() {
-		// Render before rollback: the diagnostics resolve their positions
-		// through the fset entries the rollback is about to discard.
-		msg := diags.String()
-		s.fset.Rollback(mark)
-		return nil, &SyntaxError{Diags: msg}
+		return nil, &SyntaxError{Diags: diags.String()}
 	}
 
 	// Diff function bodies at matching declaration indexes (the index
@@ -294,11 +309,7 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 	// other body is reused from the previous round.
 	lowered := lower.ProgramFiltered(prog, diags, func(q string) bool { return changedFns[q] })
 	if diags.HasErrors() {
-		// Render before rollback: the diagnostics resolve their positions
-		// through the fset entries the rollback is about to discard.
-		msg := diags.String()
-		s.fset.Rollback(mark)
-		return nil, &SyntaxError{Diags: msg}
+		return nil, &SyntaxError{Diags: diags.String()}
 	}
 	bodies := make(map[string]*mir.Body, len(s.res.Bodies))
 	reused := 0
@@ -324,8 +335,7 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 	for bname := range lowered {
 		relowered[bname] = true
 	}
-	prevGraph := s.res.Context().Graph
-	graph := callgraph.Patch(prevGraph, bodies, relowered)
+	graph := callgraph.Patch(s.res.Context().Graph, bodies, relowered)
 	if graphCrossCheckEnabled() {
 		if want := callgraph.Build(bodies).Fingerprint(); graph.Fingerprint() != want {
 			panic(fmt.Sprintf("rustprobe: patched call graph diverged from rebuild (patched %x, rebuilt %x)",
@@ -341,50 +351,61 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 	for q := range changedFns {
 		changedList = append(changedList, q)
 	}
-	fresh, global, restricted, globalReused := res.detectIncremental(changedList, s.carries)
-	merged := append([]Finding(nil), fresh...)
+	out, err := res.detect(ctx, detectRound{changed: changedList, carries: s.carries})
+	if err != nil {
+		return nil, err
+	}
+	merged := out.findings
 	reusedFindings := 0
 	local := make(map[string][]Finding, len(s.local))
 	for fn, fs := range s.local {
-		if restricted[fn] {
+		if out.recomputed[fn] {
 			continue
 		}
 		local[fn] = fs
 		merged = append(merged, fs...)
 		reusedFindings += len(fs)
 	}
-	for _, f := range fresh {
+	for _, f := range out.local {
 		local[f.Function] = append(local[f.Function], f)
 	}
-	merged = append(merged, global...)
 	sortFindingsByPosition(s.fset, merged)
 
-	// Commit.
-	for name, a := range newArts {
-		s.arts[name] = a
-		s.src[name] = files[name]
-	}
-	s.res = res
-	s.local = local
 	up := &Update{Result: res, Findings: merged}
 	up.Stats = UpdateStats{
 		Files:             len(files),
 		FilesReparsed:     len(changed),
 		FuncsLowered:      len(lowered),
 		BodiesReused:      reused,
-		RootsDetected:     len(restricted),
+		RootsDetected:     len(out.recomputed),
 		FindingsReused:    reusedFindings,
 		ChangedFns:        len(changedFns),
 		FuncsTotal:        len(res.Bodies),
-		GlobalFactsReused: globalReused,
+		GlobalFactsReused: out.reused,
 		GraphPatched:      true,
 	}
-	s.last = up
+	s.commit(s.fset, arts, files, local, out.carries, up)
 	return snapshotUpdate(up), nil
 }
 
+// commit installs a successful round as the session's reuse state. It is
+// the only place rounds write session state.
+func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, files map[string]string, local map[string][]Finding, carries map[string]detect.Carry, up *Update) {
+	s.fset = fset
+	s.arts = arts
+	s.src = make(map[string]string, len(files))
+	for n, text := range files {
+		s.src[n] = text
+	}
+	s.res = up.Result
+	s.local = local
+	s.carries = carries
+	s.prior = nil
+	s.last = up
+}
+
 // full rebuilds the session from scratch and reseeds the reuse state.
-func (s *Session) full(files map[string]string, reason string) (*Update, error) {
+func (s *Session) full(ctx context.Context, files map[string]string, reason string) (*Update, error) {
 	fset := source.NewFileSet()
 	diags := source.NewDiagnostics(fset)
 	res, arts, err := analyzeArtifacts(fset, diags, files)
@@ -394,52 +415,32 @@ func (s *Session) full(files map[string]string, reason string) (*Update, error) 
 		}
 		return nil, err
 	}
-	return s.commitFull(files, fset, res, arts, reason), nil
+	return s.commitFull(ctx, files, fset, res, arts, reason, false)
 }
 
 // commitFull finishes a full round over an already-built frontend: it
 // runs every detector from scratch and reseeds the session's reuse
 // state. Shared by full() and the restore path's structural fallback
 // (which has already paid for the frontend and must not rebuild it).
-func (s *Session) commitFull(files map[string]string, fset *source.FileSet, res *Result, arts map[string]*fileArtifact, reason string) *Update {
+func (s *Session) commitFull(ctx context.Context, files map[string]string, fset *source.FileSet, res *Result, arts map[string]*fileArtifact, reason string, restored bool) (*Update, error) {
 	res.Precise = s.precise
-
-	ctx := res.Context()
-	var findings []Finding
-	local := map[string][]Finding{}
-	for _, d := range localDetectors(s.precise) {
-		for _, f := range d.Run(ctx) {
-			findings = append(findings, f)
-			local[f.Function] = append(local[f.Function], f)
-		}
-	}
 	// A full round runs the global detectors from scratch but still seeds
 	// their carries, so the very next incremental round reuses facts.
-	s.carries = map[string]detect.Carry{}
-	for _, d := range globalDetectors() {
-		if inc, ok := d.(detect.Incremental); ok {
-			fs, nc, _ := inc.RunIncremental(ctx, nil, nil)
-			findings = append(findings, fs...)
-			s.carries[d.Name()] = nc
-			continue
-		}
-		findings = append(findings, d.Run(ctx)...)
+	out, err := res.detect(ctx, detectRound{full: true, carries: map[string]detect.Carry{}})
+	if err != nil {
+		return nil, err
 	}
-	sortFindingsByPosition(fset, findings)
+	local := map[string][]Finding{}
+	for _, f := range out.local {
+		local[f.Function] = append(local[f.Function], f)
+	}
+	sortFindingsByPosition(fset, out.findings)
 
-	s.fset = fset
-	s.arts = arts
-	s.res = res
-	s.local = local
-	s.src = make(map[string]string, len(files))
-	for n, src := range files {
-		s.src[n] = src
-	}
-	s.prior = nil
-	up := &Update{Result: res, Findings: findings}
+	up := &Update{Result: res, Findings: out.findings}
 	up.Stats = UpdateStats{
 		Full:          true,
 		FullReason:    reason,
+		Restored:      restored,
 		Files:         len(files),
 		FilesReparsed: len(files),
 		FuncsLowered:  len(res.Bodies),
@@ -447,8 +448,8 @@ func (s *Session) commitFull(files map[string]string, fset *source.FileSet, res 
 		ChangedFns:    len(res.Bodies),
 		FuncsTotal:    len(res.Bodies),
 	}
-	s.last = up
-	return snapshotUpdate(up)
+	s.commit(fset, arts, files, local, out.carries, up)
+	return snapshotUpdate(up), nil
 }
 
 // Restore arms an empty session with state persisted by an earlier
@@ -516,14 +517,14 @@ func (s *Session) ExportState() *incrstate.State {
 	return st
 }
 
-// restoreRound is the first Analyze after Restore: a full frontend
+// restoreRound is the first round after Restore: a full frontend
 // (nothing in-memory to reuse) followed by dirty-closure-only detection
 // against the persisted hashes. Structural drift from the recorded
 // state — different file set, any interface change, a function added or
 // removed — falls back to full detection on the same frontend. The
-// persisted state is consumed only by a successful round, so a syntax
-// error keeps it armed for the next push.
-func (s *Session) restoreRound(files map[string]string) (*Update, error) {
+// persisted state is consumed only by a successful round, so a failed
+// round keeps it armed for the next push.
+func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*Update, error) {
 	prior := s.prior
 	fset := source.NewFileSet()
 	diags := source.NewDiagnostics(fset)
@@ -542,10 +543,7 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 		!mapsEqualStr(prior.Interfaces, ifaces) ||
 		!sameKeysStr(prior.FnBodies, fnBodies) ||
 		!sameKeysStr(prior.FnPos, fnPos) {
-		up := s.commitFull(files, fset, res, arts, "restored state structure changed")
-		up.Stats.Restored = true
-		s.last.Stats.Restored = true
-		return up, nil
+		return s.commitFull(ctx, files, fset, res, arts, "restored state structure changed", true)
 	}
 	res.Precise = s.precise
 
@@ -561,16 +559,18 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 
 	// Restored carries do not exist — fact caches are process-local — so
 	// the first round's global detectors extract from scratch and seed
-	// the map for every later round.
-	s.carries = map[string]detect.Carry{}
-	local, global, restricted, _ := res.detectIncremental(changed, s.carries)
+	// the carries for every later round.
+	out, err := res.detect(ctx, detectRound{changed: changed, carries: map[string]detect.Carry{}})
+	if err != nil {
+		return nil, err
+	}
 	byName := map[string]*source.File{}
 	for _, f := range fset.Files() {
 		byName[f.Name] = f
 	}
-	merged := append([]Finding(nil), local...)
+	merged := out.findings
 	localMap := make(map[string][]Finding, len(prior.Local))
-	for _, f := range local {
+	for _, f := range out.local {
 		localMap[f.Function] = append(localMap[f.Function], f)
 	}
 	reusedFindings := 0
@@ -580,7 +580,7 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 	}
 	sort.Strings(roots)
 	for _, root := range roots {
-		if restricted[root] {
+		if out.recomputed[root] {
 			continue
 		}
 		rfs := prior.Local[root]
@@ -592,30 +592,20 @@ func (s *Session) restoreRound(files map[string]string) (*Update, error) {
 		merged = append(merged, fs...)
 		reusedFindings += len(rfs)
 	}
-	merged = append(merged, global...)
 	sortFindingsByPosition(fset, merged)
 
-	s.fset = fset
-	s.arts = arts
-	s.res = res
-	s.local = localMap
-	s.src = make(map[string]string, len(files))
-	for n, src := range files {
-		s.src[n] = src
-	}
-	s.prior = nil
 	up := &Update{Result: res, Findings: merged}
 	up.Stats = UpdateStats{
 		Restored:       true,
 		Files:          len(files),
 		FilesReparsed:  len(files),
 		FuncsLowered:   len(res.Bodies),
-		RootsDetected:  len(restricted),
+		RootsDetected:  len(out.recomputed),
 		FindingsReused: reusedFindings,
 		ChangedFns:     len(changed),
 		FuncsTotal:     len(res.Bodies),
 	}
-	s.last = up
+	s.commit(fset, arts, files, localMap, out.carries, up)
 	return snapshotUpdate(up), nil
 }
 
@@ -721,112 +711,6 @@ func commonPrefixLen(a, b string) int {
 		i++
 	}
 	return i
-}
-
-// DetectIncremental runs the detector suite incrementally: changedFns
-// names the functions whose MIR changed since a previous round of this
-// same Result shape (body-only edits; interfaces must be unchanged).
-// Callers replaying cached findings for the untouched roots must also
-// include every function whose resolved source position shifted (an edit
-// above it in the same file), or the replayed findings carry positions
-// from the old revision. It
-// returns the local-detector findings recomputed over the dirty
-// callgraph closure, the always-recomputed global-detector findings, and
-// the recomputed root set — every root outside it kept its previous
-// local findings, which the caller merges back in.
-//
-// The dirty closure is: the changed functions, their transitive callers
-// (whose summaries can observe the change), and the transitive callees
-// of all of those (so every summary or body lookup a local detector
-// makes stays in-set), closed over closure families (a closure body
-// changes exactly when its owner's body text does).
-func (r *Result) DetectIncremental(changedFns []string) (local, global []Finding, recomputed map[string]bool) {
-	local, global, recomputed, _ = r.detectIncremental(changedFns, nil)
-	return local, global, recomputed
-}
-
-// detectIncremental is DetectIncremental threading the global detectors'
-// fact caches: carries maps detector name to the carry its last run
-// returned (missing or nil entries degrade to full extraction) and is
-// updated in place. globalReused sums the per-function fact extractions
-// skipped across all global detectors. A nil carries map runs every
-// global detector from scratch without caching.
-func (r *Result) detectIncremental(changedFns []string, carries map[string]detect.Carry) (local, global []Finding, recomputed map[string]bool, globalReused int) {
-	changed := make(map[string]bool, len(changedFns))
-	for _, q := range changedFns {
-		changed[q] = true
-	}
-	ctx := r.Context()
-
-	seeds := make([]string, 0, len(changedFns))
-	for bname := range r.Bodies {
-		if changed[closureBase(bname)] {
-			seeds = append(seeds, bname)
-		}
-	}
-	sort.Strings(seeds)
-	recomputed = ctx.Graph.TransitiveCallers(seeds...)
-	for _, bname := range seeds {
-		recomputed[bname] = true
-	}
-	family := map[string][]string{}
-	for bname := range r.Bodies {
-		b := closureBase(bname)
-		family[b] = append(family[b], bname)
-	}
-	var work []string
-	add := func(n string) {
-		if !recomputed[n] {
-			recomputed[n] = true
-		} else {
-			return
-		}
-		work = append(work, n)
-	}
-	for n := range recomputed {
-		work = append(work, n)
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, m := range family[closureBase(n)] {
-			add(m)
-		}
-		for _, e := range ctx.Graph.Callees[n] {
-			add(e.Callee)
-		}
-	}
-
-	restrictedBodies := make(map[string]*mir.Body, len(recomputed))
-	for n := range recomputed {
-		if b, ok := r.Bodies[n]; ok {
-			restrictedBodies[n] = b
-		}
-	}
-	localCtx := detect.NewContext(r.Program, restrictedBodies)
-	for _, d := range localDetectors(r.Precise) {
-		local = append(local, d.Run(localCtx)...)
-	}
-	// The dirty set handed to the global detectors is the re-lowered
-	// body set (the seeds, closures included) — facts of any other
-	// function are derived from an unchanged body object. The detectors
-	// widen their summary recomputation to the caller closure themselves.
-	dirty := make(map[string]bool, len(seeds))
-	for _, bname := range seeds {
-		dirty[bname] = true
-	}
-	for _, d := range globalDetectors() {
-		inc, ok := d.(detect.Incremental)
-		if !ok || carries == nil {
-			global = append(global, d.Run(ctx)...)
-			continue
-		}
-		fs, nc, n := inc.RunIncremental(ctx, carries[d.Name()], dirty)
-		carries[d.Name()] = nc
-		globalReused += n
-		global = append(global, fs...)
-	}
-	return local, global, recomputed, globalReused
 }
 
 // closureBase strips the "::closure#N..." suffix lowering appends, naming
