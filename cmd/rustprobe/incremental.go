@@ -8,26 +8,6 @@ import (
 	"rustprobe/internal/incrstate"
 )
 
-// toJSONFindings materializes findings in the shared resolved wire shape
-// (incrstate.Finding), which -json emits and the state file records.
-func toJSONFindings(res *rustprobe.Result, fs []rustprobe.Finding) []incrstate.Finding {
-	out := make([]incrstate.Finding, 0, len(fs))
-	for _, f := range fs {
-		pos := res.Fset.Position(f.Span.Start)
-		out = append(out, incrstate.Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    f.Notes,
-		})
-	}
-	return out
-}
-
 // runIncremental is the -incremental entry point: analyze dir reusing as
 // much of the previous run (recorded in the state file) as the diff
 // allows. The heavy lifting lives in rustprobe.Session — the same

@@ -36,7 +36,7 @@ func oracle(t *testing.T, files map[string]string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for _, jf := range toJSONFindings(res, res.Detect()) {
+	for _, jf := range rustprobe.ResolveFindings(res.Fset, res.Detect()) {
 		out = append(out, jf.Format())
 	}
 	sort.Strings(out)

@@ -18,12 +18,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"rustprobe"
 	"rustprobe/internal/difftest"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/interp"
 	"rustprobe/internal/visualize"
 )
@@ -83,11 +85,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(findings); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
+			emitJSON(os.Stdout, findings)
 		} else {
 			for _, f := range findings {
 				fmt.Println(f.Format())
@@ -155,7 +153,7 @@ func main() {
 	}
 	findings := res.Detect(names...)
 	if *asJSON {
-		emitJSON(res, findings)
+		emitJSON(os.Stdout, rustprobe.ResolveFindings(res.Fset, findings))
 	} else {
 		for _, f := range findings {
 			fmt.Println(f.Format(res.Fset))
@@ -167,11 +165,12 @@ func main() {
 	}
 }
 
-func emitJSON(res *rustprobe.Result, findings []rustprobe.Finding) {
-	out := toJSONFindings(res, findings)
-	enc := json.NewEncoder(os.Stdout)
+// emitJSON writes resolved findings as the indented JSON array -json
+// prints.
+func emitJSON(w io.Writer, findings []incrstate.Finding) {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := enc.Encode(findings); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
 }

@@ -117,9 +117,9 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 		body   string
 		status int
 	}{
-		{`{`, http.StatusBadRequest},                                       // malformed JSON
-		{`{}`, http.StatusBadRequest},                                      // no input
-		{`{"corpus": "nope"}`, http.StatusBadRequest},                      // unknown group
+		{`{`, http.StatusBadRequest},                  // malformed JSON
+		{`{}`, http.StatusBadRequest},                 // no input
+		{`{"corpus": "nope"}`, http.StatusBadRequest}, // unknown group
 		{`{"files": {"x.rs": "fn f() {}"}, "detectors": ["zap"]}`, http.StatusBadRequest},
 		{`{"files": {"bad.rs": "fn broken( {"}}`, http.StatusUnprocessableEntity},
 	}
@@ -133,8 +133,8 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("POST %s: error payload = %s", c.body, body)
 		}
-		if c.status == http.StatusUnprocessableEntity && !strings.Contains(e.Diagnostics, "bad.rs") {
-			t.Errorf("syntax-error response missing diagnostics: %s", body)
+		if c.status == http.StatusUnprocessableEntity && (!strings.Contains(e.Diagnostics, "bad.rs") || e.Error != engine.SyntaxErrorMessage) {
+			t.Errorf("syntax-error response = %s, want the shared message plus diagnostics", body)
 		}
 	}
 

@@ -136,28 +136,43 @@ type errorResponse struct {
 	Diagnostics string `json:"diagnostics,omitempty"`
 }
 
-func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// decodePost is the request prologue every analysis endpoint shares: it
+// answers 405 to anything but POST, then decodes the size-bounded JSON
+// body into v, rejecting unknown fields with 400. It reports whether the
+// handler should go on; on false the error response is already written.
+func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only", "")
-		return
+		return false
 	}
-	var req engine.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err), "")
+		return false
+	}
+	return true
+}
+
+// analysisContext bounds one request's analysis by the -timeout budget
+// (none when it is 0). The caller must call the returned cancel.
+func (s *server) analysisContext(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.opts.timeout > 0 {
+		return context.WithTimeout(r.Context(), s.opts.timeout)
+	}
+	return r.Context(), func() {}
+}
+
+func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	var req engine.Request
+	if !decodePost(w, r, &req) {
 		return
 	}
 	if s.opts.precise {
 		req.Precise = true
 	}
-
-	ctx := r.Context()
-	if s.opts.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.analysisContext(r)
+	defer cancel()
 	resp, err := s.eng.Analyze(ctx, req)
 	if err != nil {
 		writeFailure(w, r, "analysis", err)
@@ -175,11 +190,10 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // batchResponse is the wire shape of a batch analysis: per-file results
 // (findings or an isolated error classification), never a partial map.
 type batchResponse struct {
-	Results     map[string]*engine.BatchEntry `json:"results"`
-	Files       int                           `json:"files"`
-	Errors      int                           `json:"errors"`
-	SetCacheHit bool                          `json:"set_cache_hit"`
-	ElapsedMS   float64                       `json:"elapsed_ms"`
+	Results   map[string]*engine.BatchEntry `json:"results"`
+	Files     int                           `json:"files"`
+	Errors    int                           `json:"errors"`
+	ElapsedMS float64                       `json:"elapsed_ms"`
 }
 
 // handleAnalyzeBatch serves POST /v1/analyze-batch: many named files in
@@ -188,38 +202,25 @@ type batchResponse struct {
 // writeFailure like every endpoint; per-file failures are isolated inside
 // their entries with an error_kind clients can branch on.
 func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only", "")
-		return
-	}
 	var req engine.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err), "")
+	if !decodePost(w, r, &req) {
 		return
 	}
 	if s.opts.precise {
 		req.Precise = true
 	}
-
-	ctx := r.Context()
-	if s.opts.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.analysisContext(r)
+	defer cancel()
 	resp, err := s.eng.AnalyzeBatch(ctx, req)
 	if err != nil {
 		writeFailure(w, r, "batch analysis", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, batchResponse{
-		Results:     resp.Results,
-		Files:       resp.Files,
-		Errors:      resp.Errors,
-		SetCacheHit: resp.SetCacheHit,
-		ElapsedMS:   float64(resp.Elapsed) / float64(time.Millisecond),
+		Results:   resp.Results,
+		Files:     resp.Files,
+		Errors:    resp.Errors,
+		ElapsedMS: float64(resp.Elapsed) / float64(time.Millisecond),
 	})
 }
 
@@ -251,12 +252,9 @@ type sessionPushResponse struct {
 // {repo} is URL-escaped and may contain slashes ("org/repo"). Unlike the
 // stateless endpoints, repeated pushes for one repo land on the same
 // live Session, so a re-push with a small diff pays one dirty-closure
-// detection instead of a per-file sweep.
+// detection instead of a per-file sweep. Route errors (404, or 400 for
+// an oversized repo name) are answered before the method and body.
 func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only", "")
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
 	repo, ok := strings.CutSuffix(rest, "/push")
 	if !ok || repo == "" {
@@ -272,10 +270,7 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req sessionPushRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err), "")
+	if !decodePost(w, r, &req) {
 		return
 	}
 	fullPush := req.Files != nil
@@ -292,12 +287,8 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	if s.opts.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.analysisContext(r)
+	defer cancel()
 	start := time.Now()
 	var res *sessionpool.Result
 	var err error
@@ -322,16 +313,13 @@ func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
 // recovered panic's stack goes to the server log, never to the client.
 func writeFailure(w http.ResponseWriter, r *http.Request, what string, err error) {
 	var reqErr *engine.RequestError
-	var srcErr *engine.SourceError
 	var synErr *rustprobe.SyntaxError
 	var intErr *engine.InternalError
 	switch {
 	case errors.As(err, &reqErr):
 		writeError(w, http.StatusBadRequest, reqErr.Error(), "")
-	case errors.As(err, &srcErr):
-		writeError(w, http.StatusUnprocessableEntity, srcErr.Error(), srcErr.Diags)
 	case errors.As(err, &synErr):
-		writeError(w, http.StatusUnprocessableEntity, "sources failed to parse or resolve", synErr.Diags)
+		writeError(w, http.StatusUnprocessableEntity, engine.SyntaxErrorMessage, synErr.Diags)
 	case errors.Is(err, sessionpool.ErrNoSession):
 		writeError(w, http.StatusConflict, "no live session for this repo; push the full file map", "")
 	case errors.Is(err, engine.ErrQueueFull):
@@ -437,7 +425,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("rustprobed_store_quarantined_total", "counter", "Corrupt, truncated, or version-mismatched store entries quarantined at read.", float64(st.StoreQuarantined))
 	metric("rustprobed_store_entries", "gauge", "Entries in the persistent store (this handle's view).", float64(st.StoreEntries))
 	metric("rustprobed_batch_requests_total", "counter", "Batch submissions accepted.", float64(st.BatchSubmitted))
-	metric("rustprobed_batch_set_hits_total", "counter", "Whole-set batch cache hits (unchanged repo resubmissions).", float64(st.BatchSetHits))
 	metric("rustprobed_batch_files_total", "counter", "Files fanned out by batch requests.", float64(st.BatchFiles))
 	metric("rustprobed_batch_file_errors_total", "counter", "Per-file errors isolated inside batch responses.", float64(st.BatchFileErrors))
 	metric("rustprobed_frontend_ms_total", "counter", "Cumulative frontend wall time (ms).", st.FrontendMSTotal)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,7 +67,8 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("broken.rs entry = %+v, want isolated source error with diagnostics", broken)
 	}
 
-	// Identical resubmission: the whole set is a cache hit.
+	// Identical resubmission: every entry is a per-file cache hit with
+	// the same findings, and the broken file keeps its source error.
 	resp2, body2 := postBatch(t, srv.URL, string(reqBody))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("resubmit status = %d", resp2.StatusCode)
@@ -75,8 +77,16 @@ func TestBatchEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body2, &second); err != nil {
 		t.Fatal(err)
 	}
-	if !second.SetCacheHit {
-		t.Error("identical batch resubmission missed the set cache")
+	for name, entry := range second.Results {
+		if name == "broken.rs" {
+			if entry.ErrorKind != engine.BatchErrSource || entry.Diagnostics != broken.Diagnostics {
+				t.Errorf("broken.rs resubmission = %+v, want the same source error", entry)
+			}
+			continue
+		}
+		if !entry.CacheHit || !reflect.DeepEqual(entry.Findings, got.Results[name].Findings) {
+			t.Errorf("%s resubmission = %+v, want a cache hit with the first findings", name, entry)
+		}
 	}
 }
 

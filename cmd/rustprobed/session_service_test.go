@@ -235,10 +235,10 @@ func TestSessionEndpointErrors(t *testing.T) {
 	}
 
 	badBodies := []string{
-		`{`,                  // malformed JSON
-		`{}`,                 // neither form
-		`{"files": {}}`,      // full push with no files
-		`{"bogus": 1}`,       // unknown field
+		`{`,             // malformed JSON
+		`{}`,            // neither form
+		`{"files": {}}`, // full push with no files
+		`{"bogus": 1}`,  // unknown field
 		`{"files": {"a.rs": "fn a() {}"}, "changed": {"b.rs": "fn b() {}"}}`, // both forms
 	}
 	for _, body := range badBodies {
@@ -261,7 +261,7 @@ func TestSessionEndpointErrors(t *testing.T) {
 		t.Fatalf("broken push status = %d (%s)", resp.StatusCode, raw)
 	}
 	var e errorResponse
-	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Diagnostics, "util.rs") {
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Diagnostics, "util.rs") || e.Error != engine.SyntaxErrorMessage {
 		t.Errorf("broken push diagnostics = %s", raw)
 	}
 	// The failed push did not poison the session: the diff base is still

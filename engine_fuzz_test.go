@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rustprobe"
 	"rustprobe/internal/engine"
 )
 
@@ -47,10 +48,10 @@ func FuzzEngineAnalyze(f *testing.F) {
 		// Malformed inputs are rejected with typed, recoverable errors;
 		// anything else is a robustness regression.
 		var reqErr *engine.RequestError
-		var srcErr *engine.SourceError
+		var synErr *rustprobe.SyntaxError
 		var intErr *engine.InternalError
 		switch {
-		case errors.As(err, &reqErr), errors.As(err, &srcErr):
+		case errors.As(err, &reqErr), errors.As(err, &synErr):
 		case errors.As(err, &intErr):
 			t.Fatalf("analysis panicked on %q: %s\n%s", name, intErr.Panic, intErr.Stack)
 		case errors.Is(err, context.DeadlineExceeded):

@@ -178,30 +178,6 @@ func (g *Graph) Names() []string {
 	return out
 }
 
-// TransitiveCallees returns every function reachable from start, excluding
-// start itself unless it is recursive.
-func (g *Graph) TransitiveCallees(start string) map[string]bool {
-	seen := map[string]bool{}
-	var work []string
-	for _, e := range g.Callees[start] {
-		if !seen[e.Callee] {
-			seen[e.Callee] = true
-			work = append(work, e.Callee)
-		}
-	}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, e := range g.Callees[cur] {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				work = append(work, e.Callee)
-			}
-		}
-	}
-	return seen
-}
-
 // TransitiveCallers returns every function from which any of the start
 // functions is reachable, excluding the starts themselves unless they
 // participate in a cycle reaching a start. This is the "dirty closure"
@@ -335,29 +311,4 @@ func isRecursive(g *Graph, members []string) bool {
 		}
 	}
 	return false
-}
-
-// PostOrder returns functions in callee-before-caller order (cycles broken
-// arbitrarily but deterministically), for bottom-up summary propagation.
-func (g *Graph) PostOrder() []string {
-	var order []string
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(string)
-	visit = func(n string) {
-		if state[n] != 0 {
-			return
-		}
-		state[n] = 1
-		for _, e := range g.Callees[n] {
-			if state[e.Callee] == 0 {
-				visit(e.Callee)
-			}
-		}
-		state[n] = 2
-		order = append(order, n)
-	}
-	for _, n := range g.Names() {
-		visit(n)
-	}
-	return order
 }

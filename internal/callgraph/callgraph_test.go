@@ -59,42 +59,16 @@ func TestEdges(t *testing.T) {
 	}
 }
 
-func TestTransitiveCallees(t *testing.T) {
-	g := buildGraph(t, chainSrc)
-	trans := g.TransitiveCallees("a")
-	if !trans["b"] || !trans["c"] {
-		t.Errorf("transitive = %v", trans)
-	}
-	if trans["helper"] {
-		t.Error("helper is not reachable from a")
-	}
-}
-
-func TestPostOrderCalleesFirst(t *testing.T) {
-	g := buildGraph(t, chainSrc)
-	order := g.PostOrder()
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	if pos["c"] > pos["b"] || pos["b"] > pos["a"] {
-		t.Errorf("post order wrong: %v", order)
-	}
-	if len(order) != len(g.Bodies) {
-		t.Errorf("post order misses functions: %d vs %d", len(order), len(g.Bodies))
-	}
-}
-
 func TestRecursionTolerated(t *testing.T) {
 	g := buildGraph(t, `
 fn even(n: i32) -> bool { odd(n - 1) }
 fn odd(n: i32) -> bool { even(n - 1) }
 `)
-	order := g.PostOrder()
-	if len(order) != 2 {
-		t.Errorf("order = %v", order)
+	sccs := g.SCCs()
+	if len(sccs) != 1 || len(sccs[0].Members) != 2 {
+		t.Errorf("sccs = %+v", sccs)
 	}
-	trans := g.TransitiveCallees("even")
+	trans := g.TransitiveCallers("even")
 	if !trans["odd"] || !trans["even"] {
 		t.Errorf("mutual recursion closure = %v", trans)
 	}

@@ -1,6 +1,6 @@
 // Package cfg provides control-flow-graph utilities over MIR bodies:
-// predecessor maps, postorder/reverse-postorder traversals, reachability,
-// and dominator trees (Cooper-Harvey-Kennedy iterative algorithm).
+// predecessor maps, postorder/reverse-postorder traversals, and
+// reachability.
 package cfg
 
 import "rustprobe/internal/mir"
@@ -78,73 +78,4 @@ func (g *Graph) ReachableFrom(start mir.BlockID) map[mir.BlockID]bool {
 		}
 	}
 	return seen
-}
-
-// Dominators computes the immediate-dominator array using the iterative
-// algorithm of Cooper, Harvey and Kennedy. idom[entry] == entry;
-// unreachable blocks get -1.
-func (g *Graph) Dominators() []mir.BlockID {
-	n := len(g.Body.Blocks)
-	idom := make([]mir.BlockID, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if len(g.RPO) == 0 {
-		return idom
-	}
-	entry := g.RPO[0]
-	idom[entry] = entry
-
-	intersect := func(a, b mir.BlockID) mir.BlockID {
-		for a != b {
-			for g.RPOIndex[a] > g.RPOIndex[b] {
-				a = idom[a]
-			}
-			for g.RPOIndex[b] > g.RPOIndex[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range g.RPO[1:] {
-			var newIdom mir.BlockID = -1
-			for _, p := range g.Preds[b] {
-				if !g.Reachable(p) || idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b under the given idom array.
-func Dominates(idom []mir.BlockID, a, b mir.BlockID) bool {
-	if a == b {
-		return true
-	}
-	for b != -1 {
-		parent := idom[b]
-		if parent == b {
-			return false // reached entry
-		}
-		if parent == a {
-			return true
-		}
-		b = parent
-	}
-	return false
 }

@@ -1,7 +1,6 @@
 package cfg
 
 import (
-	"math/rand"
 	"testing"
 
 	"rustprobe/internal/mir"
@@ -41,12 +40,8 @@ func TestLinearCFG(t *testing.T) {
 	if len(g.RPO) != 3 || g.RPO[0] != 0 || g.RPO[2] != 2 {
 		t.Errorf("RPO = %v", g.RPO)
 	}
-	idom := g.Dominators()
-	if idom[1] != 0 || idom[2] != 1 {
-		t.Errorf("idom = %v", idom)
-	}
-	if !Dominates(idom, 0, 2) || Dominates(idom, 2, 0) {
-		t.Error("Dominates wrong on a chain")
+	if len(g.Preds[2]) != 1 || g.Preds[2][0] != 1 {
+		t.Errorf("preds of bb2 = %v", g.Preds[2])
 	}
 }
 
@@ -58,15 +53,8 @@ func TestDiamond(t *testing.T) {
 	//      3
 	b := buildBody([][]mir.BlockID{{1, 2}, {3}, {3}, nil})
 	g := New(b)
-	idom := g.Dominators()
-	if idom[3] != 0 {
-		t.Errorf("join's idom = %d, want 0", idom[3])
-	}
-	if Dominates(idom, 1, 3) || Dominates(idom, 2, 3) {
-		t.Error("branch arms must not dominate the join")
-	}
-	if !Dominates(idom, 0, 3) {
-		t.Error("entry dominates everything")
+	if g.RPO[0] != 0 || g.RPO[len(g.RPO)-1] != 3 {
+		t.Errorf("RPO = %v, want entry first and join last", g.RPO)
 	}
 	if len(g.Preds[3]) != 2 {
 		t.Errorf("join preds = %v", g.Preds[3])
@@ -77,9 +65,8 @@ func TestLoop(t *testing.T) {
 	// 0 -> 1 (head) -> {2 (body), 3 (exit)}; 2 -> 1
 	b := buildBody([][]mir.BlockID{{1}, {2, 3}, {1}, nil})
 	g := New(b)
-	idom := g.Dominators()
-	if idom[2] != 1 || idom[3] != 1 {
-		t.Errorf("idom = %v", idom)
+	if g.RPOIndex[1] > g.RPOIndex[2] || g.RPOIndex[1] > g.RPOIndex[3] {
+		t.Errorf("loop head must precede body and exit in RPO: %v", g.RPO)
 	}
 	reach := g.ReachableFrom(2)
 	if !reach[1] || !reach[3] {
@@ -93,71 +80,7 @@ func TestUnreachableBlock(t *testing.T) {
 	if g.Reachable(1) {
 		t.Error("block 1 should be unreachable")
 	}
-	idom := g.Dominators()
-	if idom[1] != -1 {
-		t.Errorf("unreachable idom = %d", idom[1])
+	if g.ReachableFrom(0)[1] {
+		t.Error("block 1 reachable from entry")
 	}
-}
-
-// TestDominatorPropertiesRandom checks dominator-tree laws over random
-// CFGs: the entry dominates every reachable block, idom(b) dominates b,
-// and every path from entry to b passes through idom(b) (verified by
-// deleting idom(b) and checking unreachability).
-func TestDominatorPropertiesRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + r.Intn(12)
-		succs := make([][]mir.BlockID, n)
-		for i := range succs {
-			switch r.Intn(3) {
-			case 0: // return
-			case 1:
-				succs[i] = []mir.BlockID{mir.BlockID(r.Intn(n))}
-			default:
-				succs[i] = []mir.BlockID{mir.BlockID(r.Intn(n)), mir.BlockID(r.Intn(n))}
-			}
-		}
-		b := buildBody(succs)
-		g := New(b)
-		idom := g.Dominators()
-		for _, blk := range g.RPO {
-			if !Dominates(idom, 0, blk) {
-				t.Fatalf("entry must dominate bb%d (succs=%v)", blk, succs)
-			}
-			if blk == 0 {
-				continue
-			}
-			if !Dominates(idom, idom[blk], blk) {
-				t.Fatalf("idom(bb%d)=bb%d does not dominate it", blk, idom[blk])
-			}
-			// Removing idom(b) must disconnect b from entry.
-			if idom[blk] != 0 && reachAvoiding(g, blk, idom[blk]) {
-				t.Fatalf("bb%d reachable avoiding its idom bb%d (succs=%v)", blk, idom[blk], succs)
-			}
-		}
-	}
-}
-
-// reachAvoiding reports whether target is reachable from entry without
-// visiting the avoid block.
-func reachAvoiding(g *Graph, target, avoid mir.BlockID) bool {
-	if avoid == 0 {
-		return false
-	}
-	seen := map[mir.BlockID]bool{0: true}
-	work := []mir.BlockID{0}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		if cur == target {
-			return true
-		}
-		for _, s := range g.Succs[cur] {
-			if s != avoid && !seen[s] {
-				seen[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return false
 }

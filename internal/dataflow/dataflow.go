@@ -45,19 +45,6 @@ func (s BitSet) UnionWith(other BitSet) bool {
 	return changed
 }
 
-// IntersectWith ands other into s, reporting whether s changed.
-func (s BitSet) IntersectWith(other BitSet) bool {
-	changed := false
-	for i := range s {
-		old := s[i]
-		s[i] &= other[i]
-		if s[i] != old {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // Equal reports set equality.
 func (s BitSet) Equal(other BitSet) bool {
 	for i := range s {
@@ -88,28 +75,11 @@ func (s BitSet) ForEach(f func(int)) {
 	}
 }
 
-// Fill sets all n bits.
-func (s BitSet) Fill(n int) {
-	for i := 0; i < n; i++ {
-		s.Set(i)
-	}
-}
-
-// JoinKind selects the confluence operator.
-type JoinKind int
-
-// Join kinds: may-analyses union, must-analyses intersect.
-const (
-	JoinUnion JoinKind = iota
-	JoinIntersect
-)
-
-// Problem defines a forward dataflow problem over one body.
+// Problem defines a forward may-analysis over one body: facts from
+// different predecessors join by union.
 type Problem struct {
 	// Bits is the domain size.
 	Bits int
-	// Join selects union (may) or intersection (must).
-	Join JoinKind
 	// Entry seeds the state at function entry.
 	Entry func(state BitSet)
 	// TransferStmt updates state across one statement.
@@ -133,9 +103,6 @@ func Forward(g *cfg.Graph, p *Problem) *Result {
 	in := make([]BitSet, n)
 	for i := range in {
 		in[i] = NewBitSet(p.Bits)
-		if p.Join == JoinIntersect {
-			in[i].Fill(p.Bits) // top = all for must-analyses
-		}
 	}
 	if n == 0 {
 		return &Result{Graph: g, In: in, prob: p}
@@ -153,9 +120,6 @@ func Forward(g *cfg.Graph, p *Problem) *Result {
 		work = append(work, b)
 		inWork[b] = true
 	}
-	visited := make([]bool, n)
-	visited[0] = true
-
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -165,19 +129,7 @@ func Forward(g *cfg.Graph, p *Problem) *Result {
 		applyBlock(state, g.Body.Blocks[b], p)
 
 		for _, s := range g.Succs[b] {
-			var changed bool
-			if !visited[s] {
-				// First touch: copy state directly (important for
-				// intersection joins, where top would mask it).
-				copy(in[s], state)
-				visited[s] = true
-				changed = true
-			} else if p.Join == JoinUnion {
-				changed = in[s].UnionWith(state)
-			} else {
-				changed = in[s].IntersectWith(state)
-			}
-			if changed && !inWork[s] {
+			if in[s].UnionWith(state) && !inWork[s] {
 				work = append(work, s)
 				inWork[s] = true
 			}

@@ -73,8 +73,8 @@ func (f Finding) Format(fset *source.FileSet) string {
 }
 
 // Context carries everything a detector needs. Program, Bodies, Graph
-// and Fset are immutable after NewContext, and the points-to cache is
-// mutex-guarded, so independent detectors may share one Context from
+// and Fset are immutable after NewContext, and the per-function caches
+// are memos, so independent detectors may share one Context from
 // concurrent goroutines.
 type Context struct {
 	Program *hir.Program
@@ -82,13 +82,47 @@ type Context struct {
 	Graph   *callgraph.Graph
 	Fset    *source.FileSet
 
-	mu  sync.Mutex
-	pts map[string]*pointsto.Result
+	pts memo[*pointsto.Result]
 
-	dropOnce sync.Once
-	dropSums map[string]*dropflow.FnSummary
-	dropMu   sync.Mutex
-	dropRes  map[string]*dropflow.Result
+	dropSums memo[map[string]*dropflow.FnSummary] // one entry, key ""
+	dropRes  memo[*dropflow.Result]
+}
+
+// memo computes each key's value at most once. Concurrent callers for
+// the same key wait for the one computation instead of repeating it;
+// callers for different keys never wait on each other. A computation
+// that panics caches nothing, so a later caller computes again.
+type memo[V any] struct {
+	mu    sync.Mutex
+	cells map[string]*memoCell[V]
+}
+
+type memoCell[V any] struct {
+	mu   sync.Mutex
+	done bool
+	v    V
+}
+
+// get returns key's value, running compute if no earlier call finished.
+func (m *memo[V]) get(key string, compute func() V) V {
+	m.mu.Lock()
+	if m.cells == nil {
+		m.cells = map[string]*memoCell[V]{}
+	}
+	c := m.cells[key]
+	if c == nil {
+		c = &memoCell[V]{}
+		m.cells[key] = c
+	}
+	m.mu.Unlock()
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.done {
+		c.v = compute()
+		c.done = true
+	}
+	return c.v
 }
 
 // NewContext builds a Context, precomputing the call graph.
@@ -106,35 +140,21 @@ func NewContextWithGraph(prog *hir.Program, bodies map[string]*mir.Body, g *call
 		Bodies:  bodies,
 		Graph:   g,
 		Fset:    prog.Fset,
-		pts:     map[string]*pointsto.Result{},
-		dropRes: map[string]*dropflow.Result{},
 	}
 }
 
-// PointsTo returns (caching) the points-to result for a function. The
-// analysis runs outside the lock so concurrent detectors never serialize
-// on each other's fixpoints; a rare duplicate computation is discarded.
-// Unknown function names yield an empty result rather than panicking on
-// a nil body.
+// PointsTo returns (computing once) the points-to result for a
+// function; concurrent detectors asking for the same function share one
+// fixpoint. Unknown function names yield an empty result rather than
+// panicking on a nil body.
 func (c *Context) PointsTo(fn string) *pointsto.Result {
-	c.mu.Lock()
-	if r, ok := c.pts[fn]; ok {
-		c.mu.Unlock()
-		return r
-	}
-	c.mu.Unlock()
-	body := c.Bodies[fn]
-	if body == nil {
-		return &pointsto.Result{PointsTo: map[mir.LocalID]map[mir.LocalID]bool{}}
-	}
-	r := pointsto.Analyze(body)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.pts[fn]; ok {
-		return prev
-	}
-	c.pts[fn] = r
-	return r
+	return c.pts.get(fn, func() *pointsto.Result {
+		body := c.Bodies[fn]
+		if body == nil {
+			return &pointsto.Result{PointsTo: map[mir.LocalID]map[mir.LocalID]bool{}}
+		}
+		return pointsto.Analyze(body)
+	})
 }
 
 // DropFlowSummaries returns (computing once) the shared context-sensitive
@@ -142,35 +162,22 @@ func (c *Context) PointsTo(fn string) *pointsto.Result {
 // and the summaries it holds are shared across detectors and must be
 // treated as immutable.
 func (c *Context) DropFlowSummaries() map[string]*dropflow.FnSummary {
-	c.dropOnce.Do(func() {
-		c.dropSums = dropflow.ComputeSummaries(c.Bodies, c.Graph)
+	return c.dropSums.get("", func() map[string]*dropflow.FnSummary {
+		return dropflow.ComputeSummaries(c.Bodies, c.Graph)
 	})
-	return c.dropSums
 }
 
-// DropFlow returns (caching) the path-sensitive drop-and-alias walk for a
-// function. Like PointsTo, the walk runs outside the lock; the shared
-// Result must be treated as immutable by all detectors.
+// DropFlow returns (computing once) the path-sensitive drop-and-alias
+// walk for a function. Like PointsTo, concurrent callers share one walk;
+// the shared Result must be treated as immutable by all detectors.
 func (c *Context) DropFlow(fn string) *dropflow.Result {
-	c.dropMu.Lock()
-	if r, ok := c.dropRes[fn]; ok {
-		c.dropMu.Unlock()
-		return r
-	}
-	c.dropMu.Unlock()
-	sums := c.DropFlowSummaries()
-	body := c.Bodies[fn]
-	r := dropflow.Analyze(body, dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
-		s, ok := sums[name]
-		return s, ok
-	}})
-	c.dropMu.Lock()
-	defer c.dropMu.Unlock()
-	if prev, ok := c.dropRes[fn]; ok {
-		return prev
-	}
-	c.dropRes[fn] = r
-	return r
+	return c.dropRes.get(fn, func() *dropflow.Result {
+		sums := c.DropFlowSummaries()
+		return dropflow.Analyze(c.Bodies[fn], dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
+			s, ok := sums[name]
+			return s, ok
+		}})
+	})
 }
 
 // Detector is one analysis pass over a Context.

@@ -65,7 +65,6 @@ func (d *Detector) checkInvalidFree(ctx *detect.Context, name string) []detect.F
 	// ptr::write can clear.
 	prob := &dataflow.Problem{
 		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
 			as, ok := st.(mir.Assign)
 			if !ok {

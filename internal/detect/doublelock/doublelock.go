@@ -156,7 +156,6 @@ func Guards(body *mir.Body) map[mir.LocalID]Guard {
 func LiveGuards(body *mir.Body, g *cfg.Graph, origins map[mir.LocalID]Guard) *dataflow.Result {
 	prob := &dataflow.Problem{
 		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
 			switch st := st.(type) {
 			case mir.StorageDead:

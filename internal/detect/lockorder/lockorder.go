@@ -308,7 +308,6 @@ func extract(ctx *detect.Context, name string) *funcInfo {
 
 	prob := &dataflow.Problem{
 		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
 			switch st := st.(type) {
 			case mir.StorageDead:

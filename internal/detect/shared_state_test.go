@@ -19,8 +19,10 @@ import (
 	"rustprobe/internal/detect/doublelock"
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
+	"rustprobe/internal/dropflow"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/parser"
+	"rustprobe/internal/pointsto"
 	"rustprobe/internal/resolve"
 	"rustprobe/internal/source"
 )
@@ -247,5 +249,35 @@ func TestDefaultAndPreciseShareContextSafely(t *testing.T) {
 	// Precise findings must be a subset of default findings.
 	if strings.Count(precise, "\n") > len(def) {
 		t.Fatalf("precise produced more findings (%d) than default (%d)", strings.Count(precise, "\n"), len(def))
+	}
+}
+
+// TestContextAnalysesSharedAcrossGoroutines: detectors fanned out over
+// one Context that ask for the same function's points-to or dropflow
+// result all receive the one cached result.
+func TestContextAnalysesSharedAcrossGoroutines(t *testing.T) {
+	ctx := buildContext(t, sharedStateSrc)
+	const n = 16
+	var wg sync.WaitGroup
+	type pair struct {
+		pts  *pointsto.Result
+		drop *dropflow.Result
+	}
+	got := make([]pair, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = pair{ctx.PointsTo("guarded"), ctx.DropFlow("guarded")}
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p.pts != got[0].pts || p.drop != got[0].drop {
+			t.Fatalf("goroutine %d got a different result than goroutine 0", i)
+		}
+	}
+	if ctx.PointsTo("guarded") != got[0].pts || ctx.DropFlow("guarded") != got[0].drop {
+		t.Fatal("a later caller recomputed a cached analysis")
 	}
 }

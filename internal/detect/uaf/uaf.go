@@ -193,7 +193,6 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 	// heap-owning values; kill at StorageLive and full reassignment.
 	prob := &dataflow.Problem{
 		Bits: n,
-		Join: dataflow.JoinUnion,
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
 			switch st := st.(type) {
 			case mir.StorageDead:

@@ -53,7 +53,6 @@ func (d *Detector) check(ctx *detect.Context, name string) []detect.Finding {
 	// memory.
 	prob := &dataflow.Problem{
 		Bits: len(body.Locals),
-		Join: dataflow.JoinUnion,
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
 			as, ok := st.(mir.Assign)
 			if !ok {

@@ -2,28 +2,30 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
+
+	"rustprobe"
 )
 
 // BatchRequest is one repo-shaped unit of traffic: many named files
 // analyzed independently in a single call. Each file becomes its own
 // engine job with its own content-hash cache key, so an unchanged file
 // in a re-pushed tree is a cache (or store) hit even when its siblings
-// changed, and the whole set is additionally keyed as a unit so a fully
-// unchanged tree costs one lookup instead of len(Files).
+// changed.
 type BatchRequest struct {
 	Files     map[string]string `json:"files"`
 	Detectors []string          `json:"detectors,omitempty"`
 	// Precise selects the path-sensitive detector variants for every file
-	// in the set; like Detectors it is part of both the per-file and the
-	// set-level cache keys.
+	// in the set; like Detectors it is part of every per-file cache key.
 	Precise bool `json:"precise,omitempty"`
 }
+
+// SyntaxErrorMessage is the one-line error every serving path reports
+// for a *rustprobe.SyntaxError; the rendered diagnostics travel in a
+// separate field.
+const SyntaxErrorMessage = "sources failed to parse or resolve"
 
 // Batch error kinds, classifying per-file failures for clients deciding
 // whether to retry.
@@ -49,63 +51,12 @@ type BatchEntry struct {
 	Diagnostics string `json:"diagnostics,omitempty"`
 }
 
-func (e *BatchEntry) clone() *BatchEntry {
-	out := *e
-	if e.Findings != nil {
-		out.Findings = make([]Finding, len(e.Findings))
-		copy(out.Findings, e.Findings)
-		for i := range out.Findings {
-			if notes := out.Findings[i].Notes; notes != nil {
-				out.Findings[i].Notes = append([]string(nil), notes...)
-			}
-		}
-	}
-	return &out
-}
-
 // BatchResponse maps each submitted file name to its isolated result.
 type BatchResponse struct {
 	Results map[string]*BatchEntry `json:"results"`
 	Files   int                    `json:"files"`
 	Errors  int                    `json:"errors"`
-	// SetCacheHit marks the whole response as served from the set-level
-	// cache: every per-file entry came back without any per-file work.
-	SetCacheHit bool          `json:"set_cache_hit"`
-	Elapsed     time.Duration `json:"-"`
-}
-
-func (r *BatchResponse) clone() *BatchResponse {
-	out := *r
-	out.Results = make(map[string]*BatchEntry, len(r.Results))
-	for name, e := range r.Results {
-		out.Results[name] = e.clone()
-	}
-	return &out
-}
-
-// setKey content-hashes the whole batch (files plus detector selection)
-// under a distinct domain from single-file request keys.
-func (r BatchRequest) setKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "batch\x00")
-	names := make([]string, 0, len(r.Files))
-	for n := range r.Files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		src := r.Files[n]
-		fmt.Fprintf(h, "file\x00%d\x00%s\x00%d\x00%s\x00", len(n), n, len(src), src)
-	}
-	ds := append([]string(nil), r.Detectors...)
-	sort.Strings(ds)
-	for _, d := range ds {
-		fmt.Fprintf(h, "detector\x00%s\x00", d)
-	}
-	if r.Precise {
-		fmt.Fprintf(h, "precise\x00")
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	Elapsed time.Duration          `json:"-"`
 }
 
 // batchEntryFor maps one sub-analysis outcome onto an isolated entry.
@@ -120,37 +71,22 @@ func batchEntryFor(resp *Response, err error) *BatchEntry {
 	}
 	e := &BatchEntry{Error: err.Error()}
 	var reqErr *RequestError
-	var srcErr *SourceError
-	var intErr *InternalError
+	var synErr *rustprobe.SyntaxError
 	switch {
-	case errors.As(err, &srcErr):
+	case errors.As(err, &synErr):
+		e.Error = SyntaxErrorMessage
 		e.ErrorKind = BatchErrSource
-		e.Diagnostics = srcErr.Diags
+		e.Diagnostics = synErr.Diags
 	case errors.As(err, &reqErr):
 		e.ErrorKind = BatchErrRequest
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		e.ErrorKind = BatchErrOverload
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		e.ErrorKind = BatchErrCanceled
-	case errors.As(err, &intErr):
-		e.ErrorKind = BatchErrInternal
 	default:
 		e.ErrorKind = BatchErrInternal
 	}
 	return e
-}
-
-// retryableBatch reports whether any entry failed transiently (overload,
-// cancellation, panic). A set containing such entries is not cached: the
-// same submission later deserves a fresh attempt.
-func retryableBatch(entries map[string]*BatchEntry) bool {
-	for _, e := range entries {
-		switch e.ErrorKind {
-		case BatchErrOverload, BatchErrCanceled, BatchErrInternal:
-			return true
-		}
-	}
-	return false
 }
 
 // AnalyzeBatch analyzes every file in the request independently and
@@ -159,8 +95,8 @@ func retryableBatch(entries map[string]*BatchEntry) bool {
 // LRU + persistent store lookup, singleflight dedup against identical
 // concurrent submissions (including duplicates inside one fleet's
 // burst), queue backpressure, and cancellation — so the semantics under
-// load are exactly the engine's. The whole set is also keyed as a unit:
-// resubmitting an unchanged tree is one cache lookup.
+// load are exactly the engine's: resubmitting an unchanged tree runs no
+// new analysis, and every entry reports cache_hit.
 //
 // The batch fails as a whole only for malformed requests (nil/empty
 // Files, unknown detector) or when ctx dies; per-file problems are
@@ -176,16 +112,6 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, req BatchRequest) (*BatchResp
 		return nil, err
 	}
 	e.ctr.batchSubmitted.Add(1)
-
-	key := req.setKey()
-	if e.batchCache != nil {
-		if cached, ok := e.batchCache.get(key); ok {
-			e.ctr.batchSetHits.Add(1)
-			cached.SetCacheHit = true
-			cached.Elapsed = time.Since(start)
-			return cached, nil
-		}
-	}
 
 	names := make([]string, 0, len(req.Files))
 	for n := range req.Files {
@@ -236,10 +162,6 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, req BatchRequest) (*BatchResp
 	}
 	e.ctr.batchFiles.Add(uint64(len(names)))
 	e.ctr.batchFileErrors.Add(uint64(resp.Errors))
-	if e.batchCache != nil && !retryableBatch(resp.Results) {
-		e.batchCache.put(key, resp)
-	}
-	out := resp.clone()
-	out.Elapsed = time.Since(start)
-	return out, nil
+	resp.Elapsed = time.Since(start)
+	return resp, nil
 }

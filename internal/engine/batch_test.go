@@ -37,8 +37,9 @@ func TestBatchMixedFiles(t *testing.T) {
 		t.Fatalf("Files=%d Errors=%d, want 4/1", resp.Files, resp.Errors)
 	}
 
-	if got := resp.Results["broken.rs"]; got.ErrorKind != engine.BatchErrSource || got.Diagnostics == "" {
-		t.Fatalf("broken.rs entry = %+v, want isolated source error with diagnostics", got)
+	if got := resp.Results["broken.rs"]; got.ErrorKind != engine.BatchErrSource || got.Diagnostics == "" ||
+		got.Error != engine.SyntaxErrorMessage {
+		t.Fatalf("broken.rs entry = %+v, want isolated source error with diagnostics kept out of error", got)
 	}
 	for name, wantSrc := range map[string]string{"uaf.rs": uafSrc, "dl.rs": doubleLockSrc} {
 		entry := resp.Results[name]
@@ -58,9 +59,10 @@ func TestBatchMixedFiles(t *testing.T) {
 	}
 }
 
-// TestBatchPerFileAndSetCaching checks the two cache granularities: a
-// resubmitted identical set is an O(1) set-level hit, and a partially
-// changed set still hits per-file for the unchanged members.
+// TestBatchPerFileAndSetCaching checks that a batch is cached file by
+// file: a resubmitted identical set runs no analysis and every entry is
+// a cache hit with the same findings, and a partially changed set still
+// hits per file for the unchanged members.
 func TestBatchPerFileAndSetCaching(t *testing.T) {
 	e := newBatchEngine(t)
 	files := map[string]string{"uaf.rs": uafSrc, "dl.rs": doubleLockSrc, "clean.rs": cleanSrc}
@@ -69,32 +71,37 @@ func TestBatchPerFileAndSetCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.SetCacheHit {
-		t.Fatal("first batch claimed a set-level hit")
+	for name, entry := range first.Results {
+		if entry.CacheHit {
+			t.Fatalf("%s: first batch claimed a cache hit", name)
+		}
 	}
 
-	// Identical resubmission: whole-set hit, no per-file lookups needed.
+	// Identical resubmission: every entry is served by the per-file tier.
+	jobsBefore := e.Stats().JobsCompleted
 	second, err := e.AnalyzeBatch(context.Background(), engine.BatchRequest{Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.SetCacheHit {
-		t.Fatal("unchanged-set resubmission missed the set cache")
+	if ran := e.Stats().JobsCompleted - jobsBefore; ran != 0 {
+		t.Fatalf("unchanged-set resubmission ran %d jobs, want 0", ran)
 	}
-	if got, want := e.Stats().BatchSetHits, uint64(1); got != want {
-		t.Fatalf("BatchSetHits = %d, want %d", got, want)
+	for name, entry := range second.Results {
+		if !entry.CacheHit {
+			t.Fatalf("%s: unchanged-set resubmission missed the per-file cache", name)
+		}
+		if !reflect.DeepEqual(normalize(entry.Findings), normalize(first.Results[name].Findings)) {
+			t.Fatalf("%s: resubmission findings differ from the first batch", name)
+		}
 	}
 
-	// One file changes: the set key misses, but the two unchanged files
-	// ride their per-file cache entries — only the changed file runs.
-	jobsBefore := e.Stats().JobsCompleted
+	// One file changes: the two unchanged files ride their per-file
+	// cache entries — only the changed file runs.
+	jobsBefore = e.Stats().JobsCompleted
 	changed := map[string]string{"uaf.rs": uafSrc, "dl.rs": doubleLockSrc, "clean.rs": cleanSrc + "\nfn extra() {}\n"}
 	third, err := e.AnalyzeBatch(context.Background(), engine.BatchRequest{Files: changed})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if third.SetCacheHit {
-		t.Fatal("changed set served from set cache")
 	}
 	for _, name := range []string{"uaf.rs", "dl.rs"} {
 		if !third.Results[name].CacheHit {
@@ -110,7 +117,8 @@ func TestBatchPerFileAndSetCaching(t *testing.T) {
 }
 
 // TestBatchSetCacheSkipsTransientFailures: a batch containing an
-// isolated panic entry must not be pinned into the set cache.
+// isolated panic entry caches only its good files; resubmitting the set
+// recomputes the failed file.
 func TestBatchSetCacheSkipsTransientFailures(t *testing.T) {
 	panics := 0
 	e := engine.New(engine.Config{
@@ -142,11 +150,11 @@ func TestBatchSetCacheSkipsTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.SetCacheHit {
-		t.Fatal("batch with transient failure was served from the set cache")
+	if got := second.Results["boom.rs"]; got.Error != "" || got.CacheHit {
+		t.Fatalf("retry = %+v, want a fresh successful analysis", got)
 	}
-	if got := second.Results["boom.rs"]; got.Error != "" {
-		t.Fatalf("retry still failing: %+v", got)
+	if got := second.Results["ok.rs"]; !got.CacheHit {
+		t.Fatalf("ok.rs = %+v, want a cache hit", got)
 	}
 }
 

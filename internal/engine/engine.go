@@ -23,6 +23,7 @@ import (
 	"rustprobe"
 	"rustprobe/internal/corpus"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/source"
 	"rustprobe/internal/store"
 )
@@ -80,17 +81,9 @@ type Request struct {
 }
 
 // Finding is a fully resolved, serializable detector report (positions
-// are materialized so cached responses need no FileSet).
-type Finding struct {
-	Kind     string   `json:"kind"`
-	Severity string   `json:"severity"`
-	Function string   `json:"function"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Column   int      `json:"column"`
-	Message  string   `json:"message"`
-	Notes    []string `json:"notes,omitempty"`
-}
+// are materialized so cached responses need no FileSet). It is the one
+// resolved shape shared with sessions and the state file.
+type Finding = incrstate.Finding
 
 // UnsafeSummary condenses the §4 unsafe-usage scan of the analyzed code.
 type UnsafeSummary struct {
@@ -137,12 +130,6 @@ type RequestError struct{ msg string }
 
 func (e *RequestError) Error() string { return "engine: " + e.msg }
 
-// SourceError reports that the submitted sources failed to parse;
-// servers map it to 422. Diags carries the rendered diagnostics.
-type SourceError struct{ Diags string }
-
-func (e *SourceError) Error() string { return "engine: syntax errors in submitted sources" }
-
 // ErrQueueFull reports that the pending-job queue was saturated and the
 // engine was configured to reject rather than block (Config.QueueReject);
 // servers map it to 503 with a Retry-After hint.
@@ -166,12 +153,11 @@ func (e *InternalError) Error() string {
 // Engine is the concurrent analysis engine. Create with New, submit
 // with Analyze, snapshot activity with Stats, stop with Close.
 type Engine struct {
-	cfg        Config
-	jobs       chan *job
-	cache      *lru[*Response]      // nil when disabled
-	batchCache *lru[*BatchResponse] // whole-set batch results; nil when disabled
-	ctr        counters
-	storeWG    sync.WaitGroup // in-flight write-behind store puts
+	cfg     Config
+	jobs    chan *job
+	cache   *lru[*Response] // nil when disabled
+	ctr     counters
+	storeWG sync.WaitGroup // in-flight write-behind store puts
 
 	flightMu sync.Mutex // guards flights
 	flights  map[string]*flight
@@ -206,14 +192,6 @@ func New(cfg Config) *Engine {
 	}
 	if cacheCap > 0 {
 		e.cache = newLRU(cacheCap, (*Response).clone)
-		// Whole-set batch results are assembled from per-file entries,
-		// so a small set-level cache suffices to make an unchanged-repo
-		// resubmission O(1) instead of O(files).
-		batchCap := cacheCap / 4
-		if batchCap < 16 {
-			batchCap = 16
-		}
-		e.batchCache = newLRU(batchCap, (*BatchResponse).clone)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -448,7 +426,7 @@ func (e *Engine) analyze(ctx context.Context, req Request, key string) (*Respons
 		return nil, err
 	}
 
-	resp := &Response{Findings: FindingsFrom(res.Fset, findings), Unsafe: scan}
+	resp := &Response{Findings: rustprobe.ResolveFindings(res.Fset, findings), Unsafe: scan}
 	if e.cache != nil {
 		e.cache.put(key, resp)
 	}
@@ -498,21 +476,18 @@ func (e *Engine) storePut(key string, resp *Response) {
 	}()
 }
 
+// analyzeFrontend runs the request's frontend. Unparseable sources come
+// back as *rustprobe.SyntaxError; servers map it to 422.
 func analyzeFrontend(req Request) (*rustprobe.Result, error) {
+	var res *rustprobe.Result
+	var err error
 	if req.Corpus != "" {
-		res, err := rustprobe.AnalyzeCorpus(req.Corpus)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		res.Precise = req.Precise
-		return res, nil
+		res, err = rustprobe.AnalyzeCorpus(req.Corpus)
+	} else {
+		res, err = rustprobe.AnalyzeFiles(req.Files)
 	}
-	res, err := rustprobe.AnalyzeFiles(req.Files)
 	if err != nil {
-		if res != nil && res.Diags.HasErrors() {
-			return nil, &SourceError{Diags: res.Diags.String()}
-		}
-		return nil, fmt.Errorf("engine: %w", err)
+		return nil, err
 	}
 	res.Precise = req.Precise
 	return res, nil
@@ -573,21 +548,7 @@ func (r Request) Key() string {
 }
 
 // FindingsFrom resolves detector findings against fset into the
-// serializable engine shape.
+// serializable engine shape; it is rustprobe.ResolveFindings.
 func FindingsFrom(fset *source.FileSet, fs []detect.Finding) []Finding {
-	out := make([]Finding, 0, len(fs))
-	for _, f := range fs {
-		pos := fset.Position(f.Span.Start)
-		out = append(out, Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    f.Notes,
-		})
-	}
-	return out
+	return rustprobe.ResolveFindings(fset, fs)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -231,18 +232,18 @@ func TestEngineRequestValidation(t *testing.T) {
 	}
 }
 
-func TestEngineSourceError(t *testing.T) {
+func TestEngineSyntaxError(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	defer eng.Close()
 	_, err := eng.Analyze(context.Background(), engine.Request{
 		Files: map[string]string{"bad.rs": "fn broken( {"},
 	})
-	var srcErr *engine.SourceError
-	if !errors.As(err, &srcErr) {
-		t.Fatalf("err = %v, want SourceError", err)
+	var synErr *rustprobe.SyntaxError
+	if !errors.As(err, &synErr) {
+		t.Fatalf("err = %v, want *rustprobe.SyntaxError", err)
 	}
-	if srcErr.Diags == "" {
-		t.Error("SourceError carries no diagnostics")
+	if !strings.Contains(synErr.Diags, "bad.rs") {
+		t.Errorf("SyntaxError diagnostics do not name the file: %q", synErr.Diags)
 	}
 	if s := eng.Stats(); s.JobsFailed != 1 {
 		t.Errorf("failed = %d, want 1", s.JobsFailed)

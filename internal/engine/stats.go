@@ -55,10 +55,9 @@ type Stats struct {
 	StoreQuarantined uint64 `json:"store_quarantined"`
 	StoreEntries     int64  `json:"store_entries"`
 
-	// Batch API activity: whole-set submissions, O(1) set-level cache
-	// hits, per-file fan-out volume and isolated per-file failures.
+	// Batch API activity: whole-set submissions, per-file fan-out
+	// volume and isolated per-file failures.
 	BatchSubmitted  uint64 `json:"batch_submitted"`
-	BatchSetHits    uint64 `json:"batch_set_hits"`
 	BatchFiles      uint64 `json:"batch_files"`
 	BatchFileErrors uint64 `json:"batch_file_errors"`
 
@@ -87,7 +86,6 @@ type counters struct {
 	cacheMisses atomic.Uint64
 
 	batchSubmitted  atomic.Uint64
-	batchSetHits    atomic.Uint64
 	batchFiles      atomic.Uint64
 	batchFileErrors atomic.Uint64
 
@@ -134,7 +132,6 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:   e.ctr.cacheMisses.Load(),
 
 		BatchSubmitted:  e.ctr.batchSubmitted.Load(),
-		BatchSetHits:    e.ctr.batchSetHits.Load(),
 		BatchFiles:      e.ctr.batchFiles.Load(),
 		BatchFileErrors: e.ctr.batchFileErrors.Load(),
 

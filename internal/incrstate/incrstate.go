@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -165,25 +164,22 @@ func (st *State) UnchangedFrom(files map[string]string) bool {
 	return true
 }
 
-// SortFindings orders findings by resolved position then kind and
-// message — the same order the library's position-resolved merge uses,
-// which is what lets findings cached by an earlier process merge with
-// fresh ones deterministically.
-func SortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Message < b.Message
-	})
+// Less orders resolved findings by position (file, line, column) then
+// kind and message. It is the one ordering of merged findings: sessions
+// sort by it, which is what lets findings cached by an earlier process
+// merge with fresh ones deterministically.
+func Less(a, b *Finding) bool {
+	if a.File != b.File {
+		return a.File < b.File
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	if a.Column != b.Column {
+		return a.Column < b.Column
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Message < b.Message
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -137,7 +138,7 @@ func TestSortFindingsAndFormat(t *testing.T) {
 		{File: "a.rs", Line: 1, Column: 1, Kind: "z", Message: "a"},
 		{File: "a.rs", Line: 1, Column: 1, Kind: "y"},
 	}
-	SortFindings(fs)
+	sort.SliceStable(fs, func(i, j int) bool { return Less(&fs[i], &fs[j]) })
 	order := make([]string, len(fs))
 	for i, f := range fs {
 		order[i] = f.File + "/" + f.Kind + "/" + f.Message

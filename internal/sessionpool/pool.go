@@ -351,21 +351,7 @@ func (p *Pool) analyze(ctx context.Context, e *entry, mkFiles func(*entry) (map[
 		}
 	}
 
-	findings := make([]incrstate.Finding, 0, len(up.Findings))
-	for _, f := range up.Findings {
-		pos := up.Result.Fset.Position(f.Span.Start)
-		findings = append(findings, incrstate.Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    f.Notes,
-		})
-	}
-	return &Result{Findings: findings, Stats: PushStats{UpdateStats: up.Stats}}, nil
+	return &Result{Findings: rustprobe.ResolveFindings(up.Result.Fset, up.Findings), Stats: PushStats{UpdateStats: up.Stats}}, nil
 }
 
 // evictLocked enforces TTL then the LRU cap. Callers hold p.mu. Entries

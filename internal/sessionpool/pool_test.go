@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -57,15 +58,8 @@ func oracleFindings(t *testing.T, files map[string]string) []incrstate.Finding {
 	if err != nil {
 		t.Fatalf("oracle analysis: %v", err)
 	}
-	out := make([]incrstate.Finding, 0)
-	for _, f := range res.Detect() {
-		pos := res.Fset.Position(f.Span.Start)
-		out = append(out, incrstate.Finding{
-			Kind: string(f.Kind), Severity: f.Severity.String(), Function: f.Function,
-			File: pos.File, Line: pos.Line, Column: pos.Column, Message: f.Message, Notes: f.Notes,
-		})
-	}
-	incrstate.SortFindings(out)
+	out := rustprobe.ResolveFindings(res.Fset, res.Detect())
+	sort.SliceStable(out, func(i, j int) bool { return incrstate.Less(&out[i], &out[j]) })
 	return out
 }
 

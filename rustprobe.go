@@ -49,6 +49,7 @@ import (
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
 	"rustprobe/internal/hir"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/parser"
@@ -76,9 +77,9 @@ func StateVersion() string {
 }
 
 // SyntaxError reports that submitted sources failed to lex, parse, or
-// resolve. Session rounds return it (instead of an untyped error) so
-// serving layers can map it to a client-error status with the rendered
-// diagnostics attached.
+// resolve. AnalyzeFiles and Session rounds return it (instead of an
+// untyped error) so serving layers can map it to a client-error status
+// with the rendered diagnostics attached.
 type SyntaxError struct {
 	Diags string
 }
@@ -87,6 +88,28 @@ func (e *SyntaxError) Error() string { return "rustprobe: syntax errors:\n" + e.
 
 // Finding re-exports the detector finding type.
 type Finding = detect.Finding
+
+// ResolveFindings materializes findings' span starts to file:line:col in
+// the resolved, serializable form (incrstate.Finding) that the CLI's
+// -json output, the state file, the engine's cache tiers and the daemon's
+// responses all share. Each finding gets its own copy of Notes.
+func ResolveFindings(fset *source.FileSet, fs []Finding) []incrstate.Finding {
+	out := make([]incrstate.Finding, 0, len(fs))
+	for _, f := range fs {
+		pos := fset.Position(f.Span.Start)
+		out = append(out, incrstate.Finding{
+			Kind:     string(f.Kind),
+			Severity: f.Severity.String(),
+			Function: f.Function,
+			File:     pos.File,
+			Line:     pos.Line,
+			Column:   pos.Column,
+			Message:  f.Message,
+			Notes:    append([]string(nil), f.Notes...),
+		})
+	}
+	return out
+}
 
 // Detector re-exports the detector interface.
 type Detector = detect.Detector
@@ -120,7 +143,7 @@ func AnalyzeSource(filename, src string) (*Result, error) {
 }
 
 // AnalyzeFiles parses and lowers a set of named sources. Parse errors are
-// reported in the returned error; the partial Result is still returned for
+// reported as a *SyntaxError; the partial Result is still returned for
 // inspection.
 //
 // Internally the pipeline is split into a per-file frontend phase
@@ -305,7 +328,7 @@ func link(fset *source.FileSet, diags *source.Diagnostics, arts []*fileArtifact)
 	bodies := lower.Program(prog, diags)
 	res := &Result{Program: prog, Bodies: bodies, Fset: fset, Diags: diags}
 	if diags.HasErrors() {
-		return res, fmt.Errorf("rustprobe: syntax errors:\n%s", diags.String())
+		return res, &SyntaxError{Diags: diags.String()}
 	}
 	return res, nil
 }

@@ -410,9 +410,6 @@ func (s *Session) full(ctx context.Context, files map[string]string, reason stri
 	diags := source.NewDiagnostics(fset)
 	res, arts, err := analyzeArtifacts(fset, diags, files)
 	if err != nil {
-		if diags.HasErrors() {
-			return nil, &SyntaxError{Diags: diags.String()}
-		}
 		return nil, err
 	}
 	return s.commitFull(ctx, files, fset, res, arts, reason, false)
@@ -498,11 +495,11 @@ func (s *Session) ExportState() *incrstate.State {
 		Interfaces: s.res.FileInterfaceHashes(),
 		FnBodies:   s.res.FuncBodyHashes(),
 		FnPos:      s.res.FuncDeclPositions(),
-		Findings:   resolveFindings(s.fset, s.last.Findings),
+		Findings:   ResolveFindings(s.fset, s.last.Findings),
 		Local:      make(map[string][]incrstate.Finding, len(s.local)),
 	}
 	for fn, fs := range s.local {
-		st.Local[fn] = resolveFindings(s.fset, fs)
+		st.Local[fn] = ResolveFindings(s.fset, fs)
 	}
 	// Manifest only: the fact caches hold pointers into live MIR and
 	// cannot survive the process; record their sizes for observability.
@@ -530,9 +527,6 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 	diags := source.NewDiagnostics(fset)
 	res, arts, err := analyzeArtifacts(fset, diags, files)
 	if err != nil {
-		if diags.HasErrors() {
-			return nil, &SyntaxError{Diags: diags.String()}
-		}
 		return nil, err
 	}
 
@@ -607,26 +601,6 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 	}
 	s.commit(fset, arts, files, localMap, out.carries, up)
 	return snapshotUpdate(up), nil
-}
-
-// resolveFindings materializes findings' span starts to file:line:col in
-// the incrstate wire form.
-func resolveFindings(fset *source.FileSet, fs []Finding) []incrstate.Finding {
-	out := make([]incrstate.Finding, 0, len(fs))
-	for _, f := range fs {
-		pos := fset.Position(f.Span.Start)
-		out = append(out, incrstate.Finding{
-			Kind:     string(f.Kind),
-			Severity: f.Severity.String(),
-			Function: f.Function,
-			File:     pos.File,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Message:  f.Message,
-			Notes:    append([]string(nil), f.Notes...),
-		})
-	}
-	return out
 }
 
 // findingFromResolved rebuilds a detector finding from its persisted
@@ -724,38 +698,21 @@ func closureBase(name string) string {
 	return name
 }
 
-// sortFindingsByPosition orders findings by resolved position (file,
-// line, column) then kind and message. For a single FileSet this matches
+// sortFindingsByPosition orders findings by their resolved position in
+// the incrstate.Less order. For a single FileSet this matches
 // detect.SortFindings' span ordering; incremental rounds need the
 // resolved form because cached findings carry spans from earlier file-set
 // entries whose raw offsets are not comparable with fresh ones.
 func sortFindingsByPosition(fset *source.FileSet, fs []Finding) {
 	type entry struct {
-		f         Finding
-		file      string
-		line, col int
+		f   Finding
+		key incrstate.Finding
 	}
 	entries := make([]entry, len(fs))
-	for i, f := range fs {
-		pos := fset.Position(f.Span.Start)
-		entries[i] = entry{f: f, file: pos.File, line: pos.Line, col: pos.Column}
+	for i, r := range ResolveFindings(fset, fs) {
+		entries[i] = entry{f: fs[i], key: r}
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.file != b.file {
-			return a.file < b.file
-		}
-		if a.line != b.line {
-			return a.line < b.line
-		}
-		if a.col != b.col {
-			return a.col < b.col
-		}
-		if a.f.Kind != b.f.Kind {
-			return a.f.Kind < b.f.Kind
-		}
-		return a.f.Message < b.f.Message
-	})
+	sort.SliceStable(entries, func(i, j int) bool { return incrstate.Less(&entries[i].key, &entries[j].key) })
 	for i, e := range entries {
 		fs[i] = e.f
 	}
