@@ -340,6 +340,7 @@ func BenchmarkFrontend(b *testing.B) {
 
 // BenchmarkFullAnalysis times end-to-end analysis incl. every detector.
 func BenchmarkFullAnalysis(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := rustprobe.AnalyzeCorpus("all")
 		if err != nil {

@@ -62,14 +62,14 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8642", "listen address")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "analysis worker pool size")
-		queue    = flag.Int("queue", 64, "pending-job queue depth")
-		cacheCap = flag.Int("cache", 256, "result cache capacity in entries (LRU; negative disables)")
-		timeout  = flag.Duration("request-timeout", 30*time.Second, "per-request analysis budget (0 disables)")
-		reject   = flag.Bool("queue-reject", true, "fail fast with 503 + Retry-After when the job queue is full (false blocks instead)")
-		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		storeDir = flag.String("store-dir", "", "directory for the persistent content-addressed result store (empty disables; results then live only in the in-memory LRU)")
+		addr       = flag.String("addr", ":8642", "listen address")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "analysis worker pool size")
+		queue      = flag.Int("queue", 64, "pending-job queue depth")
+		cacheCap   = flag.Int("cache", 256, "result cache capacity in entries (LRU; negative disables)")
+		timeout    = flag.Duration("request-timeout", 30*time.Second, "per-request analysis budget (0 disables)")
+		reject     = flag.Bool("queue-reject", true, "fail fast with 503 + Retry-After when the job queue is full (false blocks instead)")
+		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
+		storeDir   = flag.String("store-dir", "", "directory for the persistent content-addressed result store (empty disables; results then live only in the in-memory LRU)")
 		selftest   = flag.Bool("selftest", false, "run the differential self-check through the configured engine and exit; non-zero on any violation")
 		seeds      = flag.Int64("seeds", 200, "seed count for -selftest")
 		precise    = flag.Bool("precise", false, "force the SafeDrop-style path-sensitive precise mode for every request (clients can also opt in per request with \"precise\": true); also applies to -selftest")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
 
 	"rustprobe/internal/mir"
 )
@@ -19,7 +20,10 @@ type Edge struct {
 	Block  mir.BlockID
 }
 
-// Graph is the program call graph.
+// Graph is the program call graph. Build and Patch always return a fresh
+// graph, and nothing modifies a graph after they return: its maps, edge
+// slices, and the names and SCCs it computes once may be shared by
+// concurrent readers.
 type Graph struct {
 	Bodies map[string]*mir.Body
 	// Callees maps a function to its outgoing edges in block order.
@@ -31,6 +35,11 @@ type Graph struct {
 	// unchanged caller must be rescanned: its cached edges go stale only
 	// if one of these names has since gained a body.
 	Unresolved map[string][]string
+
+	namesOnce sync.Once
+	names     []string
+	sccsOnce  sync.Once
+	sccs      []SCC
 }
 
 // Build constructs the call graph. Only calls resolved to a known body (by
@@ -168,14 +177,17 @@ func (g *Graph) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Names returns all function names in sorted order.
+// Names returns all function names in sorted order. It is computed once
+// per graph and shared by every caller, which must not modify it.
 func (g *Graph) Names() []string {
-	out := make([]string, 0, len(g.Bodies))
-	for n := range g.Bodies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	g.namesOnce.Do(func() {
+		g.names = make([]string, 0, len(g.Bodies))
+		for n := range g.Bodies {
+			g.names = append(g.names, n)
+		}
+		sort.Strings(g.names)
+	})
+	return g.names
 }
 
 // TransitiveCallers returns every function from which any of the start
@@ -220,8 +232,16 @@ type SCC struct {
 // component that calls into it, so iterating the slice front-to-back
 // visits callees first — the order bottom-up summary propagation needs.
 // The result is deterministic: roots are visited in sorted name order and
-// edges in block order, and each component's Members are sorted.
+// edges in block order, and each component's Members are sorted. It is
+// computed once per graph and shared by every caller, which must not
+// modify it.
 func (g *Graph) SCCs() []SCC {
+	g.sccsOnce.Do(func() { g.sccs = g.condense() })
+	return g.sccs
+}
+
+// condense runs Tarjan's algorithm for SCCs.
+func (g *Graph) condense() []SCC {
 	type nodeState struct {
 		index, lowlink int
 		onStack        bool

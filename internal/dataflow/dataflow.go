@@ -97,41 +97,48 @@ type Result struct {
 }
 
 // Forward runs a forward analysis to fixpoint and returns per-block entry
-// states.
+// states. Blocks are visited from a FIFO worklist seeded in reverse
+// postorder; a block is queued at most once at a time, so a ring of n
+// slots holds the worklist. Every entry state lives in one slab, and one
+// scratch state carries each visit's transfer.
 func Forward(g *cfg.Graph, p *Problem) *Result {
 	n := len(g.Body.Blocks)
+	words := len(NewBitSet(p.Bits))
+	slab := make([]uint64, n*words)
 	in := make([]BitSet, n)
 	for i := range in {
-		in[i] = NewBitSet(p.Bits)
+		in[i] = BitSet(slab[i*words : (i+1)*words : (i+1)*words])
 	}
 	if n == 0 {
 		return &Result{Graph: g, In: in, prob: p}
 	}
-	entryState := NewBitSet(p.Bits)
 	if p.Entry != nil {
-		p.Entry(entryState)
+		p.Entry(in[0])
 	}
-	in[0] = entryState.Clone()
 
-	// Worklist in RPO order.
+	ring := make([]mir.BlockID, n)
 	inWork := make([]bool, n)
-	var work []mir.BlockID
+	head, queued := 0, 0
 	for _, b := range g.RPO {
-		work = append(work, b)
+		ring[queued] = b
 		inWork[b] = true
+		queued++
 	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
+	state := NewBitSet(p.Bits)
+	for queued > 0 {
+		b := ring[head]
+		head = (head + 1) % n
+		queued--
 		inWork[b] = false
 
-		state := in[b].Clone()
+		copy(state, in[b])
 		applyBlock(state, g.Body.Blocks[b], p)
 
 		for _, s := range g.Succs[b] {
 			if in[s].UnionWith(state) && !inWork[s] {
-				work = append(work, s)
+				ring[(head+queued)%n] = s
 				inWork[s] = true
+				queued++
 			}
 		}
 	}

@@ -31,31 +31,50 @@ import (
 //     entry.
 type Resolver struct {
 	body    *mir.Body
-	guards  map[mir.LocalID]doublelock.Guard
+	locks   *doublelock.LockFacts
 	pts     *pointsto.Result
 	pointee map[mir.LocalID]string
 	byName  map[string]mir.LocalID
 }
 
-// New builds the resolver for function name (body) with its guard
-// locals, as computed by doublelock.Guards.
-func New(ctx *detect.Context, name string, body *mir.Body, guards map[mir.LocalID]doublelock.Guard) *Resolver {
-	r := &Resolver{
-		body:    body,
-		guards:  guards,
-		pts:     ctx.PointsTo(name),
-		pointee: map[mir.LocalID]string{},
-		byName:  map[string]mir.LocalID{},
-	}
-	for _, l := range body.Locals {
-		if l.Name != "" {
-			if _, dup := r.byName[l.Name]; !dup {
-				r.byName[l.Name] = l.ID
+// For returns (building once per Context) the resolver of function fn.
+// The race and blocking detectors share it, so it is read-only once
+// built: only propagate, during the build, writes to it.
+func For(ctx *detect.Context, fn string) *Resolver {
+	return detect.Shared(ctx, "alias", fn, func() *Resolver {
+		body := ctx.Bodies[fn]
+		r := &Resolver{
+			body:    body,
+			locks:   doublelock.Facts(ctx, fn),
+			pts:     ctx.PointsTo(fn),
+			pointee: map[mir.LocalID]string{},
+			byName:  map[string]mir.LocalID{},
+		}
+		for _, l := range body.Locals {
+			if l.Name != "" {
+				if _, dup := r.byName[l.Name]; !dup {
+					r.byName[l.Name] = l.ID
+				}
 			}
 		}
+		r.propagate()
+		return r
+	})
+}
+
+// Locks returns the lock facts the resolver was built on: the function's
+// CFG, guard locals and live-guard analysis.
+func (r *Resolver) Locks() *doublelock.LockFacts { return r.locks }
+
+// HeldAt returns the locks held just before statement idx of block b
+// (idx == len(stmts) is the terminator), keyed by canonical path.
+func (r *Resolver) HeldAt(b mir.BlockID, idx int) map[string]doublelock.Mode {
+	held := doublelock.Held(r.locks.Live.StateAt(b, idx), r.locks.Guards)
+	canon := make(map[string]doublelock.Mode, len(held))
+	for id, m := range held {
+		canon[r.CanonPath(id)] = m
 	}
-	r.propagate()
-	return r
+	return canon
 }
 
 // CanonName resolves a variable name to its canonical root path (following
@@ -191,7 +210,7 @@ func (r *Resolver) localType(l mir.LocalID) types.Type {
 // points at, a named local names itself. Temporaries with no alias
 // information resolve to "" and their accesses are dropped.
 func (r *Resolver) rootPath(l mir.LocalID) string {
-	if g, ok := r.guards[l]; ok {
+	if g, ok := r.locks.Guards[l]; ok {
 		return g.Lock
 	}
 	if p, ok := r.pointee[l]; ok {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rustprobe/internal/detect"
-	"rustprobe/internal/detect/doublelock"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/parser"
@@ -45,7 +44,7 @@ func resolverFor(t *testing.T, src, fn string) (*Resolver, *mir.Body) {
 		t.Fatalf("no body for %s", fn)
 	}
 	ctx := detect.NewContext(prog, bodies)
-	return New(ctx, fn, body, doublelock.Guards(body)), body
+	return For(ctx, fn), body
 }
 
 func TestCanonNameFollowsHandles(t *testing.T) {

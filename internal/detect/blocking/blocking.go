@@ -275,10 +275,8 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 // analyze collects the per-function blocking facts.
 func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	guards := doublelock.Guards(body)
-	live := doublelock.LiveGuards(body, g, guards)
-	res := alias.New(ctx, name, body, guards)
+	res := alias.For(ctx, name)
+	g := res.Locks().CFG
 	info := &funcInfo{
 		name:     name,
 		body:     body,
@@ -310,14 +308,6 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		return ok && endpoint[l]
 	}
 
-	heldAt := func(blk mir.BlockID, idx int) map[string]doublelock.Mode {
-		held := doublelock.Held(live.StateAt(blk, idx), guards)
-		canon := make(map[string]doublelock.Mode, len(held))
-		for id, m := range held {
-			canon[res.CanonPath(id)] = m
-		}
-		return canon
-	}
 	valid := func(p string) bool { return p != "" && alias.Depth(p) <= maxPathDepth }
 	mustRecv := mustRecvIn(body, g, res)
 	afterAt := func(blk mir.BlockID) map[string]bool {
@@ -357,7 +347,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				Res:        p,
 				Fn:         name,
 				Span:       c.Span,
-				Locks:      heldAt(blk.ID, len(blk.Stmts)),
+				Locks:      res.HeldAt(blk.ID, len(blk.Stmts)),
 				LocalProv:  localProv(p),
 				Guaranteed: unavoidable(body, g, blk.ID),
 				After:      after,
@@ -425,7 +415,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 		cs := callSite{
 			callee:     callee,
-			held:       heldAt(blk.ID, len(blk.Stmts)),
+			held:       res.HeldAt(blk.ID, len(blk.Stmts)),
 			span:       c.Span,
 			guaranteed: unavoidable(body, g, blk.ID),
 		}

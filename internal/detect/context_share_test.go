@@ -1,0 +1,126 @@
+// Tests that the per-function facts the detectors share (the CFG, the
+// double-lock guard analysis, the alias resolver) are computed once per
+// Context and read-only to every detector that uses them.
+package detect_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"rustprobe"
+	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/alias"
+	"rustprobe/internal/detect/dfree"
+	"rustprobe/internal/detect/doublelock"
+	"rustprobe/internal/detect/uaf"
+	"rustprobe/internal/detect/uninit"
+)
+
+// TestContextSharesFunctionFacts: after a full Detect over the patterns
+// corpus, every shared fact was built exactly once per body, not once per
+// detector that asked, and repeat lookups return the same object.
+func TestContextSharesFunctionFacts(t *testing.T) {
+	var mu sync.Mutex
+	builds := map[string]int{}
+	defer detect.SetSharedBuildHook(func(kind string) {
+		mu.Lock()
+		builds[kind]++
+		mu.Unlock()
+	})()
+
+	res, err := rustprobe.AnalyzeCorpus("patterns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Detect()) == 0 {
+		t.Fatal("no findings on the patterns corpus")
+	}
+	ctx := res.Context()
+	n := len(ctx.Bodies)
+	for kind, b := range builds {
+		if b > n {
+			t.Errorf("%s built %d times for %d bodies", kind, b, n)
+		}
+	}
+	for _, kind := range []string{"cfg", "doublelock.facts", "alias"} {
+		if builds[kind] != n {
+			t.Errorf("%s built %d times, want once per body (%d)", kind, builds[kind], n)
+		}
+	}
+	want := fmt.Sprint(builds)
+
+	for _, fn := range ctx.Graph.Names() {
+		g, lf, r := ctx.CFG(fn), doublelock.Facts(ctx, fn), alias.For(ctx, fn)
+		if ctx.CFG(fn) != g || doublelock.Facts(ctx, fn) != lf || alias.For(ctx, fn) != r {
+			t.Fatalf("%s: a repeat lookup returned a different object", fn)
+		}
+		if lf.CFG != g || r.Locks() != lf {
+			t.Fatalf("%s: the lock facts or the resolver were built on a different CFG", fn)
+		}
+	}
+	if got := fmt.Sprint(builds); got != want {
+		t.Fatalf("repeat lookups rebuilt facts: builds = %s, before them %s", got, want)
+	}
+
+	// The counts above see only what goes through the Context: a detector
+	// building its own CFG would bypass them.
+	files, err := filepath.Glob("*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "cfg.New(") {
+			t.Errorf("%s calls cfg.New; use Context.CFG", f)
+		}
+	}
+}
+
+// TestDetectorsConcurrentOnOneContext runs every registered detector
+// (and the precise memory detectors) twice, all at once, over one
+// Context; each run must report what the same detector reports alone on
+// a fresh Context. Under -race this checks that no detector writes to a
+// shared fact.
+func TestDetectorsConcurrentOnOneContext(t *testing.T) {
+	ds := append(rustprobe.Detectors(), uaf.NewPrecise(), dfree.NewPrecise(), uninit.NewPrecise())
+	fresh := func() *detect.Context {
+		res, err := rustprobe.AnalyzeCorpus("all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Context()
+	}
+	want := make([]string, len(ds))
+	for i, d := range ds {
+		want[i] = formatFindings(d.Run(fresh()))
+	}
+
+	ctx := fresh()
+	const rounds = 2
+	got := make([]string, rounds*len(ds))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = formatFindings(ds[i%len(ds)].Run(ctx))
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		d := i % len(ds)
+		if g != want[d] {
+			t.Errorf("%s on a shared Context diverged:\nalone:\n%s\nshared:\n%s", ds[d].Name(), want[d], g)
+		}
+	}
+}

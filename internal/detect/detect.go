@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"rustprobe/internal/callgraph"
+	"rustprobe/internal/cfg"
 	"rustprobe/internal/dropflow"
 	"rustprobe/internal/hir"
 	"rustprobe/internal/mir"
@@ -76,16 +77,18 @@ func (f Finding) Format(fset *source.FileSet) string {
 // and Fset are immutable after NewContext, and the per-function caches
 // are memos, so independent detectors may share one Context from
 // concurrent goroutines.
+//
+// The per-function facts several detectors start from (the CFG, points-to,
+// dropflow, the lock facts of package doublelock, the alias resolver)
+// are computed once per Context through Shared and live as long as the
+// Context. Every user must treat a shared value as read-only.
 type Context struct {
 	Program *hir.Program
 	Bodies  map[string]*mir.Body
 	Graph   *callgraph.Graph
 	Fset    *source.FileSet
 
-	pts memo[*pointsto.Result]
-
-	dropSums memo[map[string]*dropflow.FnSummary] // one entry, key ""
-	dropRes  memo[*dropflow.Result]
+	shared memo[any] // Shared's values, keyed by kind and function
 }
 
 // memo computes each key's value at most once. Concurrent callers for
@@ -143,12 +146,37 @@ func NewContextWithGraph(prog *hir.Program, bodies map[string]*mir.Body, g *call
 	}
 }
 
+// sharedBuilt, when set, observes every Shared computation by kind; the
+// package tests use it to count builds.
+var sharedBuilt func(kind string)
+
+// Shared returns (computing once per Context) the value of kind for
+// function fn. Packages that derive per-function facts from a Context
+// use it so that every detector asking for the same fact shares one
+// computation; concurrent callers for the same key wait for it. The
+// value is shared by all callers and must be treated as immutable. kind
+// names the fact and must be unique to one value type.
+func Shared[V any](c *Context, kind, fn string, compute func() V) V {
+	return c.shared.get(kind+"\x00"+fn, func() any {
+		if sharedBuilt != nil {
+			sharedBuilt(kind)
+		}
+		return compute()
+	}).(V)
+}
+
+// CFG returns (computing once) the control-flow graph of function fn.
+// The graph is shared by every detector and must not be modified.
+func (c *Context) CFG(fn string) *cfg.Graph {
+	return Shared(c, "cfg", fn, func() *cfg.Graph { return cfg.New(c.Bodies[fn]) })
+}
+
 // PointsTo returns (computing once) the points-to result for a
 // function; concurrent detectors asking for the same function share one
 // fixpoint. Unknown function names yield an empty result rather than
 // panicking on a nil body.
 func (c *Context) PointsTo(fn string) *pointsto.Result {
-	return c.pts.get(fn, func() *pointsto.Result {
+	return Shared(c, "pointsto", fn, func() *pointsto.Result {
 		body := c.Bodies[fn]
 		if body == nil {
 			return &pointsto.Result{PointsTo: map[mir.LocalID]map[mir.LocalID]bool{}}
@@ -162,7 +190,7 @@ func (c *Context) PointsTo(fn string) *pointsto.Result {
 // and the summaries it holds are shared across detectors and must be
 // treated as immutable.
 func (c *Context) DropFlowSummaries() map[string]*dropflow.FnSummary {
-	return c.dropSums.get("", func() map[string]*dropflow.FnSummary {
+	return Shared(c, "dropflow.summaries", "", func() map[string]*dropflow.FnSummary {
 		return dropflow.ComputeSummaries(c.Bodies, c.Graph)
 	})
 }
@@ -171,7 +199,7 @@ func (c *Context) DropFlowSummaries() map[string]*dropflow.FnSummary {
 // walk for a function. Like PointsTo, concurrent callers share one walk;
 // the shared Result must be treated as immutable by all detectors.
 func (c *Context) DropFlow(fn string) *dropflow.Result {
-	return c.dropRes.get(fn, func() *dropflow.Result {
+	return Shared(c, "dropflow", fn, func() *dropflow.Result {
 		sums := c.DropFlowSummaries()
 		return dropflow.Analyze(c.Bodies[fn], dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
 			s, ok := sums[name]

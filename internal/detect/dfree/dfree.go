@@ -11,7 +11,6 @@ package dfree
 import (
 	"fmt"
 
-	"rustprobe/internal/cfg"
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/dropflow"
@@ -53,7 +52,7 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 // invalid free. ptr::write initializes without dropping and clears the bit.
 func (d *Detector) checkInvalidFree(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)
 	var df *dropflow.Result
 	if d.Precise {
@@ -201,7 +200,7 @@ func typeNeedsDrop(t types.Type) bool {
 // owner and the duplicate are dropped.
 func (d *Detector) checkDoubleFree(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)
 	var df *dropflow.Result
 	if d.Precise {

@@ -95,9 +95,29 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	return out
 }
 
-// Guards statically assigns a Guard to each local that may hold
+// LockFacts is one function's guard analysis, shared through the
+// Context by the double-lock, race and blocking detectors. It is
+// read-only to every user; Live.StateAt returns a fresh copy.
+type LockFacts struct {
+	CFG    *cfg.Graph
+	Guards map[mir.LocalID]Guard // guard-holding locals and their locks
+	Live   *dataflow.Result      // bit l: local l holds a live guard
+}
+
+// Facts returns (computing once per Context) the lock facts of function
+// fn.
+func Facts(ctx *detect.Context, fn string) *LockFacts {
+	return detect.Shared(ctx, "doublelock.facts", fn, func() *LockFacts {
+		body := ctx.Bodies[fn]
+		g := ctx.CFG(fn)
+		origins := guardOrigins(body)
+		return &LockFacts{CFG: g, Guards: origins, Live: liveGuards(body, g, origins)}
+	})
+}
+
+// guardOrigins statically assigns a Guard to each local that may hold
 // a guard, by propagating from acquiring calls through moves and unwrap.
-func Guards(body *mir.Body) map[mir.LocalID]Guard {
+func guardOrigins(body *mir.Body) map[mir.LocalID]Guard {
 	origins := map[mir.LocalID]Guard{}
 	changed := true
 	for changed {
@@ -151,9 +171,9 @@ func Guards(body *mir.Body) map[mir.LocalID]Guard {
 	return origins
 }
 
-// LiveGuards runs the forward may-analysis: bit l set means local l holds
+// liveGuards runs the forward may-analysis: bit l set means local l holds
 // a live (unreleased) guard.
-func LiveGuards(body *mir.Body, g *cfg.Graph, origins map[mir.LocalID]Guard) *dataflow.Result {
+func liveGuards(body *mir.Body, g *cfg.Graph, origins map[mir.LocalID]Guard) *dataflow.Result {
 	prob := &dataflow.Problem{
 		Bits: len(body.Locals),
 		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
@@ -374,9 +394,8 @@ func (d *Detector) conflicts(heldMode, mode Mode) bool {
 
 func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[string]Mode) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	origins := Guards(body)
-	res := LiveGuards(body, g, origins)
+	lf := Facts(ctx, name)
+	g, origins, res := lf.CFG, lf.Guards, lf.Live
 
 	var out []detect.Finding
 	for _, blk := range body.Blocks {

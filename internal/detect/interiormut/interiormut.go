@@ -271,7 +271,7 @@ func sharable(ctx *detect.Context, typeName string) bool {
 // checkCheckThenAct finds load(self.X) → branch → store(self.X) chains.
 func (d *Detector) checkCheckThenAct(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 
 	// Gather atomic loads/stores on self-rooted paths.
 	type site struct {
@@ -389,7 +389,7 @@ func feedsBranch(body *mir.Body, g *cfg.Graph, start mir.LocalID, from mir.Block
 // self-rooted lock guard in scope anywhere in the function.
 func (d *Detector) checkRawWrite(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)
 
 	// self is always local _1 for methods.

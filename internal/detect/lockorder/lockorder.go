@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"rustprobe/internal/cfg"
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/mir"
@@ -259,7 +258,7 @@ func resolvedCallee(ctx *detect.Context, c mir.Call) string {
 // time.
 func extract(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 
 	// Reuse a small local version of the double-lock guard analysis.
 	origins := map[mir.LocalID]string{}

@@ -173,22 +173,12 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 // accesses with locksets, its resolved call sites, and its spawn sites.
 func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
-	guards := doublelock.Guards(body)
-	live := doublelock.LiveGuards(body, g, guards)
-	res := alias.New(ctx, name, body, guards)
+	res := alias.For(ctx, name)
+	g := res.Locks().CFG
 	info := &funcInfo{name: name, body: body, g: g, res: res}
 
 	closureOf := closureLocals(body)
 
-	heldAt := func(blk mir.BlockID, idx int) map[string]doublelock.Mode {
-		held := doublelock.Held(live.StateAt(blk, idx), guards)
-		canon := make(map[string]doublelock.Mode, len(held))
-		for id, m := range held {
-			canon[res.CanonPath(id)] = m
-		}
-		return canon
-	}
 	record := func(pl mir.Place, write, interior bool, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
 		if len(pl.Proj) == 0 && !isStaticLocal(body, pl.Local) {
 			return // a bare binding is not a shared-memory access
@@ -220,7 +210,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			if !ok {
 				continue
 			}
-			held := heldAt(blk.ID, i)
+			held := res.HeldAt(blk.ID, i)
 			record(as.Place, true, false, as.Span, blk.ID, held)
 			switch rv := as.Rvalue.(type) {
 			case mir.Use:
@@ -244,7 +234,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		if !ok {
 			continue
 		}
-		held := heldAt(blk.ID, len(blk.Stmts))
+		held := res.HeldAt(blk.ID, len(blk.Stmts))
 		if c.Intrinsic == mir.IntrinsicSpawn {
 			for _, a := range c.Args {
 				pl, ok := mir.OperandPlace(a)

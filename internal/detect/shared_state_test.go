@@ -136,8 +136,8 @@ func runPreciseSuite(ctx *detect.Context) string {
 
 // blockingStateSrc plants two §6.1 blocking bugs (an orphaned recv and a
 // condvar wait with no notifier) next to a double-lock, so the blocking
-// detector and the lockset machinery it borrows (doublelock.Guards /
-// LiveGuards) both have real work to do on the shared Context.
+// detector and the lockset machinery it borrows (doublelock.Facts) both
+// have real work to do on the shared Context.
 const blockingStateSrc = `
 fn poll() -> i32 {
     let (tx, rx) = mpsc::channel();

@@ -13,7 +13,6 @@ package uaf
 import (
 	"fmt"
 
-	"rustprobe/internal/cfg"
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/dropflow"
@@ -177,7 +176,7 @@ func resolvedCallee(ctx *detect.Context, c mir.Call) string {
 // dereferences of may-dead storage.
 func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[int]bool) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)
 	n := len(body.Locals)
 

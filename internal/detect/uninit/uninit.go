@@ -7,7 +7,6 @@ package uninit
 import (
 	"fmt"
 
-	"rustprobe/internal/cfg"
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/dropflow"
@@ -43,7 +42,7 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 
 func (d *Detector) check(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
-	g := cfg.New(body)
+	g := ctx.CFG(name)
 	var df *dropflow.Result
 	if d.Precise {
 		df = ctx.DropFlow(name)

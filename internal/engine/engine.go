@@ -157,7 +157,8 @@ type Engine struct {
 	jobs    chan *job
 	cache   *lru[*Response] // nil when disabled
 	ctr     counters
-	storeWG sync.WaitGroup // in-flight write-behind store puts
+	puts    chan storePending // write-behind queue; nil without a store
+	storeWG sync.WaitGroup    // the store writers and overflow puts
 
 	flightMu sync.Mutex // guards flights
 	flights  map[string]*flight
@@ -193,6 +194,18 @@ func New(cfg Config) *Engine {
 	if cacheCap > 0 {
 		e.cache = newLRU(cacheCap, (*Response).clone)
 	}
+	if cfg.Store != nil {
+		e.puts = make(chan storePending, storeQueue)
+		for i := 0; i < storeWriters; i++ {
+			e.storeWG.Add(1)
+			go func() {
+				defer e.storeWG.Done()
+				for p := range e.puts {
+					e.persist(p.key, p.resp)
+				}
+			}()
+		}
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go func() {
@@ -221,7 +234,11 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	e.wg.Wait()
 	// Flush write-behind puts so a restart (or a replica) sees every
-	// result this engine completed.
+	// result this engine completed. Only workers queue puts, so none
+	// arrives after this close.
+	if e.puts != nil {
+		close(e.puts)
+	}
 	e.storeWG.Wait()
 }
 
@@ -459,21 +476,46 @@ func (e *Engine) storeGet(key string) (*Response, bool) {
 	return &resp, true
 }
 
+// storeWriters goroutines drain up to storeQueue pending write-behind
+// puts. A fixed set of writers bounds the goroutines, and their stacks,
+// that a slow disk holds: on a fresh store the first seconds of cold
+// batches leave about a thousand puts pending.
+const (
+	storeWriters = 4
+	storeQueue   = 1024
+)
+
+// storePending is one queued write-behind put.
+type storePending struct {
+	key  string
+	resp *Response
+}
+
 // storePut persists a completed response write-behind: the waiter's
-// reply never blocks on disk, and Close drains the in-flight writes.
+// reply never blocks on disk, and Close drains the pending writes. A
+// full queue hands the put to a goroutine of its own.
 func (e *Engine) storePut(key string, resp *Response) {
-	if e.cfg.Store == nil {
+	if e.puts == nil {
 		return
 	}
-	e.storeWG.Add(1)
-	go func() {
-		defer e.storeWG.Done()
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		e.cfg.Store.Put(key, payload) // put failures are counted by the store
-	}()
+	select {
+	case e.puts <- storePending{key, resp}:
+	default:
+		e.storeWG.Add(1)
+		go func() {
+			defer e.storeWG.Done()
+			e.persist(key, resp)
+		}()
+	}
+}
+
+// persist writes one response to the store.
+func (e *Engine) persist(key string, resp *Response) {
+	payload, err := json.Marshal(resp)
+	if err != nil {
+		return
+	}
+	e.cfg.Store.Put(key, payload) // put failures are counted by the store
 }
 
 // analyzeFrontend runs the request's frontend. Unparseable sources come

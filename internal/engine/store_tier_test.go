@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -213,4 +214,32 @@ func normalize(fs []engine.Finding) []engine.Finding {
 		return nil
 	}
 	return fs
+}
+
+// TestStoreWriteBehindPersistsPastQueue: more completed analyses than
+// the write-behind queue holds are all on disk once Close returns,
+// whether a put went through the queue or overflowed it.
+func TestStoreWriteBehindPersistsPastQueue(t *testing.T) {
+	dir := t.TempDir()
+	e := engine.New(engine.Config{Workers: 2, Store: openStore(t, dir)})
+	const n = 1500
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < n; i += 4 {
+				src := fmt.Sprintf("fn f%d() {}\n", i)
+				if _, err := e.Analyze(context.Background(), engine.Request{Files: map[string]string{"a.rs": src}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	e.Close()
+	if got := openStore(t, dir).Stats().Entries; got != n {
+		t.Fatalf("store holds %d entries after Close, want %d", got, n)
+	}
 }

@@ -29,9 +29,14 @@ func New(file *source.File, diags *source.Diagnostics) *Lexer {
 	return &Lexer{file: file, src: file.Content, diags: diags}
 }
 
+// bytesPerToken underestimates the mean token width of Rust source
+// (about 5.6 bytes over this repository's .rs files, 4.4 in the
+// densest), so Tokenize's presized slice rarely grows.
+const bytesPerToken = 4
+
 // Tokenize scans the whole file, appending the terminating EOF token.
 func (l *Lexer) Tokenize() []token.Token {
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(l.src)/bytesPerToken+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -65,12 +65,12 @@ func TestFigureRenders(t *testing.T) {
 func TestSectionRenders(t *testing.T) {
 	db := study.Build()
 	checks := map[string][]string{
-		UnsafeUsageSection():              {"4990", "3665", "1302", "23", "1581"},
-		RemovalSection():                  {"130", "108", "61%"},
-		InteriorSection():                 {"250", "58%", "19"},
-		MemFixSection(db):                 {"30", "22"},
-		BlkFixSection(db):                 {"51 / 59", "21"},
-		NBlkFixSection(db):                {"20", "10"},
+		UnsafeUsageSection():                    {"4990", "3665", "1302", "23", "1581"},
+		RemovalSection():                        {"130", "108", "61%"},
+		InteriorSection():                       {"250", "58%", "19"},
+		MemFixSection(db):                       {"30", "22"},
+		BlkFixSection(db):                       {"51 / 59", "21"},
+		NBlkFixSection(db):                      {"20", "10"},
 		DetectorSection(4, 3, 6, 0, 5, 0, 6, 0): {"paper", "measured", "4", "6", "data races (6.2)", "5", "blocking bugs (6.1)"},
 	}
 	for out, wants := range checks {

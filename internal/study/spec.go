@@ -240,15 +240,15 @@ const (
 
 // Detector results (§7).
 const (
-	UAFBugsFound        = 4 // previously unknown use-after-free bugs
-	UAFFalsePositives   = 3
+	UAFBugsFound      = 4 // previously unknown use-after-free bugs
+	UAFFalsePositives = 3
 	// SafeDrop-style precise mode (the path-sensitive drop-and-alias
 	// refuter): same 4 true positives, all 3 planted false-positive
 	// patterns (fp_context, fp_flow, fp_path) refuted.
 	UAFPreciseBugsFound      = 4
 	UAFPreciseFalsePositives = 0
-	DoubleLockBugsFound = 6
-	DoubleLockFalsePos  = 0
+	DoubleLockBugsFound      = 6
+	DoubleLockFalsePos       = 0
 	// §6.2 extension: seeded non-blocking data races the thread-escape +
 	// lockset detector must find in the patterns corpus (one per studied
 	// project), with no reports on the synchronized fixed variants.
