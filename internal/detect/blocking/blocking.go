@@ -115,7 +115,7 @@ func (e *event) key() string {
 func (e *event) clone() *event {
 	c := *e
 	if e.Locks != nil {
-		c.Locks = cloneLocks(e.Locks)
+		c.Locks = doublelock.CloneLocks(e.Locks)
 	}
 	if e.After != nil {
 		c.After = make(map[string]bool, len(e.After))
@@ -223,25 +223,15 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 // pairing phase runs over the whole program.
 func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
 	prev, _ := prior.(*carry)
-	names := ctx.Graph.Names()
-	infos := make(map[string]*funcInfo, len(names))
-	recompute := map[string]bool{}
-	reused := 0
-	for _, name := range names {
-		if prev != nil && !dirty[name] {
-			if old := prev.infos[name]; old != nil && old.body == ctx.Bodies[name] {
-				infos[name] = old
-				reused++
-				continue
-			}
-		}
-		infos[name] = d.analyze(ctx, name)
-		recompute[name] = true
-	}
+	var old map[string]*funcInfo
 	var warm *summary.Result[resSummary]
 	if prev != nil {
-		warm = prev.sums
+		old, warm = prev.infos, prev.sums
 	}
+	names := ctx.Graph.Names()
+	infos, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
+		func(f *funcInfo) *mir.Body { return f.body },
+		func(name string) *funcInfo { return d.analyze(ctx, name) })
 	detect.CloseOverCallers(ctx.Graph, recompute)
 	sres := d.buildSummaries(ctx, infos, warm, recompute)
 	sums := sres.Summaries
@@ -287,12 +277,12 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	for _, c := range body.Captures {
 		info.captures[c] = true
 	}
-	for _, p := range paramNames(body) {
+	for _, p := range mir.ParamNames(body) {
 		if p != "" {
 			info.params[p] = true
 		}
 	}
-	closureOf := closureLocals(body)
+	closureOf := mir.ClosureLocals(body)
 	info.chans = channelProvenance(body)
 	endpoint := map[mir.LocalID]bool{}
 	for _, ch := range info.chans {
@@ -373,7 +363,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			}
 			continue
 		case mir.IntrinsicNone:
-			switch methodName(c.Callee) {
+			switch mir.MethodName(c.Callee) {
 			case "notify_one", "notify_all":
 				if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 					guaranteed := unavoidable(body, g, blk.ID)
@@ -409,7 +399,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				}
 			}
 		}
-		callee := resolvedCallee(ctx, c)
+		callee := ctx.Callee(c)
 		if callee == "" {
 			continue
 		}
@@ -533,7 +523,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				if !known {
 					continue
 				}
-				params := paramNames(ctx.Bodies[cs.callee])
+				params := mir.ParamNames(ctx.Bodies[cs.callee])
 				for _, e := range calleeSum {
 					p := summary.TranslateRoot(e.Res, params, cs.argPaths)
 					if p == "" || alias.Depth(p) > maxPathDepth {
@@ -543,7 +533,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 					t.Res = p
 					t.Guaranteed = e.Guaranteed && cs.guaranteed
 					if t.Kind == opRecv || t.Kind == opSend {
-						t.Locks = translateLocks(e.Locks, params, cs.argPaths)
+						t.Locks = doublelock.TranslateLocks(e.Locks, params, cs.argPaths)
 						for id, m := range cs.held {
 							if cur, ok := t.Locks[id]; !ok || m > cur {
 								t.Locks[id] = m
@@ -741,7 +731,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 					Message: fmt.Sprintf("blocking recv() on %q while holding %q, which %s must acquire before it can send",
 						e.Res, qlocks[common], s.fn),
 					Notes: []string{
-						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), locksString(e.Locks)),
+						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), doublelock.LocksString(e.Locks)),
 						fmt.Sprintf("sender: %s sends on %q at %s only after acquiring %q", s.fn, s.chanPath, ctx.Fset.Position(s.span.Start), common),
 						"hold-and-wait cycle: with these two threads interleaved, neither the message nor the lock can ever be released",
 					},
@@ -1159,7 +1149,7 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 			if calleeInfo == nil {
 				continue
 			}
-			params := paramNames(ctx.Bodies[cs.callee])
+			params := mir.ParamNames(ctx.Bodies[cs.callee])
 			for _, oc := range calleeInfo.onces {
 				if oc.closure != "" || oc.closureParam < 0 || oc.closureParam >= len(cs.argClosures) {
 					continue
@@ -1402,7 +1392,7 @@ func (d *Detector) escapedChannels(ctx *detect.Context, info *funcInfo) map[int]
 			// statement scan already classified.
 			continue
 		case mir.IntrinsicNone:
-			if resolvedCallee(ctx, c) != "" {
+			if ctx.Callee(c) != "" {
 				continue // flows into summaries we scan
 			}
 			for _, a := range c.Args {
@@ -1451,100 +1441,4 @@ func unavoidable(body *mir.Body, g *cfg.Graph, at mir.BlockID) bool {
 		}
 	}
 	return true
-}
-
-func cloneLocks(locks map[string]doublelock.Mode) map[string]doublelock.Mode {
-	out := make(map[string]doublelock.Mode, len(locks))
-	for id, m := range locks {
-		out[id] = m
-	}
-	return out
-}
-
-func translateLocks(locks map[string]doublelock.Mode, params, argPaths []string) map[string]doublelock.Mode {
-	out := map[string]doublelock.Mode{}
-	for id, m := range locks {
-		if t := summary.TranslateRoot(id, params, argPaths); t != "" {
-			out[t] = m
-		}
-	}
-	return out
-}
-
-func locksString(locks map[string]doublelock.Mode) string {
-	if len(locks) == 0 {
-		return "no locks"
-	}
-	ids := make([]string, 0, len(locks))
-	for id := range locks {
-		ids = append(ids, fmt.Sprintf("%s(%s)", id, locks[id]))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ", ")
-}
-
-// closureLocals maps locals holding a closure value to the closure body
-// name, propagated through moves.
-func closureLocals(body *mir.Body) map[mir.LocalID]string {
-	out := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				as, ok := st.(mir.Assign)
-				if !ok || !as.Place.IsLocal() {
-					continue
-				}
-				if _, done := out[as.Place.Local]; done {
-					continue
-				}
-				switch rv := as.Rvalue.(type) {
-				case mir.Aggregate:
-					if rv.Kind == mir.AggClosure {
-						out[as.Place.Local] = rv.Name
-						changed = true
-					}
-				case mir.Use:
-					if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() {
-						if cn, has := out[pl.Local]; has {
-							out[as.Place.Local] = cn
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func paramNames(body *mir.Body) []string {
-	if body == nil {
-		return nil
-	}
-	out := make([]string, 0, body.ArgCount)
-	for i := 1; i <= body.ArgCount && i < len(body.Locals); i++ {
-		out = append(out, body.Locals[i].Name)
-	}
-	return out
-}
-
-func methodName(callee string) string {
-	if i := strings.LastIndex(callee, "::"); i >= 0 {
-		return callee[i+2:]
-	}
-	return callee
-}
-
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
 }

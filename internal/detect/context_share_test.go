@@ -16,13 +16,16 @@ import (
 	"rustprobe/internal/detect/alias"
 	"rustprobe/internal/detect/dfree"
 	"rustprobe/internal/detect/doublelock"
+	"rustprobe/internal/detect/lockorder"
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
 )
 
 // TestContextSharesFunctionFacts: after a full Detect over the patterns
 // corpus, every shared fact was built exactly once per body, not once per
-// detector that asked, and repeat lookups return the same object.
+// detector that asked, and repeat lookups return the same object; lock
+// order alone builds the double-lock facts; no detector resolves callees
+// or builds CFGs on its own.
 func TestContextSharesFunctionFacts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -66,8 +69,25 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		t.Fatalf("repeat lookups rebuilt facts: builds = %s, before them %s", got, want)
 	}
 
+	// Lock order reads the double-lock guard analysis instead of running
+	// its own: alone on a fresh Context it builds the lock facts of every
+	// body, once each.
+	fresh, err := rustprobe.AnalyzeCorpus("patterns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx := fresh.Context()
+	for k := range builds {
+		delete(builds, k)
+	}
+	lockorder.New().Run(fctx)
+	if got := builds["doublelock.facts"]; got != len(fctx.Bodies) {
+		t.Errorf("lock order built doublelock.facts %d times, want once per body (%d)", got, len(fctx.Bodies))
+	}
+
 	// The counts above see only what goes through the Context: a detector
-	// building its own CFG would bypass them.
+	// building its own CFG would bypass them, and a detector resolving
+	// callees its own way would drift from Context.Callee.
 	files, err := filepath.Glob("*/*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +102,9 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		}
 		if strings.Contains(string(src), "cfg.New(") {
 			t.Errorf("%s calls cfg.New; use Context.CFG", f)
+		}
+		if strings.Contains(string(src), "func resolvedCallee(") {
+			t.Errorf("%s declares its own resolvedCallee; use Context.Callee", f)
 		}
 	}
 }

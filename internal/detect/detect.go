@@ -208,6 +208,21 @@ func (c *Context) DropFlow(fn string) *dropflow.Result {
 	})
 }
 
+// Callee returns the analyzed function a call resolves to: its
+// resolved definition when that has a body here, else its callee name
+// when that does, else "".
+func (c *Context) Callee(call mir.Call) string {
+	if call.Def != nil {
+		if _, ok := c.Bodies[call.Def.Qualified]; ok {
+			return call.Def.Qualified
+		}
+	}
+	if _, ok := c.Bodies[call.Callee]; ok {
+		return call.Callee
+	}
+	return ""
+}
+
 // Detector is one analysis pass over a Context.
 type Detector interface {
 	Name() string
@@ -259,6 +274,28 @@ type Incremental interface {
 // can see how much process-local cache a restart will cost.
 type FactCounter interface {
 	FactCount() int
+}
+
+// ReuseFacts is the per-function fact half of RunIncremental, shared by
+// the global detectors so the body-identity rule lives in one place.
+// For each function of ctx.Graph it keeps prev[name] when name is not
+// dirty and body(prev[name]) is the body object ctx.Bodies holds now;
+// otherwise it calls extract and adds name to recompute. reused counts
+// the kept entries. A nil prev extracts every function.
+func ReuseFacts[F any](ctx *Context, prev map[string]F, dirty map[string]bool, body func(F) *mir.Body, extract func(name string) F) (facts map[string]F, recompute map[string]bool, reused int) {
+	names := ctx.Graph.Names()
+	facts = make(map[string]F, len(names))
+	recompute = map[string]bool{}
+	for _, name := range names {
+		if old, ok := prev[name]; ok && !dirty[name] && body(old) == ctx.Bodies[name] {
+			facts[name] = old
+			reused++
+			continue
+		}
+		facts[name] = extract(name)
+		recompute[name] = true
+	}
+	return facts, recompute, reused
 }
 
 // CloseOverCallers expands a recompute set in place with the transitive

@@ -81,3 +81,47 @@ func TestSeverityString(t *testing.T) {
 		t.Error("severity strings wrong")
 	}
 }
+
+// TestContextCallee: a call resolves to its definition when that has a
+// body, else to its callee name when that does, else to nothing.
+func TestContextCallee(t *testing.T) {
+	prog := hir.NewProgram(source.NewFileSet())
+	ctx := NewContext(prog, map[string]*mir.Body{"S::get": {}, "helper": {}})
+	for _, tc := range []struct {
+		call mir.Call
+		want string
+	}{
+		{mir.Call{Callee: "get", Def: &hir.FuncDef{Qualified: "S::get"}}, "S::get"},
+		{mir.Call{Callee: "helper", Def: &hir.FuncDef{Qualified: "T::helper"}}, "helper"},
+		{mir.Call{Callee: "helper"}, "helper"},
+		{mir.Call{Callee: "Vec::push"}, ""},
+	} {
+		if got := ctx.Callee(tc.call); got != tc.want {
+			t.Errorf("Callee(%s) = %q, want %q", tc.call.Callee, got, tc.want)
+		}
+	}
+}
+
+// TestReuseFacts: a fact is kept only for a clean function whose body
+// object is unchanged; everything else is extracted and recomputed.
+func TestReuseFacts(t *testing.T) {
+	bodies := map[string]*mir.Body{"a": {}, "b": {}, "c": {}}
+	ctx := NewContext(hir.NewProgram(source.NewFileSet()), bodies)
+	self := func(b *mir.Body) *mir.Body { return b }
+	extract := func(name string) *mir.Body { return bodies[name] }
+
+	prev := map[string]*mir.Body{"a": bodies["a"], "b": {}, "c": bodies["c"]}
+	facts, recompute, reused := ReuseFacts(ctx, prev, map[string]bool{"c": true}, self, extract)
+	if reused != 1 || len(recompute) != 2 || !recompute["b"] || !recompute["c"] {
+		t.Errorf("reused %d, recompute %v; want 1 and {b c}", reused, recompute)
+	}
+	for name, b := range bodies {
+		if facts[name] != b {
+			t.Errorf("facts[%s] is not the current body", name)
+		}
+	}
+
+	if _, recompute, reused := ReuseFacts(ctx, nil, nil, self, extract); reused != 0 || len(recompute) != 3 {
+		t.Errorf("nil prev: reused %d, recompute %v; want 0 and all", reused, recompute)
+	}
+}

@@ -11,6 +11,7 @@ package doublelock
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"rustprobe/internal/cfg"
@@ -43,8 +44,8 @@ func (m Mode) String() string {
 
 // Guard describes a guard-holding local: the lock it came from (a
 // source-level path such as "self.client") and the acquisition mode.
-// Exported because the race detector reuses the same guard machinery for
-// its lockset computation.
+// Exported because the lock-order, race and blocking detectors read the
+// same guard analysis.
 type Guard struct {
 	Lock string
 	Mode Mode
@@ -85,7 +86,7 @@ func acquireIntrinsic(i mir.Intrinsic) (Mode, bool) {
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	var summaries map[string]map[string]Mode
 	if !d.IntraOnly {
-		summaries = d.buildSummaries(ctx)
+		summaries = Summaries(ctx, nil, nil).Summaries
 	}
 	var out []detect.Finding
 	for _, name := range ctx.Graph.Names() {
@@ -230,8 +231,7 @@ func liveGuards(body *mir.Body, g *cfg.Graph, origins map[mir.LocalID]Guard) *da
 					state.Clear(int(term.Place.Local))
 				}
 			case mir.Call:
-				if mode, isAcq := acquireIntrinsic(term.Intrinsic); isAcq && term.Dest.IsLocal() {
-					_ = mode
+				if _, isAcq := acquireIntrinsic(term.Intrinsic); isAcq && term.Dest.IsLocal() {
 					if _, tracked := origins[term.Dest.Local]; tracked {
 						state.Set(int(term.Dest.Local))
 					}
@@ -308,13 +308,50 @@ func Held(state dataflow.BitSet, origins map[mir.LocalID]Guard) map[string]Mode 
 	return held
 }
 
-// buildSummaries computes, bottom-up over the call graph, the set of lock
-// ids each function may acquire (transitively), expressed in its own
-// namespace (only self-rooted and static ids propagate upward). The SCC
-// fixpoint in internal/summary makes the propagation sound through
-// mutual recursion and call chains of any length — the previous bounded
-// two-round pass silently under-approximated cyclic call graphs.
-func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mode {
+// CloneLocks copies a held-lock map.
+func CloneLocks(locks map[string]Mode) map[string]Mode {
+	out := make(map[string]Mode, len(locks))
+	for id, m := range locks {
+		out[id] = m
+	}
+	return out
+}
+
+// TranslateLocks maps a callee-namespace held-lock map into the caller's
+// namespace through summary.TranslateRoot, dropping ids that do not
+// survive the translation.
+func TranslateLocks(locks map[string]Mode, params, argPaths []string) map[string]Mode {
+	out := map[string]Mode{}
+	for id, m := range locks {
+		if t := summary.TranslateRoot(id, params, argPaths); t != "" {
+			out[t] = m
+		}
+	}
+	return out
+}
+
+// LocksString renders a held-lock map as sorted "id(mode)" entries, or
+// "no locks".
+func LocksString(locks map[string]Mode) string {
+	if len(locks) == 0 {
+		return "no locks"
+	}
+	ids := make([]string, 0, len(locks))
+	for id := range locks {
+		ids = append(ids, fmt.Sprintf("%s(%s)", id, locks[id]))
+	}
+	sort.Strings(ids)
+	return strings.Join(ids, ", ")
+}
+
+// Summaries computes, bottom-up over the call graph, the set of lock ids
+// each function may acquire (transitively) and the strongest mode it
+// acquires each in, expressed in its own namespace (only self-rooted and
+// static ids propagate upward). The SCC fixpoint in internal/summary
+// makes the propagation sound through mutual recursion and call chains
+// of any length. warm and recompute are summary.ComputeFrom's warm start;
+// a nil warm computes every function.
+func Summaries(ctx *detect.Context, warm *summary.Result[map[string]Mode], recompute map[string]bool) *summary.Result[map[string]Mode] {
 	prob := &summary.Problem[map[string]Mode]{
 		Bottom: func(string) map[string]Mode { return map[string]Mode{} },
 		Equal: func(a, b map[string]Mode) bool {
@@ -345,7 +382,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mod
 					add(c.RecvPath, mode)
 					continue
 				}
-				calleeName := resolvedCallee(ctx, c)
+				calleeName := ctx.Callee(c)
 				if calleeName == "" {
 					continue
 				}
@@ -368,19 +405,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context) map[string]map[string]Mod
 			return s
 		},
 	}
-	return summary.Compute(ctx.Graph, prob).Summaries
-}
-
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
+	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
 }
 
 // conflicts reports whether acquiring `mode` on a lock already held in
@@ -428,7 +453,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 
 		// Inter-procedural: calling a function that (transitively)
 		// acquires a lock we hold.
-		calleeName := resolvedCallee(ctx, c)
+		calleeName := ctx.Callee(c)
 		if calleeName == "" || len(held) == 0 {
 			continue
 		}

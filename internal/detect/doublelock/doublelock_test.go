@@ -449,3 +449,28 @@ fn f(mu: Mutex<i32>, h: Holder) {
 		t.Fatalf("guard moved into struct still flagged: %+v", findings)
 	}
 }
+
+// TestHeldLockHelpers: the held-lock map helpers race and blocking share.
+func TestHeldLockHelpers(t *testing.T) {
+	locks := map[string]Mode{"m.state": ModeWrite, "static CFG": ModeRead, "tmp": ModeLock}
+	c := CloneLocks(locks)
+	c["m.state"] = ModeRead
+	if locks["m.state"] != ModeWrite {
+		t.Error("CloneLocks shares storage with its input")
+	}
+	if CloneLocks(nil) == nil {
+		t.Error("CloneLocks(nil) is nil; callers write into the copy")
+	}
+
+	tr := TranslateLocks(locks, []string{"m"}, []string{"self.inner"})
+	if len(tr) != 2 || tr["self.inner.state"] != ModeWrite || tr["static CFG"] != ModeRead {
+		t.Errorf("TranslateLocks = %v, want self.inner.state(write) and static CFG(read)", tr)
+	}
+
+	if got := LocksString(locks); got != "m.state(write), static CFG(read), tmp(lock)" {
+		t.Errorf("LocksString = %q", got)
+	}
+	if got := LocksString(nil); got != "no locks" {
+		t.Errorf("LocksString(nil) = %q", got)
+	}
+}

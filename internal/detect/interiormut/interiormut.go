@@ -68,18 +68,13 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 // cheap and global — re-run in full every round.
 func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
 	prev, _ := prior.(*carry)
-	infos := map[string]*funcInfo{}
-	reused := 0
-	for _, name := range ctx.Graph.Names() {
-		if prev != nil && !dirty[name] {
-			if old := prev.infos[name]; old != nil && old.body == ctx.Bodies[name] {
-				infos[name] = old
-				reused++
-				continue
-			}
-		}
-		infos[name] = d.extract(ctx, name)
+	var old map[string]*funcInfo
+	if prev != nil {
+		old = prev.infos
 	}
+	infos, _, reused := detect.ReuseFacts(ctx, old, dirty,
+		func(f *funcInfo) *mir.Body { return f.body },
+		func(name string) *funcInfo { return d.extract(ctx, name) })
 	var out []detect.Finding
 	for _, name := range ctx.Graph.Names() {
 		info := infos[name]

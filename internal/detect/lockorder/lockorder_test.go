@@ -215,3 +215,55 @@ impl Shared {
 		t.Fatalf("consistent order flagged: %+v", findings)
 	}
 }
+
+// TestTryLockGuardOrdersLaterLock: a successful try_lock yields a guard
+// like lock() does (the double-lock guard analysis treats it as held),
+// so taking b while a's try_lock guard is live orders a before b — an
+// AB-BA against path2.
+func TestTryLockGuardOrdersLaterLock(t *testing.T) {
+	src := `
+struct Shared { a: Mutex<i32>, b: Mutex<i32> }
+impl Shared {
+    fn path1(&self) {
+        let ga = self.a.try_lock().unwrap();
+        let gb = self.b.lock().unwrap();
+    }
+    fn path2(&self) {
+        let gb = self.b.lock().unwrap();
+        let ga = self.a.lock().unwrap();
+    }
+}
+`
+	findings := analyze(t, src)
+	if len(findings) != 1 {
+		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
+	}
+	if findings[0].Kind != detect.KindLockOrder || findings[0].Function != "Shared::path1" {
+		t.Errorf("finding = %+v, want a lock-order report in Shared::path1", findings[0])
+	}
+}
+
+// TestGuardMovedIntoCallReleasesLock: path1 moves a's guard into a call,
+// which consumes it, so a is released before b is taken and the two
+// paths do not conflict.
+func TestGuardMovedIntoCallReleasesLock(t *testing.T) {
+	src := `
+fn release(g: MutexGuard<i32>) {}
+struct Shared { a: Mutex<i32>, b: Mutex<i32> }
+impl Shared {
+    fn path1(&self) {
+        let ga = self.a.lock().unwrap();
+        release(ga);
+        let gb = self.b.lock().unwrap();
+    }
+    fn path2(&self) {
+        let gb = self.b.lock().unwrap();
+        let ga = self.a.lock().unwrap();
+    }
+}
+`
+	findings := analyze(t, src)
+	if len(findings) != 0 {
+		t.Fatalf("guard moved into a call still counted as held: %+v", findings)
+	}
+}

@@ -139,24 +139,14 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 // re-runs in full — it is the cheap, global part.
 func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
 	prev, _ := prior.(*carry)
-	infos := map[string]*funcInfo{}
-	recompute := map[string]bool{}
-	reused := 0
+	var old map[string]*funcInfo
 	var warm *summary.Result[accSummary]
 	if prev != nil {
-		warm = prev.sums
+		old, warm = prev.infos, prev.sums
 	}
-	for _, name := range ctx.Graph.Names() {
-		if prev != nil && !dirty[name] {
-			if old := prev.infos[name]; old != nil && old.body == ctx.Bodies[name] {
-				infos[name] = old
-				reused++
-				continue
-			}
-		}
-		infos[name] = d.analyze(ctx, name)
-		recompute[name] = true
-	}
+	infos, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
+		func(f *funcInfo) *mir.Body { return f.body },
+		func(name string) *funcInfo { return d.analyze(ctx, name) })
 	detect.CloseOverCallers(ctx.Graph, recompute)
 	sums := d.buildSummaries(ctx, infos, warm, recompute)
 
@@ -177,7 +167,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	g := res.Locks().CFG
 	info := &funcInfo{name: name, body: body, g: g, res: res}
 
-	closureOf := closureLocals(body)
+	closureOf := mir.ClosureLocals(body)
 
 	record := func(pl mir.Place, write, interior bool, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
 		if len(pl.Proj) == 0 && !isStaticLocal(body, pl.Local) {
@@ -192,7 +182,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			// Every Access owns its lock map: the held map is shared by all
 			// accesses recorded at one statement, and summary merging must
 			// never reach back into a sibling's (or info.own's) lockset.
-			Fn: name, Span: sp, At: blk, Locks: cloneLocks(held),
+			Fn: name, Span: sp, At: blk, Locks: doublelock.CloneLocks(held),
 		})
 	}
 	readOperand := func(op mir.Operand, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
@@ -261,7 +251,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				readOperand(a, c.Span, blk.ID, held)
 			}
 		}
-		callee := resolvedCallee(ctx, c)
+		callee := ctx.Callee(c)
 		if callee != "" {
 			cs := callSite{callee: callee, at: blk.ID, held: held}
 			for _, a := range c.Args {
@@ -272,14 +262,14 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 				cs.argPaths = append(cs.argPaths, p)
 			}
 			info.calls = append(info.calls, cs)
-		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[methodName(c.Callee)] {
+		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[mir.MethodName(c.Callee)] {
 			// A mutating container method through an unknown callee is an
 			// interior write to the receiver's storage.
 			p := res.CanonPath(c.RecvPath)
 			if p != "" && alias.Depth(p) <= maxPathDepth {
 				info.own = append(info.own, &Access{
 					Path: p, Write: true, Interior: true,
-					Fn: name, Span: c.Span, At: blk.ID, Locks: cloneLocks(held),
+					Fn: name, Span: c.Span, At: blk.ID, Locks: doublelock.CloneLocks(held),
 				})
 			}
 		}
@@ -308,7 +298,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 				if !known {
 					continue
 				}
-				params := paramNames(ctx.Bodies[cs.callee])
+				params := mir.ParamNames(ctx.Bodies[cs.callee])
 				for _, a := range calleeSum {
 					p := summary.TranslateRoot(a.Path, params, cs.argPaths)
 					if p == "" || alias.Depth(p) > maxPathDepth {
@@ -317,7 +307,7 @@ func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInf
 					t := a.clone()
 					t.Path = p
 					t.At = cs.at
-					t.Locks = translateLocks(a.Locks, params, cs.argPaths)
+					t.Locks = doublelock.TranslateLocks(a.Locks, params, cs.argPaths)
 					for id, m := range cs.held {
 						if cur, ok := t.Locks[id]; !ok || m > cur {
 							t.Locks[id] = m
@@ -356,24 +346,6 @@ func mergeAccess(s accSummary, a *Access) {
 		}
 	}
 	s[a.key()] = merged
-}
-
-func cloneLocks(locks map[string]doublelock.Mode) map[string]doublelock.Mode {
-	out := make(map[string]doublelock.Mode, len(locks))
-	for id, m := range locks {
-		out[id] = m
-	}
-	return out
-}
-
-func translateLocks(locks map[string]doublelock.Mode, params, argPaths []string) map[string]doublelock.Mode {
-	out := map[string]doublelock.Mode{}
-	for id, m := range locks {
-		if t := summary.TranslateRoot(id, params, argPaths); t != "" {
-			out[t] = m
-		}
-	}
-	return out
 }
 
 func summariesEqual(a, b accSummary) bool {
@@ -544,8 +516,8 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			Message: fmt.Sprintf("data race on %q: %s in %s is concurrent with %s in %s and no common lock protects them",
 				primary.Path, verb(primary), primary.Fn, verb(other), other.Fn),
 			Notes: []string{
-				fmt.Sprintf("first access: %s at %s holding %s", verb(primary), ctx.Fset.Position(primary.Span.Start), locksString(primary.Locks)),
-				fmt.Sprintf("second access: %s at %s holding %s", verb(other), ctx.Fset.Position(other.Span.Start), locksString(other.Locks)),
+				fmt.Sprintf("first access: %s at %s holding %s", verb(primary), ctx.Fset.Position(primary.Span.Start), doublelock.LocksString(primary.Locks)),
+				fmt.Sprintf("second access: %s at %s holding %s", verb(other), ctx.Fset.Position(other.Span.Start), doublelock.LocksString(other.Locks)),
 				fmt.Sprintf("the place escapes to another thread via the closure spawned in %s", name),
 			},
 		})
@@ -644,86 +616,8 @@ func verb(a *Access) string {
 	}
 }
 
-func locksString(locks map[string]doublelock.Mode) string {
-	if len(locks) == 0 {
-		return "no locks"
-	}
-	ids := make([]string, 0, len(locks))
-	for id := range locks {
-		ids = append(ids, fmt.Sprintf("%s(%s)", id, locks[id]))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ", ")
-}
-
-// closureLocals maps locals holding a closure value to the closure body
-// name, propagated through moves so `let cl = || ...; spawn(cl)` resolves.
-func closureLocals(body *mir.Body) map[mir.LocalID]string {
-	out := map[mir.LocalID]string{}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range body.Blocks {
-			for _, st := range blk.Stmts {
-				as, ok := st.(mir.Assign)
-				if !ok || !as.Place.IsLocal() {
-					continue
-				}
-				if _, done := out[as.Place.Local]; done {
-					continue
-				}
-				switch rv := as.Rvalue.(type) {
-				case mir.Aggregate:
-					if rv.Kind == mir.AggClosure {
-						out[as.Place.Local] = rv.Name
-						changed = true
-					}
-				case mir.Use:
-					if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() {
-						if cn, has := out[pl.Local]; has {
-							out[as.Place.Local] = cn
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func paramNames(body *mir.Body) []string {
-	if body == nil {
-		return nil
-	}
-	out := make([]string, 0, body.ArgCount)
-	for i := 1; i <= body.ArgCount && i < len(body.Locals); i++ {
-		out = append(out, body.Locals[i].Name)
-	}
-	return out
-}
-
-func methodName(callee string) string {
-	if i := strings.LastIndex(callee, "::"); i >= 0 {
-		return callee[i+2:]
-	}
-	return callee
-}
-
 func isStaticLocal(body *mir.Body, l mir.LocalID) bool {
 	return int(l) < len(body.Locals) && strings.HasPrefix(body.Locals[l].Name, "static ")
-}
-
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
 }
 
 // overlap reports whether two canonical paths may name overlapping

@@ -129,7 +129,7 @@ func scanDerefParams(ctx *detect.Context, name string, get summary.Lookup[map[in
 		}
 		if c, ok := blk.Term.(mir.Call); ok {
 			// Propagate callee summaries.
-			calleeName := resolvedCallee(ctx, c)
+			calleeName := ctx.Callee(c)
 			if calleeName != "" {
 				callee, _ := get(calleeName)
 				for i := range callee {
@@ -158,18 +158,6 @@ func scanDerefParams(ctx *detect.Context, name string, get summary.Lookup[map[in
 		}
 	}
 	return s
-}
-
-func resolvedCallee(ctx *detect.Context, c mir.Call) string {
-	if c.Def != nil {
-		if _, ok := ctx.Bodies[c.Def.Qualified]; ok {
-			return c.Def.Qualified
-		}
-	}
-	if _, ok := ctx.Bodies[c.Callee]; ok {
-		return c.Callee
-	}
-	return ""
 }
 
 // checkFunction runs the flow-sensitive dead-storage analysis and reports
@@ -307,7 +295,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 					continue
 				}
 				derefs := false
-				if calleeName := resolvedCallee(ctx, c); calleeName != "" {
+				if calleeName := ctx.Callee(c); calleeName != "" {
 					derefs = sums[calleeName][argIdx]
 				} else if c.Intrinsic == mir.IntrinsicNone {
 					// Unknown external callee: assume raw pointers are

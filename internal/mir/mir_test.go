@@ -141,3 +141,33 @@ func TestLocalString(t *testing.T) {
 		t.Errorf("temp = %q", tmp.String())
 	}
 }
+
+// TestClosureLocals: a closure value is tracked through moves into later
+// locals; other locals are not.
+func TestClosureLocals(t *testing.T) {
+	body := &Body{Blocks: []*Block{{Stmts: []Statement{
+		Assign{Place: PlaceOf(2), Rvalue: Use{X: Move{Place: PlaceOf(1)}}},
+		Assign{Place: PlaceOf(1), Rvalue: Aggregate{Kind: AggClosure, Name: "f::{closure#0}"}},
+		Assign{Place: PlaceOf(3), Rvalue: Aggregate{Kind: AggTuple}},
+		Assign{Place: PlaceOf(4), Rvalue: Use{X: Const{Text: "1"}}},
+	}}}}
+	got := ClosureLocals(body)
+	if len(got) != 2 || got[1] != "f::{closure#0}" || got[2] != "f::{closure#0}" {
+		t.Errorf("ClosureLocals = %v, want _1 and _2 (through the move)", got)
+	}
+}
+
+func TestParamNamesAndMethodName(t *testing.T) {
+	body := &Body{ArgCount: 2, Locals: []*Local{{Name: "ret"}, {Name: "self"}, {Name: "n"}, {Name: "tmp"}}}
+	if got := strings.Join(ParamNames(body), ","); got != "self,n" {
+		t.Errorf("ParamNames = %q, want self,n", got)
+	}
+	if ParamNames(nil) != nil {
+		t.Error("ParamNames(nil) is not nil")
+	}
+	for in, want := range map[string]string{"Vec::push": "push", "a::b::c": "c", "spawn": "spawn"} {
+		if got := MethodName(in); got != want {
+			t.Errorf("MethodName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
