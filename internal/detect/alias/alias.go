@@ -283,9 +283,3 @@ func RewriteRoot(path, root, to string) string {
 	}
 	return to + path[len(root):]
 }
-
-// Depth counts path segments, bounding translated paths through
-// recursive call chains.
-func Depth(p string) int {
-	return 1 + strings.Count(p, ".") + strings.Count(p, "[")
-}

@@ -126,9 +126,4 @@ func TestPathHelpers(t *testing.T) {
 	if got := RewriteRoot("svc.client[_]", "svc", "service"); got != "service.client[_]" {
 		t.Errorf("RewriteRoot prefix = %q", got)
 	}
-	for p, want := range map[string]int{"a": 1, "a.b": 2, "a.b[_]": 3, "self.x.y[_].z": 5} {
-		if got := Depth(p); got != want {
-			t.Errorf("Depth(%q) = %d, want %d", p, got, want)
-		}
-	}
 }

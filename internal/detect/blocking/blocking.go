@@ -16,9 +16,10 @@
 // initializer waits on the Once it is initializing) or an orphaned wait
 // (a recv or Condvar::wait whose wake-up edge provably never fires).
 //
-// Like the race detector, per-function facts are summarized bottom-up
-// over the call graph (SCC fixpoint), so a recv buried in a helper still
-// reports against the caller that holds the lock.
+// Like the race detector's accesses, the operations are summarized
+// bottom-up over the call graph by doublelock's lockset-annotated event
+// summary, so a recv buried in a helper still reports against the caller
+// that holds the lock.
 package blocking
 
 import (
@@ -27,18 +28,13 @@ import (
 	"strings"
 
 	"rustprobe/internal/cfg"
+	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/detect/alias"
 	"rustprobe/internal/detect/doublelock"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
 	"rustprobe/internal/summary"
-)
-
-const (
-	maxBlockingIter = 64
-	// maxPathDepth bounds translated paths through recursive call chains.
-	maxPathDepth = 8
 )
 
 // channel constructors whose tuple result provides sender/receiver
@@ -85,15 +81,14 @@ func (k opKind) String() string {
 }
 
 // event is one blocking-relevant operation, expressed in the namespace of
-// the function whose summary holds it.
-type event struct {
+// the function whose summary holds it: a lockset-annotated event whose
+// Path is the canonical resource (channel endpoint, condvar or Once
+// cell) and whose Fn literally performs the operation.
+type event = doublelock.Event[op]
+
+// op is the blocking detector's event payload.
+type op struct {
 	Kind opKind
-	Res  string // canonical resource path (channel endpoint or Once cell)
-	Fn   string // function whose body literally performs the operation
-	Span source.Span
-	// Locks held at the operation (recv/send only). Shrinks under merge:
-	// a lock counts only if held on every path that reaches the op.
-	Locks map[string]doublelock.Mode
 	// LocalProv marks endpoints derived from a channel constructor that
 	// is visible in the recording function; such endpoints are excluded
 	// from the same-impl-type pairing heuristic.
@@ -108,27 +103,54 @@ type event struct {
 	After map[string]bool
 }
 
-func (e *event) key() string {
-	return fmt.Sprintf("%d|%s|%s|%d", e.Kind, e.Res, e.Fn, e.Span.Start)
+// step carries a callee's op through call site cs: it is guaranteed only
+// if the call is, and its After channels translate into the caller.
+func (o op) step(cs callSite, translate func(string) string) op {
+	o.Guaranteed = o.Guaranteed && cs.guaranteed
+	if len(o.After) > 0 {
+		after := make(map[string]bool, len(o.After))
+		for a := range o.After {
+			if t := translate(a); t != "" {
+				after[t] = true
+			}
+		}
+		o.After = after
+	}
+	return o
 }
 
-func (e *event) clone() *event {
-	c := *e
-	if e.Locks != nil {
-		c.Locks = doublelock.CloneLocks(e.Locks)
+// merge joins one op reached along two paths: it is guaranteed only if
+// both paths guarantee it, and only recvs that must precede it on both
+// paths stay in After.
+func (o op) merge(other op) op {
+	o.Guaranteed = o.Guaranteed && other.Guaranteed
+	if len(o.After) > 0 {
+		after := map[string]bool{}
+		for c := range o.After {
+			if other.After[c] {
+				after[c] = true
+			}
+		}
+		o.After = after
 	}
-	if e.After != nil {
-		c.After = make(map[string]bool, len(e.After))
-		for a := range e.After {
-			c.After[a] = true
+	return o
+}
+
+func (o op) equal(other op) bool {
+	if o.Guaranteed != other.Guaranteed || len(o.After) != len(other.After) {
+		return false
+	}
+	for c := range o.After {
+		if !other.After[c] {
+			return false
 		}
 	}
-	return &c
+	return true
 }
 
-// resSummary maps event keys to events; the inter-procedural fixpoint
+// resSummary is a function's event set; the inter-procedural fixpoint
 // grows the key set and shrinks locksets, both monotone.
-type resSummary map[string]*event
+type resSummary = doublelock.Events[opKind, op]
 
 type waitSite struct {
 	cv   string
@@ -153,12 +175,10 @@ type onceSite struct {
 }
 
 type callSite struct {
-	callee   string
-	argPaths []string
+	doublelock.CallSite
 	// argClosures names, per argument, the locally-defined closure body
 	// the argument carries ("" if it is not a closure binding).
 	argClosures []string
-	held        map[string]doublelock.Mode
 	span        source.Span
 	// guaranteed marks a call site on every entry→return path.
 	guaranteed bool
@@ -233,7 +253,13 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		func(f *funcInfo) *mir.Body { return f.body },
 		func(name string) *funcInfo { return d.analyze(ctx, name) })
 	detect.CloseOverCallers(ctx.Graph, recompute)
-	sres := d.buildSummaries(ctx, infos, warm, recompute)
+	sres := doublelock.SummarizeEvents(ctx, &doublelock.EventProblem[opKind, op, callSite]{
+		Facts: func(fn string) ([]*event, []callSite) { return infos[fn].own, infos[fn].calls },
+		ID:    func(o op) opKind { return o.Kind },
+		Step:  op.step,
+		Merge: op.merge,
+		Equal: op.equal,
+	}, warm, recompute)
 	sums := sres.Summaries
 
 	var out []detect.Finding
@@ -298,19 +324,8 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		return ok && endpoint[l]
 	}
 
-	valid := func(p string) bool { return p != "" && alias.Depth(p) <= maxPathDepth }
-	mustRecv := mustRecvIn(body, g, res)
-	afterAt := func(blk mir.BlockID) map[string]bool {
-		in := mustRecv[blk]
-		if len(in) == 0 {
-			return nil
-		}
-		out := make(map[string]bool, len(in))
-		for p := range in {
-			out[p] = true
-		}
-		return out
-	}
+	valid := func(p string) bool { return p != "" && summary.Depth(p) <= summary.MaxPathDepth }
+	afterAt := mustRecv(body, g, res)
 
 	for _, blk := range body.Blocks {
 		if !g.Reachable(blk.ID) {
@@ -320,36 +335,31 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		if !ok {
 			continue
 		}
+		// own records an operation this body performs, with the locks held
+		// at it.
+		own := func(p string, o op) {
+			info.own = append(info.own, &event{
+				Path: p, Fn: name, Span: c.Span,
+				Locks: res.HeldAt(blk.ID, len(blk.Stmts)), Data: o,
+			})
+		}
 		switch c.Intrinsic {
 		case mir.IntrinsicChanRecv, mir.IntrinsicChanSend:
 			p := res.CanonPath(c.RecvPath)
 			if c.RecvPath == "" || !valid(p) {
 				continue
 			}
-			kind := opRecv
-			var after map[string]bool
+			o := op{Kind: opRecv, LocalProv: localProv(p), Guaranteed: unavoidable(body, g, blk.ID)}
 			if c.Intrinsic == mir.IntrinsicChanSend {
-				kind = opSend
-				after = afterAt(blk.ID)
+				o.Kind = opSend
+				o.After = afterAt(blk.ID)
 			}
-			info.own = append(info.own, &event{
-				Kind:       kind,
-				Res:        p,
-				Fn:         name,
-				Span:       c.Span,
-				Locks:      res.HeldAt(blk.ID, len(blk.Stmts)),
-				LocalProv:  localProv(p),
-				Guaranteed: unavoidable(body, g, blk.ID),
-				After:      after,
-			})
+			own(p, o)
 			continue
 		case mir.IntrinsicCondvarWait:
 			if p := res.CanonPath(c.RecvPath); c.RecvPath != "" && valid(p) {
 				info.waits = append(info.waits, waitSite{cv: p, span: c.Span})
-				info.own = append(info.own, &event{
-					Kind: opWait, Res: p, Fn: name, Span: c.Span,
-					Guaranteed: unavoidable(body, g, blk.ID),
-				})
+				own(p, op{Kind: opWait, Guaranteed: unavoidable(body, g, blk.ID)})
 			}
 			continue
 		case mir.IntrinsicSpawn:
@@ -372,10 +382,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 						span:       c.Span,
 						guaranteed: guaranteed,
 					})
-					info.own = append(info.own, &event{
-						Kind: opNotify, Res: p, Fn: name, Span: c.Span,
-						Guaranteed: guaranteed,
-					})
+					own(p, op{Kind: opNotify, Guaranteed: guaranteed})
 					continue
 				}
 			case "call_once":
@@ -394,7 +401,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 						}
 					}
 					info.onces = append(info.onces, site)
-					info.own = append(info.own, &event{Kind: opOnce, Res: p, Fn: name, Span: c.Span})
+					own(p, op{Kind: opOnce})
 					continue
 				}
 			}
@@ -404,8 +411,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			continue
 		}
 		cs := callSite{
-			callee:     callee,
-			held:       res.HeldAt(blk.ID, len(blk.Stmts)),
+			CallSite:   doublelock.CallSite{Callee: callee, At: blk.ID, Held: res.HeldAt(blk.ID, len(blk.Stmts))},
 			span:       c.Span,
 			guaranteed: unavoidable(body, g, blk.ID),
 		}
@@ -418,7 +424,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 					cn = closureOf[pl.Local]
 				}
 			}
-			cs.argPaths = append(cs.argPaths, p)
+			cs.ArgPaths = append(cs.ArgPaths, p)
 			cs.argClosures = append(cs.argClosures, cn)
 		}
 		info.calls = append(info.calls, cs)
@@ -427,185 +433,57 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	return info
 }
 
-// mustRecvIn computes, per block, the set of canonical channel paths
-// whose recv has completed on every path reaching the block's
-// terminator — the must-precede relation behind send events' After
-// sets. Forward must-dataflow: intersection at joins, recv terminators
-// generate their resource.
-func mustRecvIn(body *mir.Body, g *cfg.Graph, res *alias.Resolver) map[mir.BlockID]map[string]bool {
-	gen := map[mir.BlockID]string{}
+// mustRecv returns, per block, the canonical channel paths whose recv has
+// completed on every path reaching the block's terminator — the
+// must-precede relation behind send events' After sets — or nil when
+// there are none. It runs the complementary may-analysis: bit i means
+// channel i may still be unreceived, set at entry, cleared by its recv
+// terminator, joined by union.
+func mustRecv(body *mir.Body, g *cfg.Graph, res *alias.Resolver) func(mir.BlockID) map[string]bool {
+	var chans []string
+	bit := map[string]int{}
+	recvBit := map[mir.BlockID]int{}
 	for _, blk := range body.Blocks {
 		if c, ok := blk.Term.(mir.Call); ok && c.Intrinsic == mir.IntrinsicChanRecv && c.RecvPath != "" {
-			if p := res.CanonPath(c.RecvPath); p != "" && alias.Depth(p) <= maxPathDepth {
-				gen[blk.ID] = p
+			if p := res.CanonPath(c.RecvPath); p != "" && summary.Depth(p) <= summary.MaxPathDepth {
+				i, seen := bit[p]
+				if !seen {
+					i = len(chans)
+					bit[p] = i
+					chans = append(chans, p)
+				}
+				recvBit[blk.ID] = i
 			}
 		}
 	}
-	in := map[mir.BlockID]map[string]bool{}
-	seen := map[mir.BlockID]bool{}
-	equal := func(a, b map[string]bool) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
+	if len(chans) == 0 {
+		return func(mir.BlockID) map[string]bool { return nil }
 	}
-	for iter := 0; iter < maxBlockingIter; iter++ {
-		changed := false
-		for _, id := range g.RPO {
-			var next map[string]bool
-			first := true
-			for _, p := range g.Preds[id] {
-				if !g.Reachable(p) {
-					continue
-				}
-				if !seen[p] {
-					// Unvisited pred on a back edge: treat as top
-					// (no constraint) so the intersection stays must.
-					continue
-				}
-				pout := map[string]bool{}
-				for k := range in[p] {
-					pout[k] = true
-				}
-				if gp, ok := gen[p]; ok {
-					pout[gp] = true
-				}
-				if first {
-					next = pout
-					first = false
-					continue
-				}
-				for k := range next {
-					if !pout[k] {
-						delete(next, k)
-					}
-				}
+	unreceived := dataflow.Forward(g, &dataflow.Problem{
+		Bits: len(chans),
+		Entry: func(state dataflow.BitSet) {
+			for i := range chans {
+				state.Set(i)
 			}
-			if next == nil {
-				next = map[string]bool{}
-			}
-			if !seen[id] || !equal(in[id], next) {
-				in[id] = next
-				seen[id] = true
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return in
-}
-
-// buildSummaries runs the SCC fixpoint: a function's summary is its own
-// recv/send/once/wait/notify events plus its callees' events translated
-// into the caller's namespace and augmented with the locks held at the
-// call site. With a warm-start result from a prior round, only SCCs in
-// the recompute closure re-run their transfer.
-func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInfo, warm *summary.Result[resSummary], recompute map[string]bool) *summary.Result[resSummary] {
-	prob := &summary.Problem[resSummary]{
-		Bottom:  func(string) resSummary { return resSummary{} },
-		Equal:   summariesEqual,
-		MaxIter: maxBlockingIter,
-		Transfer: func(name string, get summary.Lookup[resSummary]) resSummary {
-			info := infos[name]
-			s := resSummary{}
-			for _, e := range info.own {
-				mergeEvent(s, e)
-			}
-			for _, cs := range info.calls {
-				calleeSum, known := get(cs.callee)
-				if !known {
-					continue
-				}
-				params := mir.ParamNames(ctx.Bodies[cs.callee])
-				for _, e := range calleeSum {
-					p := summary.TranslateRoot(e.Res, params, cs.argPaths)
-					if p == "" || alias.Depth(p) > maxPathDepth {
-						continue
-					}
-					t := e.clone()
-					t.Res = p
-					t.Guaranteed = e.Guaranteed && cs.guaranteed
-					if t.Kind == opRecv || t.Kind == opSend {
-						t.Locks = doublelock.TranslateLocks(e.Locks, params, cs.argPaths)
-						for id, m := range cs.held {
-							if cur, ok := t.Locks[id]; !ok || m > cur {
-								t.Locks[id] = m
-							}
-						}
-					}
-					if len(e.After) > 0 {
-						t.After = map[string]bool{}
-						for a := range e.After {
-							if ta := summary.TranslateRoot(a, params, cs.argPaths); ta != "" && alias.Depth(ta) <= maxPathDepth {
-								t.After[ta] = true
-							}
-						}
-					}
-					mergeEvent(s, t)
-				}
-			}
-			return s
 		},
-	}
-	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
-}
-
-func mergeEvent(s resSummary, e *event) {
-	k := e.key()
-	prev, ok := s[k]
-	if !ok {
-		s[k] = e.clone()
-		return
-	}
-	// Same op via two paths: only locks held on both count, the op is
-	// guaranteed only if both paths guarantee it, and only recvs that
-	// must precede it on both paths stay in After.
-	merged := prev.clone()
-	for id, m := range merged.Locks {
-		if em, has := e.Locks[id]; !has || em != m {
-			delete(merged.Locks, id)
-		}
-	}
-	merged.Guaranteed = merged.Guaranteed && e.Guaranteed
-	for a := range merged.After {
-		if !e.After[a] {
-			delete(merged.After, a)
-		}
-	}
-	s[k] = merged
-}
-
-func summariesEqual(a, b resSummary) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av.Locks) != len(bv.Locks) {
-			return false
-		}
-		if av.Guaranteed != bv.Guaranteed || len(av.After) != len(bv.After) {
-			return false
-		}
-		for id, m := range av.Locks {
-			if bm, has := bv.Locks[id]; !has || bm != m {
-				return false
+		TransferTerm: func(state dataflow.BitSet, b mir.BlockID, _ mir.Terminator) {
+			if i, ok := recvBit[b]; ok {
+				state.Clear(i)
+			}
+		},
+	})
+	return func(b mir.BlockID) map[string]bool {
+		var out map[string]bool
+		for i, p := range chans {
+			if !unreceived.In[b].Has(i) {
+				if out == nil {
+					out = map[string]bool{}
+				}
+				out[p] = true
 			}
 		}
-		for id := range av.After {
-			if !bv.After[id] {
-				return false
-			}
-		}
+		return out
 	}
-	return true
 }
 
 // qualify renders a function-namespace path as a program-wide resource
@@ -649,10 +527,10 @@ func sortedEvents(s resSummary) []*event {
 		if out[i].Span.Start != out[j].Span.Start {
 			return out[i].Span.Start < out[j].Span.Start
 		}
-		if out[i].Res != out[j].Res {
-			return out[i].Res < out[j].Res
+		if out[i].Path != out[j].Path {
+			return out[i].Path < out[j].Path
 		}
-		return out[i].Kind < out[j].Kind
+		return out[i].Data.Kind < out[j].Data.Kind
 	})
 	return out
 }
@@ -672,16 +550,16 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 	var qsends []qsend
 	for _, name := range names {
 		for _, e := range sortedEvents(sums[name]) {
-			if e.Kind != opSend {
+			if e.Data.Kind != opSend {
 				continue
 			}
 			qs := qsend{
-				chanPath: qualify(name, e.Res),
+				chanPath: qualify(name, e.Path),
 				owner:    implTypeOf(name),
 				fn:       e.Fn,
 				span:     e.Span,
 				locks:    map[string]bool{},
-				local:    e.LocalProv,
+				local:    e.Data.LocalProv,
 			}
 			for id := range e.Locks {
 				qs.locks[qualify(name, id)] = true
@@ -693,10 +571,10 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 	for _, name := range names {
 		owner := implTypeOf(name)
 		for _, e := range sortedEvents(sums[name]) {
-			if e.Kind != opRecv || len(e.Locks) == 0 {
+			if e.Data.Kind != opRecv || len(e.Locks) == 0 {
 				continue
 			}
-			qchan := qualify(name, e.Res)
+			qchan := qualify(name, e.Path)
 			// qualified lock id → the recv's own spelling of it
 			qlocks := map[string]string{}
 			for id := range e.Locks {
@@ -710,7 +588,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 				// identical resource id, or two channel fields of the
 				// same type (a pipe pair like to_paint/from_paint).
 				if s.chanPath != qchan &&
-					(owner == "" || s.owner != owner || e.LocalProv || s.local) {
+					(owner == "" || s.owner != owner || e.Data.LocalProv || s.local) {
 					continue
 				}
 				common := ""
@@ -729,7 +607,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 					Function: e.Fn,
 					Span:     e.Span,
 					Message: fmt.Sprintf("blocking recv() on %q while holding %q, which %s must acquire before it can send",
-						e.Res, qlocks[common], s.fn),
+						e.Path, qlocks[common], s.fn),
 					Notes: []string{
 						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), doublelock.LocksString(e.Locks)),
 						fmt.Sprintf("sender: %s sends on %q at %s only after acquiring %q", s.fn, s.chanPath, ctx.Fset.Position(s.span.Start), common),
@@ -1007,16 +885,16 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	// the direct entries (own events are skipped — already indexed).
 	for _, name := range names {
 		for _, e := range sortedEvents(sums[name]) {
-			if e.Kind != opNotify || e.Fn == name {
+			if e.Data.Kind != opNotify || e.Fn == name {
 				continue
 			}
-			root := alias.Root(e.Res)
+			root := alias.Root(e.Path)
 			info := infos[name]
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // still unresolved at this level
 			}
-			q := qualify(name, e.Res)
-			notifyIdx[q] = append(notifyIdx[q], qnotify{fn: e.Fn, span: e.Span, guaranteed: e.Guaranteed})
+			q := qualify(name, e.Path)
+			notifyIdx[q] = append(notifyIdx[q], qnotify{fn: e.Fn, span: e.Span, guaranteed: e.Data.Guaranteed})
 		}
 	}
 	report := func(name, waiter, cv string, span source.Span) {
@@ -1070,14 +948,14 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	for _, name := range names {
 		info := infos[name]
 		for _, e := range sortedEvents(sums[name]) {
-			if e.Kind != opWait || e.Fn == name {
+			if e.Data.Kind != opWait || e.Fn == name {
 				continue
 			}
-			root := alias.Root(e.Res)
+			root := alias.Root(e.Path)
 			if root != "self" && (info.params[root] || info.captures[root]) {
 				continue // the identity never resolved: escape = silence
 			}
-			report(name, e.Fn, e.Res, e.Span)
+			report(name, e.Fn, e.Path, e.Span)
 		}
 	}
 }
@@ -1096,10 +974,10 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 		site := summary.NormalizePath(sitePath)
 		closureInfo := infos[closureName]
 		for _, e := range sortedEvents(sums[closureName]) {
-			if e.Kind != opOnce {
+			if e.Data.Kind != opOnce {
 				continue
 			}
-			t := e.Res
+			t := e.Path
 			root := alias.Root(t)
 			if closureInfo != nil && closureInfo.captures[root] {
 				if canon := info.res.CanonName(root); canon != "" {
@@ -1145,11 +1023,11 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 	for _, name := range names {
 		info := infos[name]
 		for _, cs := range info.calls {
-			calleeInfo := infos[cs.callee]
+			calleeInfo := infos[cs.Callee]
 			if calleeInfo == nil {
 				continue
 			}
-			params := mir.ParamNames(ctx.Bodies[cs.callee])
+			params := mir.ParamNames(ctx.Bodies[cs.Callee])
 			for _, oc := range calleeInfo.onces {
 				if oc.closure != "" || oc.closureParam < 0 || oc.closureParam >= len(cs.argClosures) {
 					continue
@@ -1158,8 +1036,8 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 				if cn == "" {
 					continue
 				}
-				oncePath := summary.TranslateRoot(oc.once, params, cs.argPaths)
-				if oncePath == "" || alias.Depth(oncePath) > maxPathDepth {
+				oncePath := summary.TranslateRoot(oc.once, params, cs.ArgPaths)
+				if oncePath == "" || summary.Depth(oncePath) > summary.MaxPathDepth {
 					continue
 				}
 				e := reentrant(info, cn, oncePath)
@@ -1171,9 +1049,9 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 					Severity: detect.SeverityError,
 					Function: name,
 					Span:     cs.span,
-					Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from the initializer passed through %s", oncePath, cs.callee),
+					Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from the initializer passed through %s", oncePath, cs.Callee),
 					Notes: []string{
-						fmt.Sprintf("%s runs the closure under call_once on %q at %s", cs.callee, oc.once, ctx.Fset.Position(oc.span.Start)),
+						fmt.Sprintf("%s runs the closure under call_once on %q at %s", cs.Callee, oc.once, ctx.Fset.Position(oc.span.Start)),
 						fmt.Sprintf("the closure reaches call_once on the same cell in %s at %s", e.Fn, ctx.Fset.Position(e.Span.Start)),
 						"call_once blocks until the in-flight initializer completes, so the inner call waits on its own caller forever",
 					},
@@ -1235,21 +1113,21 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 		var sends []ctxSend
 		collect := func(spawnIdx int, sum resSummary, capInfo *funcInfo) {
 			for _, e := range sortedEvents(sum) {
-				if e.Kind != opRecv && e.Kind != opSend {
+				if e.Data.Kind != opRecv && e.Data.Kind != opSend {
 					continue
 				}
 				// In a spawned context, only capture-rooted paths name
 				// the spawner's channels; closure-local channels are a
 				// different resource even under a colliding name.
-				if capInfo != nil && !capInfo.captures[alias.Root(e.Res)] {
+				if capInfo != nil && !capInfo.captures[alias.Root(e.Path)] {
 					continue
 				}
-				ci, recvHalf, ok := chanOf(e.Res)
+				ci, recvHalf, ok := chanOf(e.Path)
 				if !ok || tainted[ci] {
 					continue
 				}
-				if e.Kind == opRecv {
-					if recvHalf && spawnIdx >= 0 && e.Guaranteed {
+				if e.Data.Kind == opRecv {
+					if recvHalf && spawnIdx >= 0 && e.Data.Guaranteed {
 						recvs = append(recvs, ctxRecv{chanIdx: ci, ev: e, spawn: spawnIdx})
 					}
 					continue
@@ -1258,7 +1136,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 					continue
 				}
 				after := map[int]bool{}
-				for a := range e.After {
+				for a := range e.Data.After {
 					if capInfo != nil && !capInfo.captures[alias.Root(a)] {
 						continue
 					}

@@ -143,6 +143,41 @@ impl Hub {
 	}
 }
 
+// The helper's recv is reached once under the read guard and once under
+// the write guard. The lock is held on both paths, so the merged summary
+// keeps it, in the weaker (read) mode, and the writer-side sender still
+// closes the cycle.
+func TestChannelRecvUnderReadAndWriteGuards(t *testing.T) {
+	fs := analyze(t, `
+struct Hub { state: RwLock<i32>, rx: Receiver<i32>, tx: Sender<i32> }
+impl Hub {
+    fn wait_msg(&self) -> i32 {
+        let v = self.rx.recv().unwrap();
+        v
+    }
+    fn pull(&self, fresh: bool) {
+        if fresh {
+            let g = self.state.read().unwrap();
+            let v = self.wait_msg();
+            use_both(*g, v);
+        } else {
+            let mut g = self.state.write().unwrap();
+            let v = self.wait_msg();
+            *g = v;
+        }
+    }
+    fn push(&self) {
+        let g = self.state.write().unwrap();
+        self.tx.send(*g);
+    }
+}
+`)
+	wantOne(t, fs, "Hub::wait_msg")
+	if !strings.Contains(fs[0].Notes[0], "self.state(read)") {
+		t.Errorf("receiver should hold self.state in read mode: %q", fs[0].Notes[0])
+	}
+}
+
 // --- Rule: orphaned receive ------------------------------------------------
 
 func TestOrphanedRecvDroppedSender(t *testing.T) {

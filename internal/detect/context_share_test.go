@@ -25,7 +25,8 @@ import (
 // corpus, every shared fact was built exactly once per body, not once per
 // detector that asked, and repeat lookups return the same object; lock
 // order alone builds the double-lock facts; no detector resolves callees
-// or builds CFGs on its own.
+// or builds CFGs on its own, and race and blocking build no event summary
+// of their own.
 func TestContextSharesFunctionFacts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -105,6 +106,15 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		}
 		if strings.Contains(string(src), "func resolvedCallee(") {
 			t.Errorf("%s declares its own resolvedCallee; use Context.Callee", f)
+		}
+		// Race and blocking summarize their events through the one
+		// lockset-annotated event summary and its one path-depth cap.
+		if dir := filepath.Dir(f); dir == "race" || dir == "blocking" {
+			for _, own := range []string{"summary.Problem", "summary.ComputeFrom", "maxPathDepth"} {
+				if strings.Contains(string(src), own) {
+					t.Errorf("%s uses %s; use doublelock.SummarizeEvents and summary.MaxPathDepth", f, own)
+				}
+			}
 		}
 	}
 }

@@ -308,18 +308,9 @@ func Held(state dataflow.BitSet, origins map[mir.LocalID]Guard) map[string]Mode 
 	return held
 }
 
-// CloneLocks copies a held-lock map.
-func CloneLocks(locks map[string]Mode) map[string]Mode {
-	out := make(map[string]Mode, len(locks))
-	for id, m := range locks {
-		out[id] = m
-	}
-	return out
-}
-
 // TranslateLocks maps a callee-namespace held-lock map into the caller's
 // namespace through summary.TranslateRoot, dropping ids that do not
-// survive the translation.
+// survive the translation. The result is always a fresh map.
 func TranslateLocks(locks map[string]Mode, params, argPaths []string) map[string]Mode {
 	out := map[string]Mode{}
 	for id, m := range locks {
@@ -354,17 +345,7 @@ func LocksString(locks map[string]Mode) string {
 func Summaries(ctx *detect.Context, warm *summary.Result[map[string]Mode], recompute map[string]bool) *summary.Result[map[string]Mode] {
 	prob := &summary.Problem[map[string]Mode]{
 		Bottom: func(string) map[string]Mode { return map[string]Mode{} },
-		Equal: func(a, b map[string]Mode) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for id, m := range a {
-				if bm, ok := b[id]; !ok || bm != m {
-					return false
-				}
-			}
-			return true
-		},
+		Equal:  locksEqual,
 		Transfer: func(name string, get summary.Lookup[map[string]Mode]) map[string]Mode {
 			body := ctx.Bodies[name]
 			s := map[string]Mode{}

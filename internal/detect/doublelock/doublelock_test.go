@@ -1,6 +1,9 @@
 package doublelock
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"rustprobe/internal/detect"
@@ -10,7 +13,7 @@ import (
 	"rustprobe/internal/source"
 )
 
-func analyze(t *testing.T, src string) []detect.Finding {
+func newContext(t *testing.T, src string) *detect.Context {
 	t.Helper()
 	fset := source.NewFileSet()
 	f := fset.Add("test.rs", src)
@@ -21,8 +24,12 @@ func analyze(t *testing.T, src string) []detect.Finding {
 	}
 	prog := resolve.Crates(fset, diags, crate)
 	bodies := lower.Program(prog, diags)
-	ctx := detect.NewContext(prog, bodies)
-	return New().Run(ctx)
+	return detect.NewContext(prog, bodies)
+}
+
+func analyze(t *testing.T, src string) []detect.Finding {
+	t.Helper()
+	return New().Run(newContext(t, src))
 }
 
 // Figure 8 (TiKV): read lock held across the match arms; write() inside an
@@ -453,18 +460,17 @@ fn f(mu: Mutex<i32>, h: Holder) {
 // TestHeldLockHelpers: the held-lock map helpers race and blocking share.
 func TestHeldLockHelpers(t *testing.T) {
 	locks := map[string]Mode{"m.state": ModeWrite, "static CFG": ModeRead, "tmp": ModeLock}
-	c := CloneLocks(locks)
-	c["m.state"] = ModeRead
-	if locks["m.state"] != ModeWrite {
-		t.Error("CloneLocks shares storage with its input")
-	}
-	if CloneLocks(nil) == nil {
-		t.Error("CloneLocks(nil) is nil; callers write into the copy")
-	}
-
 	tr := TranslateLocks(locks, []string{"m"}, []string{"self.inner"})
 	if len(tr) != 2 || tr["self.inner.state"] != ModeWrite || tr["static CFG"] != ModeRead {
 		t.Errorf("TranslateLocks = %v, want self.inner.state(write) and static CFG(read)", tr)
+	}
+	// The event transfer adds a call site's held locks to the result.
+	tr["static CFG"] = ModeWrite
+	if locks["static CFG"] != ModeRead {
+		t.Error("TranslateLocks shares storage with its input")
+	}
+	if TranslateLocks(nil, nil, nil) == nil {
+		t.Error("TranslateLocks(nil) is nil; the event transfer writes into it")
 	}
 
 	if got := LocksString(locks); got != "m.state(write), static CFG(read), tmp(lock)" {
@@ -472,5 +478,93 @@ func TestHeldLockHelpers(t *testing.T) {
 	}
 	if got := LocksString(nil); got != "no locks" {
 		t.Errorf("LocksString(nil) = %q", got)
+	}
+}
+
+// TestSummarizeEvents drives the shared event summary with hand-written
+// facts over a real call graph: leaf's events reach caller1 through one
+// site and caller2 through two, and ping/pong form a recursive SCC.
+func TestSummarizeEvents(t *testing.T) {
+	ctx := newContext(t, `
+struct S { a: i32 }
+fn leaf(p: &S, q: &S) {}
+fn caller1(x: &S) { leaf(x, x); }
+fn caller2(x: &S) { leaf(x, x); leaf(x, x); }
+fn ping(n: i32) { pong(n); }
+fn pong(n: i32) { ping(n); }
+`)
+	ev := func(path, fn string, start int, locks map[string]Mode) *Event[int] {
+		return &Event[int]{Path: path, Fn: fn, Span: source.Span{Start: start}, Locks: locks}
+	}
+	own := map[string][]*Event[int]{
+		"leaf": {
+			ev("p.f", "leaf", 1, map[string]Mode{"q": ModeRead, "q.inner": ModeWrite}),
+			ev("p.b.c.d.e.f.g.h", "leaf", 2, nil), // depth 8: one more segment is too deep
+			ev("tmp.f", "leaf", 3, nil),           // rooted at a callee local
+		},
+		"ping": {ev("static G", "ping", 4, nil)},
+		"pong": {ev("static H", "pong", 5, nil)},
+	}
+	site := func(callee string, held map[string]Mode) CallSite {
+		return CallSite{Callee: callee, ArgPaths: []string{"self.x", "self.lk"}, Held: held}
+	}
+	calls := map[string][]CallSite{
+		"caller1": {site("leaf", map[string]Mode{"self.lk": ModeWrite, "static M": ModeLock})},
+		"caller2": {
+			site("leaf", map[string]Mode{"self.lk": ModeWrite, "self.other": ModeLock}),
+			site("leaf", map[string]Mode{"self.lk": ModeRead}),
+		},
+		"ping": {site("pong", map[string]Mode{"static P": ModeWrite})},
+		"pong": {site("ping", map[string]Mode{"static Q": ModeRead})},
+	}
+	steps := 0
+	res := SummarizeEvents(ctx, &EventProblem[int, int, CallSite]{
+		Facts: func(fn string) ([]*Event[int], []CallSite) { return own[fn], calls[fn] },
+		ID:    func(int) int { return 0 },
+		Step: func(d int, _ CallSite, _ func(string) string) int {
+			steps++
+			return d + 1
+		},
+		Merge: func(a, b int) int { return min(a, b) },
+		Equal: func(a, b int) bool { return a == b },
+	}, nil, nil)
+	if res.TruncatedSCCs != 0 {
+		t.Fatalf("%d SCCs hit the iteration cap", res.TruncatedSCCs)
+	}
+	if steps == 0 {
+		t.Error("Step was never called")
+	}
+	// describe renders a summary as sorted "path@fn locks data" lines.
+	describe := func(fn string) string {
+		var lines []string
+		for _, e := range res.Summaries[fn] {
+			lines = append(lines, fmt.Sprintf("%s@%s %s %d", e.Path, e.Fn, LocksString(e.Locks), e.Data))
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	cases := []struct{ fn, want string }{
+		{"leaf", `p.b.c.d.e.f.g.h@leaf no locks 0
+p.f@leaf q(read), q.inner(write) 0
+tmp.f@leaf no locks 0`},
+		// Paths and locks rooted at a parameter translate onto the
+		// argument; the depth-9 path and the callee-local one drop; the
+		// site's held locks join the translated ones, the stronger mode
+		// winning (self.lk: read from leaf, write at the site).
+		{"caller1", `self.x.f@leaf self.lk(write), self.lk.inner(write), static M(lock) 1`},
+		// Two sites: only locks held on both stay, in the weaker mode.
+		{"caller2", `self.x.f@leaf self.lk(read), self.lk.inner(write) 1`},
+		// The SCC converges: each member keeps its own event lock-free
+		// (the recursive path only adds locks, and the merge intersects
+		// them away) and sees the other's under its call site's lock.
+		{"ping", `static G@ping no locks 0
+static H@pong static P(write) 1`},
+		{"pong", `static G@ping static Q(read) 1
+static H@pong no locks 0`},
+	}
+	for _, c := range cases {
+		if got := describe(c.fn); got != c.want {
+			t.Errorf("%s summary:\n%s\nwant:\n%s", c.fn, got, c.want)
+		}
 	}
 }

@@ -7,9 +7,9 @@
 //     pseudo-arguments), from Arc::clone aliases, and from `static mut`
 //     items, layered on the per-function points-to results;
 //  2. an inter-procedural lockset computation — which locks are held at
-//     each MIR statement — runs as a monotone transfer function on the
-//     internal/summary SCC fixpoint, reusing the double-lock detector's
-//     guard-lifetime machinery and extending it across calls;
+//     each MIR statement — reuses the double-lock detector's
+//     guard-lifetime machinery and extends it across calls as the
+//     payload of doublelock's lockset-annotated event summary;
 //  3. a conflicting-access pairer reports two accesses to the same escaped
 //     place, at least one a write, from distinct spawn contexts, whose
 //     locksets share no common lock.
@@ -21,6 +21,7 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,39 +35,28 @@ import (
 	"rustprobe/internal/summary"
 )
 
-// maxPathDepth bounds translated paths through recursive call chains, the
-// same role the summary iteration cap plays for lock ids.
-const maxPathDepth = 8
-
 // Access is one shared-memory access in a function's summary, expressed
-// in that function's namespace.
-type Access struct {
-	Path     string
+// in that function's namespace: a lockset-annotated event whose Path is
+// the accessed place.
+type Access = doublelock.Event[access]
+
+// access is the race detector's event payload.
+type access struct {
 	Write    bool
-	Interior bool // mutation via an unknown &self-style method (push, insert, ...)
-	Fn       string
-	Span     source.Span
+	Interior bool        // mutation via an unknown &self-style method (push, insert, ...)
 	At       mir.BlockID // block in the summary owner's body, for post-spawn filtering
-	Locks    map[string]doublelock.Mode
 }
 
-func (a *Access) key() string {
-	return fmt.Sprintf("%s|%t|%s|%d|%d", a.Path, a.Write, a.Fn, a.Span.Start, a.At)
+// accessID is the payload's part of an access's summary key.
+type accessID struct {
+	write bool
+	at    mir.BlockID
 }
 
-func (a *Access) clone() *Access {
-	c := *a
-	c.Locks = make(map[string]doublelock.Mode, len(a.Locks))
-	for k, v := range a.Locks {
-		c.Locks[k] = v
-	}
-	return &c
-}
-
-// accSummary is a function's access set keyed by Access.key. The lattice
-// is monotone: the key set only grows and the per-key locksets only shrink
-// (intersection), so the SCC fixpoint terminates.
-type accSummary map[string]*Access
+// accSummary is a function's access set. The lattice is monotone: the key
+// set only grows and the per-key locksets only shrink (intersection), so
+// the SCC fixpoint terminates.
+type accSummary = doublelock.Events[accessID, access]
 
 // mutatingMethods names container methods that mutate their receiver; a
 // call through an unknown callee with such a name is an interior write.
@@ -96,13 +86,6 @@ type spawnSite struct {
 	span    source.Span
 }
 
-type callSite struct {
-	callee   string
-	at       mir.BlockID
-	argPaths []string
-	held     map[string]doublelock.Mode
-}
-
 // funcInfo caches the per-function analyses shared by the summary
 // transfer (which the SCC fixpoint re-runs) and the pairing phase.
 type funcInfo struct {
@@ -111,7 +94,7 @@ type funcInfo struct {
 	g      *cfg.Graph
 	res    *alias.Resolver
 	own    []*Access
-	calls  []callSite
+	calls  []doublelock.CallSite
 	spawns []spawnSite
 }
 
@@ -148,10 +131,18 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		func(f *funcInfo) *mir.Body { return f.body },
 		func(name string) *funcInfo { return d.analyze(ctx, name) })
 	detect.CloseOverCallers(ctx.Graph, recompute)
-	sums := d.buildSummaries(ctx, infos, warm, recompute)
+	sums := doublelock.SummarizeEvents(ctx, &doublelock.EventProblem[accessID, access, doublelock.CallSite]{
+		Facts: func(fn string) ([]*Access, []doublelock.CallSite) { return infos[fn].own, infos[fn].calls },
+		ID:    func(a access) accessID { return accessID{write: a.Write, at: a.At} },
+		// An inherited access happens at the call, in the caller's body.
+		Step: func(a access, cs doublelock.CallSite, _ func(string) string) access {
+			a.At = cs.At
+			return a
+		},
+	}, warm, recompute)
 
 	var out []detect.Finding
-	seen := map[string]bool{}
+	seen := map[pairKey]bool{}
 	for _, name := range ctx.Graph.Names() {
 		out = append(out, d.pair(ctx, infos, sums.Summaries, name, seen)...)
 	}
@@ -174,15 +165,14 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			return // a bare binding is not a shared-memory access
 		}
 		p := res.PlacePath(pl)
-		if p == "" || alias.Depth(p) > maxPathDepth {
+		if p == "" || summary.Depth(p) > summary.MaxPathDepth {
 			return
 		}
+		// The accesses recorded at one statement share its held map:
+		// summaries never mutate an event's locks.
 		info.own = append(info.own, &Access{
-			Path: p, Write: write, Interior: interior,
-			// Every Access owns its lock map: the held map is shared by all
-			// accesses recorded at one statement, and summary merging must
-			// never reach back into a sibling's (or info.own's) lockset.
-			Fn: name, Span: sp, At: blk, Locks: doublelock.CloneLocks(held),
+			Path: p, Fn: name, Span: sp, Locks: held,
+			Data: access{Write: write, Interior: interior, At: blk},
 		})
 	}
 	readOperand := func(op mir.Operand, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
@@ -253,117 +243,28 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 		callee := ctx.Callee(c)
 		if callee != "" {
-			cs := callSite{callee: callee, at: blk.ID, held: held}
+			cs := doublelock.CallSite{Callee: callee, At: blk.ID, Held: held}
 			for _, a := range c.Args {
 				p := ""
 				if pl, ok := mir.OperandPlace(a); ok {
 					p = res.ValuePath(pl)
 				}
-				cs.argPaths = append(cs.argPaths, p)
+				cs.ArgPaths = append(cs.ArgPaths, p)
 			}
 			info.calls = append(info.calls, cs)
 		} else if c.Intrinsic == mir.IntrinsicNone && c.RecvPath != "" && mutatingMethods[mir.MethodName(c.Callee)] {
 			// A mutating container method through an unknown callee is an
 			// interior write to the receiver's storage.
 			p := res.CanonPath(c.RecvPath)
-			if p != "" && alias.Depth(p) <= maxPathDepth {
+			if p != "" && summary.Depth(p) <= summary.MaxPathDepth {
 				info.own = append(info.own, &Access{
-					Path: p, Write: true, Interior: true,
-					Fn: name, Span: c.Span, At: blk.ID, Locks: doublelock.CloneLocks(held),
+					Path: p, Fn: name, Span: c.Span, Locks: held,
+					Data: access{Write: true, Interior: true, At: blk.ID},
 				})
 			}
 		}
 	}
 	return info
-}
-
-// buildSummaries runs the inter-procedural access/lockset computation:
-// each function's summary is its own accesses plus its callees' summaries
-// translated through the call-site argument paths, with the caller's held
-// locks added to inherited accesses. Same-site duplicates intersect their
-// locksets, keeping the transfer monotone. With a warm prior result, SCCs
-// outside the recompute closure reuse their fixpoint unchanged.
-func (d *Detector) buildSummaries(ctx *detect.Context, infos map[string]*funcInfo, warm *summary.Result[accSummary], recompute map[string]bool) *summary.Result[accSummary] {
-	prob := &summary.Problem[accSummary]{
-		Bottom: func(string) accSummary { return accSummary{} },
-		Equal:  summariesEqual,
-		Transfer: func(name string, get summary.Lookup[accSummary]) accSummary {
-			info := infos[name]
-			s := accSummary{}
-			for _, a := range info.own {
-				mergeAccess(s, a)
-			}
-			for _, cs := range info.calls {
-				calleeSum, known := get(cs.callee)
-				if !known {
-					continue
-				}
-				params := mir.ParamNames(ctx.Bodies[cs.callee])
-				for _, a := range calleeSum {
-					p := summary.TranslateRoot(a.Path, params, cs.argPaths)
-					if p == "" || alias.Depth(p) > maxPathDepth {
-						continue
-					}
-					t := a.clone()
-					t.Path = p
-					t.At = cs.at
-					t.Locks = doublelock.TranslateLocks(a.Locks, params, cs.argPaths)
-					for id, m := range cs.held {
-						if cur, ok := t.Locks[id]; !ok || m > cur {
-							t.Locks[id] = m
-						}
-					}
-					mergeAccess(s, t)
-				}
-			}
-			return s
-		},
-	}
-	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
-}
-
-// mergeAccess inserts a into s, intersecting locksets on key collision
-// (an access reachable along two call paths is only protected by locks
-// held along both). The stored access is cloned before the intersection:
-// summary entries alias info.own and prior-iteration summaries, and
-// mutating those in place would break the transfer's purity — shrinking
-// locksets across fixpoint iterations and sibling accesses.
-func mergeAccess(s accSummary, a *Access) {
-	prev, ok := s[a.key()]
-	if !ok {
-		s[a.key()] = a
-		return
-	}
-	merged := prev.clone()
-	for id, m := range merged.Locks {
-		am, has := a.Locks[id]
-		if !has {
-			delete(merged.Locks, id)
-			continue
-		}
-		if am < m {
-			merged.Locks[id] = am
-		}
-	}
-	s[a.key()] = merged
-}
-
-func summariesEqual(a, b accSummary) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av.Locks) != len(bv.Locks) {
-			return false
-		}
-		for id, m := range av.Locks {
-			if bm, has := bv.Locks[id]; !has || bm != m {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // sortedAccs flattens a summary into a deterministic slice: by span,
@@ -383,13 +284,13 @@ func sortedAccs(s accSummary) []*Access {
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
 		}
-		if out[i].Write != out[j].Write {
-			return out[i].Write
+		if out[i].Data.Write != out[j].Data.Write {
+			return out[i].Data.Write
 		}
 		if out[i].Fn != out[j].Fn {
 			return out[i].Fn < out[j].Fn
 		}
-		return out[i].At < out[j].At
+		return out[i].Data.At < out[j].Data.At
 	})
 	return out
 }
@@ -406,7 +307,7 @@ type spawnCtx struct {
 }
 
 // pair reports conflicting access pairs for one spawning function.
-func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums map[string]accSummary, name string, seen map[string]bool) []detect.Finding {
+func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums map[string]accSummary, name string, seen map[pairKey]bool) []detect.Finding {
 	info := infos[name]
 	if len(info.spawns) == 0 {
 		return nil
@@ -448,10 +349,11 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 		}
 		for _, a := range sortedAccs(sums[sp.closure]) {
 			root := alias.Root(a.Path)
-			var rewritten *Access
+			// Each context holds its own copy, so pointer identity
+			// never spans two contexts (see conflicts).
+			rewritten := *a
 			switch {
 			case strings.HasPrefix(root, "static "):
-				rewritten = a.clone()
 			case caps[root]:
 				// Capture-rooted: rename into the spawner's namespace
 				// through the alias map (svc → service).
@@ -459,7 +361,6 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 				if canon == "" {
 					canon = root
 				}
-				rewritten = a.clone()
 				rewritten.Path = alias.RewriteRoot(a.Path, root, canon)
 				newLocks := map[string]doublelock.Mode{}
 				for id, m := range rewritten.Locks {
@@ -476,7 +377,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 				// Rooted in closure-local storage: thread-private.
 				continue
 			}
-			sc.accs = append(sc.accs, rewritten)
+			sc.accs = append(sc.accs, &rewritten)
 		}
 		ctxs = append(ctxs, sc)
 	}
@@ -499,13 +400,13 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			!escaped[alias.Root(b.Path)] && !strings.HasPrefix(alias.Root(b.Path), "static ") {
 			return
 		}
-		key := pairKey(a, b)
+		key := newPairKey(a, b)
 		if seen[key] {
 			return
 		}
 		seen[key] = true
 		primary, other := a, b
-		if !primary.Write {
+		if !primary.Data.Write {
 			primary, other = other, primary
 		}
 		out = append(out, detect.Finding{
@@ -539,7 +440,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 		reach := info.g.ReachableFrom(ctxs[i].target)
 		var cont []*Access
 		for _, a := range spawnerAccs {
-			if reach[a.At] {
+			if reach[a.Data.At] {
 				cont = append(cont, a)
 			}
 		}
@@ -564,7 +465,7 @@ func conflicts(as, bs []*Access, selfPair bool, emit func(a, b *Access)) {
 				// makes the same site mean two thread instances.
 				continue
 			}
-			if !a.Write && !b.Write {
+			if !a.Data.Write && !b.Data.Write {
 				continue
 			}
 			if !overlap(a.Path, b.Path) {
@@ -593,23 +494,35 @@ func protected(a, b *Access) bool {
 	return false
 }
 
-// pairKey identifies a conflicting site pair. The access kind is left out:
-// a `+=` desugars into a read and a write at the same span, and reporting
-// both pairings of the same two source sites would read as duplicates.
-func pairKey(a, b *Access) string {
-	ka := fmt.Sprintf("%s|%s:%d", a.Path, a.Fn, a.Span.Start)
-	kb := fmt.Sprintf("%s|%s:%d", b.Path, b.Fn, b.Span.Start)
-	if kb < ka {
-		ka, kb = kb, ka
+// accessSite is one access's source site: its place, function and span.
+type accessSite struct {
+	path  string
+	fn    string
+	start int
+}
+
+// pairKey identifies a conflicting site pair, its sites in sorted order.
+// The access kind is left out: a `+=` desugars into a read and a write at
+// the same span, and reporting both pairings of the same two source sites
+// would read as duplicates.
+type pairKey struct{ a, b accessSite }
+
+func newPairKey(a, b *Access) pairKey {
+	k := pairKey{
+		accessSite{path: a.Path, fn: a.Fn, start: a.Span.Start},
+		accessSite{path: b.Path, fn: b.Fn, start: b.Span.Start},
 	}
-	return ka + "||" + kb
+	if cmp.Or(cmp.Compare(k.b.path, k.a.path), cmp.Compare(k.b.fn, k.a.fn), cmp.Compare(k.b.start, k.a.start)) < 0 {
+		k.a, k.b = k.b, k.a
+	}
+	return k
 }
 
 func verb(a *Access) string {
 	switch {
-	case a.Interior:
+	case a.Data.Interior:
 		return "an interior mutation"
-	case a.Write:
+	case a.Data.Write:
 		return "a write"
 	default:
 		return "a read"

@@ -289,3 +289,40 @@ fn run(led: Arc<Mutex<Ledger>>) {
 		t.Fatalf("locking helper flagged:\n%s", dump(fs))
 	}
 }
+
+// Negative: the thread's write reaches the field through a helper that
+// is called once under the read guard and once under the write guard.
+// The lock is held on both paths, so the merged lockset keeps it, in
+// read mode, which still serializes against the spawner's write guard.
+// The guards are taken through &Board: the lowering recognizes read()
+// and write() only on a receiver it has typed as RwLock, and a field
+// reached through Arc is not.
+func TestNoRaceUnderReadAndWriteGuards(t *testing.T) {
+	fs := analyze(t, `
+struct Board { gate: RwLock<u64>, hits: u64 }
+fn store(b: &Board) {
+    b.hits = 1;
+}
+fn update(b: &Board, fast: bool) {
+    if fast {
+        let g = b.gate.read().unwrap();
+        store(b);
+    } else {
+        let g = b.gate.write().unwrap();
+        store(b);
+    }
+}
+fn reset(b: &Board) {
+    let g = b.gate.write().unwrap();
+    b.hits = 2;
+}
+fn run(board: Arc<Board>) {
+    let h = Arc::clone(&board);
+    thread::spawn(move || { update(&h, true); });
+    reset(&board);
+}
+`)
+	if len(fs) != 0 {
+		t.Fatalf("write guarded on every path flagged:\n%s", dump(fs))
+	}
+}

@@ -1,5 +1,7 @@
 // Package summary is the shared bottom-up inter-procedural summary
-// framework used by the double-lock and lock-order detectors. It walks
+// framework behind the double-lock acquisition summaries and the
+// lockset-annotated event summaries of the race and blocking detectors
+// (internal/detect/doublelock). It walks
 // the Tarjan condensation of the call graph in callee-before-caller
 // order and, inside each strongly connected component, iterates a
 // detector-supplied transfer function to fixpoint — so summaries
@@ -21,6 +23,11 @@ import (
 // at most |SCC| rounds; the default leaves generous headroom while
 // bounding fuzz-shaped cycles.
 const DefaultMaxIter = 64
+
+// MaxPathDepth caps the segments of a path translated into a caller's
+// namespace, so summaries stay finite through recursive call chains
+// that keep extending a path ("self.next.next...").
+const MaxPathDepth = 8
 
 // Lookup reads the current summary of a callee. ok is false for
 // functions outside the analyzed body set.
@@ -212,6 +219,12 @@ func TranslateRoot(calleeID string, params, argPaths []string) string {
 		}
 	}
 	return ""
+}
+
+// Depth counts the segments of a path: its root plus one per field or
+// index projection.
+func Depth(p string) int {
+	return 1 + strings.Count(p, ".") + strings.Count(p, "[")
 }
 
 // NormalizePath canonicalizes deref-shaped receiver paths: "(*self).f",

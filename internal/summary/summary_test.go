@@ -238,6 +238,14 @@ func TestTranslateRoot(t *testing.T) {
 	}
 }
 
+func TestDepth(t *testing.T) {
+	for p, want := range map[string]int{"a": 1, "a.b": 2, "a.b[_]": 3, "self.x.y[_].z": 5} {
+		if got := Depth(p); got != want {
+			t.Errorf("Depth(%q) = %d, want %d", p, got, want)
+		}
+	}
+}
+
 func TestNormalizePath(t *testing.T) {
 	cases := map[string]string{
 		"self.a":         "self.a",
