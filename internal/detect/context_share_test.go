@@ -5,6 +5,7 @@ package detect_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,10 +24,11 @@ import (
 
 // TestContextSharesFunctionFacts: after a full Detect over the patterns
 // corpus, every shared fact was built exactly once per body, not once per
-// detector that asked, and repeat lookups return the same object; lock
-// order alone builds the double-lock facts; no detector resolves callees
-// or builds CFGs on its own, and race and blocking build no event summary
-// of their own.
+// detector that asked, and the acquisition summary double-lock and lock
+// order read was computed once; repeat lookups return the same object;
+// lock order alone builds the double-lock facts; no detector resolves
+// callees or builds CFGs on its own, and no detector builds an event
+// summary or a namespace translation of its own.
 func TestContextSharesFunctionFacts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -50,10 +52,13 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 			t.Errorf("%s built %d times for %d bodies", kind, b, n)
 		}
 	}
-	for _, kind := range []string{"cfg", "doublelock.facts", "alias"} {
+	for _, kind := range []string{"cfg", "doublelock.facts", "doublelock.acquisitions", "alias"} {
 		if builds[kind] != n {
 			t.Errorf("%s built %d times, want once per body (%d)", kind, builds[kind], n)
 		}
+	}
+	if got := builds["doublelock.acquisition-summary"]; got != 1 {
+		t.Errorf("the cold acquisition summary was computed %d times, want once per Context", got)
 	}
 	want := fmt.Sprint(builds)
 
@@ -86,6 +91,17 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		t.Errorf("lock order built doublelock.facts %d times, want once per body (%d)", got, len(fctx.Bodies))
 	}
 
+	// A warm-started lock order computes its own summary from its carry
+	// and leaves the Context's cold one alone.
+	_, carry, _ := lockorder.New().RunIncremental(fctx, nil, nil)
+	before := builds["doublelock.acquisition-summary"]
+	if _, _, reused := lockorder.New().RunIncremental(fctx, carry, map[string]bool{}); reused != len(fctx.Bodies) {
+		t.Errorf("warm lock order reused %d functions' facts, want %d", reused, len(fctx.Bodies))
+	}
+	if got := builds["doublelock.acquisition-summary"]; got != before || got != 1 {
+		t.Errorf("cold acquisition summary built %d times after a warm start (before it %d), want 1", got, before)
+	}
+
 	// The counts above see only what goes through the Context: a detector
 	// building its own CFG would bypass them, and a detector resolving
 	// callees its own way would drift from Context.Callee.
@@ -107,15 +123,36 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		if strings.Contains(string(src), "func resolvedCallee(") {
 			t.Errorf("%s declares its own resolvedCallee; use Context.Callee", f)
 		}
-		// Race and blocking summarize their events through the one
-		// lockset-annotated event summary and its one path-depth cap.
-		if dir := filepath.Dir(f); dir == "race" || dir == "blocking" {
+		// Race, blocking, double-lock and lock order summarize their
+		// events through the one lockset-annotated event summary and its
+		// one path-depth cap.
+		switch filepath.Dir(f) {
+		case "race", "blocking", "doublelock", "lockorder":
+			if f == filepath.Join("doublelock", "events.go") {
+				break
+			}
 			for _, own := range []string{"summary.Problem", "summary.ComputeFrom", "maxPathDepth"} {
 				if strings.Contains(string(src), own) {
 					t.Errorf("%s uses %s; use doublelock.SummarizeEvents and summary.MaxPathDepth", f, own)
 				}
 			}
 		}
+	}
+
+	// Callee paths reach a caller through summary.TranslateRoot alone.
+	translate := "summary." + "Translate("
+	err = filepath.WalkDir("..", func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err == nil && strings.Contains(string(src), translate) {
+			t.Errorf("%s calls %s; use summary.TranslateRoot", path, translate)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,9 +4,12 @@
 // guard-holding local, then computes guard lifetimes: Rust releases a lock
 // when the guard's lifetime ends, i.e. at its Drop/StorageDead or an
 // explicit mem::drop. A second acquisition of the same lock while a guard
-// is live is a double lock. The check is inter-procedural: per-function
-// "locks acquired" summaries are propagated bottom-up and translated
-// through receiver paths at call sites.
+// is live is a double lock. The check is inter-procedural: each
+// acquisition is an event of the lockset-annotated event summary
+// (SummarizeEvents) with the locks held just before it, so a caller sees
+// every lock its callees acquire, translated through receiver paths at
+// the call sites. The lock-order detector reads the same acquisition
+// summary, and race and blocking summarize their own events on it.
 package doublelock
 
 import (
@@ -18,6 +21,7 @@ import (
 	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/mir"
+	"rustprobe/internal/source"
 	"rustprobe/internal/summary"
 )
 
@@ -84,13 +88,13 @@ func acquireIntrinsic(i mir.Intrinsic) (Mode, bool) {
 
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	var summaries map[string]map[string]Mode
+	var sums map[string]AcquisitionSummary
 	if !d.IntraOnly {
-		summaries = Summaries(ctx, nil, nil).Summaries
+		sums = SummarizeAcquisitions(ctx, nil, nil, nil).Summaries
 	}
 	var out []detect.Finding
 	for _, name := range ctx.Graph.Names() {
-		out = append(out, d.checkFunction(ctx, name, summaries)...)
+		out = append(out, d.checkFunction(ctx, name, sums[name])...)
 	}
 	detect.SortFindings(out)
 	return out
@@ -335,60 +339,6 @@ func LocksString(locks map[string]Mode) string {
 	return strings.Join(ids, ", ")
 }
 
-// Summaries computes, bottom-up over the call graph, the set of lock ids
-// each function may acquire (transitively) and the strongest mode it
-// acquires each in, expressed in its own namespace (only self-rooted and
-// static ids propagate upward). The SCC fixpoint in internal/summary
-// makes the propagation sound through mutual recursion and call chains
-// of any length. warm and recompute are summary.ComputeFrom's warm start;
-// a nil warm computes every function.
-func Summaries(ctx *detect.Context, warm *summary.Result[map[string]Mode], recompute map[string]bool) *summary.Result[map[string]Mode] {
-	prob := &summary.Problem[map[string]Mode]{
-		Bottom: func(string) map[string]Mode { return map[string]Mode{} },
-		Equal:  locksEqual,
-		Transfer: func(name string, get summary.Lookup[map[string]Mode]) map[string]Mode {
-			body := ctx.Bodies[name]
-			s := map[string]Mode{}
-			add := func(id string, mode Mode) {
-				if cur, exists := s[id]; !exists || mode > cur {
-					s[id] = mode
-				}
-			}
-			for _, blk := range body.Blocks {
-				c, ok := blk.Term.(mir.Call)
-				if !ok {
-					continue
-				}
-				if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
-					add(c.RecvPath, mode)
-					continue
-				}
-				calleeName := ctx.Callee(c)
-				if calleeName == "" {
-					continue
-				}
-				cs, known := get(calleeName)
-				if !known {
-					continue
-				}
-				for id, mode := range cs {
-					tid := summary.Translate(id, c.RecvPath)
-					if tid == "" {
-						continue
-					}
-					// Only ids that remain self-rooted or static are part
-					// of this function's upward summary.
-					if strings.HasPrefix(tid, "self") || strings.HasPrefix(tid, "static ") {
-						add(tid, mode)
-					}
-				}
-			}
-			return s
-		},
-	}
-	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
-}
-
 // conflicts reports whether acquiring `mode` on a lock already held in
 // `heldMode` deadlocks.
 func (d *Detector) conflicts(heldMode, mode Mode) bool {
@@ -398,65 +348,187 @@ func (d *Detector) conflicts(heldMode, mode Mode) bool {
 	return true
 }
 
-func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[string]map[string]Mode) []detect.Finding {
-	body := ctx.Bodies[name]
-	lf := Facts(ctx, name)
-	g, origins, res := lf.CFG, lf.Guards, lf.Live
+// Acquisition is the payload of an acquisition event: an event whose
+// Path is the lock acquired and whose Locks are the locks held just
+// before it. At is the acquiring call's block in the function that
+// performs it, and the call site's block in every caller that inherits
+// it.
+type Acquisition struct {
+	Mode Mode
+	At   mir.BlockID
+}
 
-	var out []detect.Finding
-	for _, blk := range body.Blocks {
-		if !g.Reachable(blk.ID) {
-			continue
-		}
-		c, ok := blk.Term.(mir.Call)
-		if !ok {
-			continue
-		}
-		state := res.StateAt(blk.ID, len(blk.Stmts))
-		held := Held(state, origins)
+// AcquisitionSummary is one function's acquisition events, its own and
+// those of its transitive callees, in its namespace.
+type AcquisitionSummary = Events[mir.BlockID, Acquisition]
 
-		if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
-			if heldMode, isHeld := held[c.RecvPath]; isHeld && d.conflicts(heldMode, mode) {
-				out = append(out, detect.Finding{
-					Kind:     detect.KindDoubleLock,
-					Severity: detect.SeverityError,
-					Function: name,
-					Span:     c.Span,
-					Message: fmt.Sprintf("%s() on %q while a %s guard of the same lock is still live",
-						mode, c.RecvPath, heldMode),
-					Notes: []string{
-						"Rust releases a lock when the guard's lifetime ends; the first guard is still in scope here",
-					},
-				})
-			}
-			continue
-		}
+// AcquisitionFacts is one function's own acquisitions and its resolved
+// calls that are not acquisitions, in block order. Every block counts,
+// reachable or not; the checks skip the unreachable ones through CFG.
+type AcquisitionFacts struct {
+	Body  *mir.Body
+	CFG   *cfg.Graph
+	Own   []*Event[Acquisition]
+	Calls []CallSite // ArgPaths is the receiver path alone
+}
 
-		// Inter-procedural: calling a function that (transitively)
-		// acquires a lock we hold.
-		calleeName := ctx.Callee(c)
-		if calleeName == "" || len(held) == 0 {
-			continue
+// Site returns the call site that terminates block at, if any.
+func (f *AcquisitionFacts) Site(at mir.BlockID) (CallSite, bool) {
+	i := sort.Search(len(f.Calls), func(i int) bool { return f.Calls[i].At >= at })
+	if i < len(f.Calls) && f.Calls[i].At == at {
+		return f.Calls[i], true
+	}
+	return CallSite{}, false
+}
+
+// Inherited returns the events of the function's summary sum that it
+// inherits at its reachable call sites, sorted by call block, then span,
+// then path.
+func (f *AcquisitionFacts) Inherited(sum AcquisitionSummary) []*Event[Acquisition] {
+	var out []*Event[Acquisition]
+	for _, e := range sum {
+		if _, ok := f.Site(e.Data.At); ok && f.CFG.Reachable(e.Data.At) {
+			out = append(out, e)
 		}
-		for id, mode := range sums[calleeName] {
-			tid := summary.Translate(id, c.RecvPath)
-			if tid == "" {
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Data.At != b.Data.At {
+			return a.Data.At < b.Data.At
+		}
+		if a.Span.Start != b.Span.Start {
+			return a.Span.Start < b.Span.Start
+		}
+		return a.Path < b.Path
+	})
+	return out
+}
+
+// CallSpan returns the span of the call that terminates block at.
+func (f *AcquisitionFacts) CallSpan(at mir.BlockID) source.Span {
+	return f.Body.Blocks[at].Term.(mir.Call).Span
+}
+
+// Acquisitions returns (computing once per Context) the acquisition
+// facts of function fn: one event per lock(), read() or write() call
+// with a receiver path, and one call site per other resolved call, each
+// with the locks held at the call.
+func Acquisitions(ctx *detect.Context, fn string) *AcquisitionFacts {
+	return detect.Shared(ctx, "doublelock.acquisitions", fn, func() *AcquisitionFacts {
+		body := ctx.Bodies[fn]
+		lf := Facts(ctx, fn)
+		af := &AcquisitionFacts{Body: body, CFG: lf.CFG}
+		for _, blk := range body.Blocks {
+			c, ok := blk.Term.(mir.Call)
+			if !ok {
 				continue
 			}
-			if heldMode, isHeld := held[tid]; isHeld && d.conflicts(heldMode, mode) {
-				out = append(out, detect.Finding{
-					Kind:     detect.KindDoubleLock,
-					Severity: detect.SeverityError,
-					Function: name,
-					Span:     c.Span,
-					Message: fmt.Sprintf("call to %s acquires %q (%s) while a %s guard of the same lock is held",
-						calleeName, tid, mode, heldMode),
-					Notes: []string{
-						fmt.Sprintf("%s acquires the lock internally; the caller's guard has not been dropped", calleeName),
-					},
+			held := func() map[string]Mode { return Held(lf.Live.StateAt(blk.ID, len(blk.Stmts)), lf.Guards) }
+			if mode, isAcq := acquireIntrinsic(c.Intrinsic); isAcq && c.RecvPath != "" {
+				af.Own = append(af.Own, &Event[Acquisition]{
+					Path: c.RecvPath, Fn: fn, Span: c.Span, Locks: held(),
+					Data: Acquisition{Mode: mode, At: blk.ID},
 				})
+			} else if callee := ctx.Callee(c); callee != "" {
+				// Only method calls carry a receiver path, and a method's
+				// first parameter is self: the receiver-only argument list
+				// translates exactly the self-rooted callee paths.
+				af.Calls = append(af.Calls, CallSite{Callee: callee, At: blk.ID, ArgPaths: []string{c.RecvPath}, Held: held()})
 			}
 		}
+		return af
+	})
+}
+
+// SummarizeAcquisitions computes every function's acquisition summary
+// on the event summary (SummarizeEvents). With a nil warm it returns the
+// Context's one cold summary, built once from Acquisitions and shared by
+// the double-lock and lock-order detectors. A warm start (lock order's
+// carry across session rounds) computes its own from facts; warm and
+// recompute are SummarizeEvents'.
+func SummarizeAcquisitions(ctx *detect.Context, facts map[string]*AcquisitionFacts, warm *summary.Result[AcquisitionSummary], recompute map[string]bool) *summary.Result[AcquisitionSummary] {
+	summarize := func(facts func(fn string) *AcquisitionFacts) *summary.Result[AcquisitionSummary] {
+		return SummarizeEvents(ctx, &EventProblem[mir.BlockID, Acquisition, CallSite]{
+			Facts: func(fn string) ([]*Event[Acquisition], []CallSite) {
+				f := facts(fn)
+				return f.Own, f.Calls
+			},
+			ID: func(a Acquisition) mir.BlockID { return a.At },
+			// An inherited acquisition happens at the call, in the
+			// caller's body.
+			Step: func(a Acquisition, cs CallSite, _ func(string) string) Acquisition {
+				a.At = cs.At
+				return a
+			},
+		}, warm, recompute)
+	}
+	if warm == nil {
+		return detect.Shared(ctx, "doublelock.acquisition-summary", "", func() *summary.Result[AcquisitionSummary] {
+			return summarize(func(fn string) *AcquisitionFacts { return Acquisitions(ctx, fn) })
+		})
+	}
+	return summarize(func(fn string) *AcquisitionFacts { return facts[fn] })
+}
+
+func (d *Detector) checkFunction(ctx *detect.Context, name string, sum AcquisitionSummary) []detect.Finding {
+	af := Acquisitions(ctx, name)
+	var out []detect.Finding
+	for _, e := range af.Own {
+		if !af.CFG.Reachable(e.Data.At) {
+			continue
+		}
+		if heldMode, isHeld := e.Locks[e.Path]; isHeld && d.conflicts(heldMode, e.Data.Mode) {
+			out = append(out, detect.Finding{
+				Kind:     detect.KindDoubleLock,
+				Severity: detect.SeverityError,
+				Function: name,
+				Span:     e.Span,
+				Message: fmt.Sprintf("%s() on %q while a %s guard of the same lock is still live",
+					e.Data.Mode, e.Path, heldMode),
+				Notes: []string{
+					"Rust releases a lock when the guard's lifetime ends; the first guard is still in scope here",
+				},
+			})
+		}
+	}
+
+	// Inter-procedural: a call that (transitively) acquires a lock the
+	// caller holds, reported once per lock in the strongest mode the
+	// callee acquires it.
+	type lockAt struct {
+		at   mir.BlockID
+		lock string
+	}
+	var order []lockAt
+	strongest := map[lockAt]Mode{}
+	for _, e := range af.Inherited(sum) {
+		k := lockAt{e.Data.At, e.Path}
+		m, seen := strongest[k]
+		if !seen {
+			order = append(order, k)
+		}
+		if !seen || e.Data.Mode > m {
+			strongest[k] = e.Data.Mode
+		}
+	}
+	for _, k := range order {
+		cs, _ := af.Site(k.at)
+		mode := strongest[k]
+		heldMode, isHeld := cs.Held[k.lock]
+		if !isHeld || !d.conflicts(heldMode, mode) {
+			continue
+		}
+		out = append(out, detect.Finding{
+			Kind:     detect.KindDoubleLock,
+			Severity: detect.SeverityError,
+			Function: name,
+			Span:     af.CallSpan(k.at),
+			Message: fmt.Sprintf("call to %s acquires %q (%s) while a %s guard of the same lock is held",
+				cs.Callee, k.lock, mode, heldMode),
+			Notes: []string{
+				fmt.Sprintf("%s acquires the lock internally; the caller's guard has not been dropped", cs.Callee),
+			},
+		})
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"rustprobe/internal/parser"
 	"rustprobe/internal/resolve"
 	"rustprobe/internal/source"
+	"rustprobe/internal/summary"
 )
 
 func newContext(t *testing.T, src string) *detect.Context {
@@ -566,5 +567,42 @@ static H@pong no locks 0`},
 		if got := describe(c.fn); got != c.want {
 			t.Errorf("%s summary:\n%s\nwant:\n%s", c.fn, got, c.want)
 		}
+	}
+}
+
+// TestRecursiveReceiverChainConverges: walk takes and drops self.m, then
+// recurses through self.next, so each round of the fixpoint extends the
+// inherited path (self.next.m, self.next.next.m, ...). The summary stops
+// at summary.MaxPathDepth and converges; outer, which holds self.m
+// across self.walk(), is still flagged.
+func TestRecursiveReceiverChainConverges(t *testing.T) {
+	ctx := newContext(t, `
+struct Node { m: Mutex<i32>, next: Node }
+impl Node {
+    fn walk(&self) {
+        let v = { let g = self.m.lock().unwrap(); *g };
+        self.next.walk();
+    }
+    fn outer(&self) {
+        let g = self.m.lock().unwrap();
+        self.walk();
+    }
+}
+`)
+	res := SummarizeAcquisitions(ctx, nil, nil, nil)
+	if res.TruncatedSCCs != 0 {
+		t.Fatalf("%d SCCs hit the iteration cap", res.TruncatedSCCs)
+	}
+	for _, e := range res.Summaries["Node::walk"] {
+		if summary.Depth(e.Path) > summary.MaxPathDepth {
+			t.Errorf("inherited path %q is deeper than %d", e.Path, summary.MaxPathDepth)
+		}
+	}
+	findings := New().Run(ctx)
+	if len(findings) != 1 {
+		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
+	}
+	if f := findings[0]; f.Function != "Node::outer" || !strings.Contains(f.Message, `call to Node::walk acquires "self.m" (lock)`) {
+		t.Errorf("finding = %+v, want walk's acquisition of self.m under outer's guard", f)
 	}
 }

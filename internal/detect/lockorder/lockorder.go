@@ -1,12 +1,10 @@
 // Package lockorder detects conflicting lock acquisition orders (an AB-BA
 // deadlock), the second-most-common blocking-bug cause in the paper's §6.1
-// (7 of 38 Mutex/RwLock bugs). It reads the double-lock detector's guard
-// lifetimes (doublelock.Facts, shared per Context): for every acquisition
-// performed while another lock is held it records an ordered pair, then
-// reports pairs observed in both directions. The check is
-// inter-procedural: the double-lock acquisition summaries
-// (doublelock.Summaries) let a call made while a lock is held contribute
-// pairs for every lock the callee may transitively acquire.
+// (7 of 38 Mutex/RwLock bugs). It reads the double-lock detector's
+// acquisition summary (doublelock.SummarizeAcquisitions, one per Context):
+// every acquisition, performed directly or inherited from a callee at a
+// call site, orders each lock held just before it ahead of the lock it
+// takes. Pairs observed in both directions are reported.
 package lockorder
 
 import (
@@ -40,32 +38,14 @@ type acquisition struct {
 	span          source.Span
 }
 
-// heldCall is a resolved call site executed while locks are held — the
-// summary-independent half of the inter-procedural check. The held set
-// is expanded against the callee's acquisition summary at pairing time.
-type heldCall struct {
-	callee string
-	recv   string // receiver path for summary.Translate
-	span   source.Span
-	held   []string
-}
-
-// funcInfo is the cached per-function extraction: direct AB pairs and
-// held call sites, both derived from the body alone.
-type funcInfo struct {
-	body   *mir.Body
-	direct []acquisition
-	calls  []heldCall
-}
-
 // carry is the detector's cross-round state; see detect.Incremental.
 type carry struct {
-	infos map[string]*funcInfo
-	sums  *summary.Result[map[string]doublelock.Mode]
+	facts map[string]*doublelock.AcquisitionFacts
+	sums  *summary.Result[doublelock.AcquisitionSummary]
 }
 
 // FactCount implements detect.FactCounter.
-func (c *carry) FactCount() int { return len(c.infos) }
+func (c *carry) FactCount() int { return len(c.facts) }
 
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
@@ -73,47 +53,50 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	return out
 }
 
-// RunIncremental implements detect.Incremental: direct-pair and
-// held-call extraction is reused for clean functions (validated by body
-// identity), the acquisition summaries warm-start from the prior SCC
-// fixpoint, and the AB-BA index pairing — the cheap global phase —
-// re-runs in full.
+// RunIncremental implements detect.Incremental: the acquisition facts
+// are reused for clean functions (validated by body identity), the
+// acquisition summary warm-starts from the prior SCC fixpoint, and the
+// AB-BA index pairing — the cheap global phase — re-runs in full.
 func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
 	prev, _ := prior.(*carry)
-	var old map[string]*funcInfo
-	var warm *summary.Result[map[string]doublelock.Mode]
+	var old map[string]*doublelock.AcquisitionFacts
+	var warm *summary.Result[doublelock.AcquisitionSummary]
 	if prev != nil {
-		old, warm = prev.infos, prev.sums
+		old, warm = prev.facts, prev.sums
 	}
-	infos, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
-		func(f *funcInfo) *mir.Body { return f.body },
-		func(name string) *funcInfo { return extract(ctx, name) })
-	var sres *summary.Result[map[string]doublelock.Mode]
-	var sums map[string]map[string]doublelock.Mode
+	facts, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
+		func(f *doublelock.AcquisitionFacts) *mir.Body { return f.Body },
+		func(name string) *doublelock.AcquisitionFacts { return doublelock.Acquisitions(ctx, name) })
+	var sres *summary.Result[doublelock.AcquisitionSummary]
 	if !d.IntraOnly {
 		detect.CloseOverCallers(ctx.Graph, recompute)
-		sres = doublelock.Summaries(ctx, warm, recompute)
-		sums = sres.Summaries
+		sres = doublelock.SummarizeAcquisitions(ctx, facts, warm, recompute)
 	}
 	var acqs []acquisition
-	for _, name := range ctx.Graph.Names() {
-		info := infos[name]
-		acqs = append(acqs, info.direct...)
-		for _, hc := range info.calls {
-			if sums == nil {
-				continue
+	add := func(fn string, e *doublelock.Event[doublelock.Acquisition], span source.Span) {
+		ids := make([]string, 0, len(e.Locks))
+		for id := range e.Locks {
+			if id != e.Path {
+				ids = append(ids, id)
 			}
-			for id := range sums[hc.callee] {
-				tid := summary.Translate(id, hc.recv)
-				if tid == "" {
-					continue
-				}
-				for _, h := range hc.held {
-					if h == tid {
-						continue // same lock twice: the double-lock detector's case
-					}
-					acqs = append(acqs, acquisition{first: h, second: tid, fn: name, span: hc.span})
-				}
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			acqs = append(acqs, acquisition{first: id, second: e.Path, fn: fn, span: span})
+		}
+	}
+	for _, name := range ctx.Graph.Names() {
+		f := facts[name]
+		for _, e := range f.Own {
+			if f.CFG.Reachable(e.Data.At) {
+				add(name, e, e.Span)
+			}
+		}
+		// An acquisition inherited at a call site is attributed to the
+		// call.
+		if sres != nil {
+			for _, e := range f.Inherited(sres.Summaries[name]) {
+				add(name, e, f.CallSpan(e.Data.At))
 			}
 		}
 	}
@@ -167,54 +150,5 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		})
 	}
 	detect.SortFindings(out)
-	return out, &carry{infos: infos, sums: sres}, reused
-}
-
-// extract finds the summary-independent facts of one function: direct
-// (held, acquired) pairs, plus resolved calls made while a guard is live
-// — the latter expanded against callee acquisition summaries at pairing
-// time.
-func extract(ctx *detect.Context, name string) *funcInfo {
-	body := ctx.Bodies[name]
-	lf := doublelock.Facts(ctx, name)
-	info := &funcInfo{body: body}
-	for _, blk := range body.Blocks {
-		if !lf.CFG.Reachable(blk.ID) {
-			continue
-		}
-		c, ok := blk.Term.(mir.Call)
-		if !ok {
-			continue
-		}
-		held := doublelock.Held(lf.Live.StateAt(blk.ID, len(blk.Stmts)), lf.Guards)
-		if len(held) == 0 {
-			continue
-		}
-		switch c.Intrinsic {
-		case mir.IntrinsicLock, mir.IntrinsicRead, mir.IntrinsicWrite:
-			if c.RecvPath == "" {
-				continue
-			}
-			for id := range held {
-				if id == c.RecvPath {
-					continue
-				}
-				info.direct = append(info.direct, acquisition{first: id, second: c.RecvPath, fn: name, span: c.Span})
-			}
-		default:
-			// Inter-procedural: a call made while a guard is live orders
-			// the held lock before everything the callee may acquire.
-			calleeName := ctx.Callee(c)
-			if calleeName == "" {
-				continue
-			}
-			hc := heldCall{callee: calleeName, recv: c.RecvPath, span: c.Span}
-			for id := range held {
-				hc.held = append(hc.held, id)
-			}
-			sort.Strings(hc.held)
-			info.calls = append(info.calls, hc)
-		}
-	}
-	return info
+	return out, &carry{facts: facts, sums: sres}, reused
 }

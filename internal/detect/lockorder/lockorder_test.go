@@ -267,3 +267,37 @@ impl Shared {
 		t.Fatalf("guard moved into a call still counted as held: %+v", findings)
 	}
 }
+
+// TestCalleeOrderLiftedThroughReceiver: Inner::both takes a then b, and
+// Outer::path1 reaches it through self.inner while Outer::path2 takes
+// self.inner.b then self.inner.a. The callee's own order, re-expressed
+// at the call as self.inner.a before self.inner.b, conflicts with
+// path2: one AB-BA reported at path1's call.
+func TestCalleeOrderLiftedThroughReceiver(t *testing.T) {
+	src := `
+struct Inner { a: Mutex<i32>, b: Mutex<i32> }
+impl Inner {
+    fn both(&self) {
+        let ga = self.a.lock().unwrap();
+        let gb = self.b.lock().unwrap();
+    }
+}
+struct Outer { inner: Inner }
+impl Outer {
+    fn path1(&self) {
+        self.inner.both();
+    }
+    fn path2(&self) {
+        let gb = self.inner.b.lock().unwrap();
+        let ga = self.inner.a.lock().unwrap();
+    }
+}
+`
+	findings := analyze(t, src)
+	if len(findings) != 1 {
+		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
+	}
+	if f := findings[0]; f.Kind != detect.KindLockOrder || f.Function != "Outer::path1" {
+		t.Errorf("finding = %+v, want a lock-order report in Outer::path1", f)
+	}
+}

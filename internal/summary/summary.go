@@ -1,15 +1,16 @@
 // Package summary is the shared bottom-up inter-procedural summary
-// framework behind the double-lock acquisition summaries and the
-// lockset-annotated event summaries of the race and blocking detectors
-// (internal/detect/doublelock). It walks
-// the Tarjan condensation of the call graph in callee-before-caller
-// order and, inside each strongly connected component, iterates a
-// detector-supplied transfer function to fixpoint — so summaries
-// propagate soundly through mutual recursion and arbitrarily long call
-// chains, which a bounded number of post-order passes cannot guarantee.
-// A per-SCC iteration cap keeps pathological (non-monotone or fuzzed)
-// transfer functions from looping; components that hit the cap are
-// reported via Truncated rather than silently producing partial results.
+// framework behind the lockset-annotated event summary the double-lock,
+// lock-order, race and blocking detectors read
+// (internal/detect/doublelock) and the dropflow and use-after-free
+// parameter summaries. It walks the Tarjan condensation of the call
+// graph in callee-before-caller order and, inside each strongly
+// connected component, iterates a detector-supplied transfer function to
+// fixpoint — so summaries propagate soundly through mutual recursion and
+// arbitrarily long call chains, which a bounded number of post-order
+// passes cannot guarantee. A per-SCC iteration cap keeps pathological
+// (non-monotone or fuzzed) transfer functions from looping; components
+// that hit the cap are reported via Truncated rather than silently
+// producing partial results.
 package summary
 
 import (
@@ -172,36 +173,14 @@ func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], reco
 	return res
 }
 
-// Translate maps a callee-namespace resource id (a lock path such as
-// "self.client") into the caller's namespace through the call's receiver
-// path. Static ids are namespace-free. Returns "" when the id cannot be
-// expressed in the caller ("mu" rooted at a callee parameter, or a call
-// with no receiver path).
-func Translate(calleeID, recvPath string) string {
-	if strings.HasPrefix(calleeID, "static ") {
-		return calleeID
-	}
-	calleeID = NormalizePath(calleeID)
-	recvPath = NormalizePath(recvPath)
-	if recvPath == "" {
-		return ""
-	}
-	if calleeID == "self" {
-		return recvPath
-	}
-	if strings.HasPrefix(calleeID, "self.") {
-		return recvPath + calleeID[len("self"):]
-	}
-	return ""
-}
-
-// TranslateRoot generalizes Translate to arbitrary parameter roots: a
-// callee-namespace path rooted at the i-th parameter name is rewritten
-// onto the caller's i-th argument path. Static-rooted ids pass through
-// unchanged (they name the same item in every namespace). Paths rooted at
-// a callee local that is not a parameter — or at a parameter whose
-// argument has no caller-side path — do not survive translation and
-// return "".
+// TranslateRoot maps a callee-namespace path (a lock or place such as
+// "self.client") into the caller's namespace: a path rooted at the i-th
+// parameter name is rewritten onto the caller's i-th argument path, with
+// derefs normalized on both sides (NormalizePath). Static-rooted ids pass
+// through unchanged (they name the same item in every namespace). Paths
+// rooted at a callee local that is not a parameter — or at a parameter
+// whose argument has no caller-side path — do not survive translation
+// and return "".
 func TranslateRoot(calleeID string, params, argPaths []string) string {
 	if strings.HasPrefix(calleeID, "static ") {
 		return calleeID

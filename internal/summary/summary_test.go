@@ -190,6 +190,9 @@ func TestComputeDeterministic(t *testing.T) {
 	}
 }
 
+// TestTranslate: the receiver-only translation of a method call
+// (params ["self"], argument paths [receiver]) the acquisition summary
+// uses.
 func TestTranslate(t *testing.T) {
 	cases := []struct {
 		calleeID, recvPath, want string
@@ -208,8 +211,8 @@ func TestTranslate(t *testing.T) {
 		{"(*self)", "conn", "conn"},
 	}
 	for _, c := range cases {
-		if got := Translate(c.calleeID, c.recvPath); got != c.want {
-			t.Errorf("Translate(%q, %q) = %q, want %q", c.calleeID, c.recvPath, got, c.want)
+		if got := TranslateRoot(c.calleeID, []string{"self"}, []string{c.recvPath}); got != c.want {
+			t.Errorf("TranslateRoot(%q, [self], [%q]) = %q, want %q", c.calleeID, c.recvPath, got, c.want)
 		}
 	}
 }
