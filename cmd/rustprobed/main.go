@@ -113,7 +113,6 @@ func main() {
 		pool = sessionpool.New(eng, sessionpool.Config{
 			MaxSessions: *sessions,
 			IdleTTL:     *sessionTTL,
-			Store:       st,
 			Precise:     *precise,
 		})
 	}

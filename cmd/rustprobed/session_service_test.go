@@ -66,7 +66,7 @@ func sessionBaseTree() map[string]string {
 func newSessionServer(t *testing.T, st *store.Store) (*httptest.Server, *sessionpool.Pool) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2, Store: st})
-	pool := sessionpool.New(eng, sessionpool.Config{Store: st})
+	pool := sessionpool.New(eng, sessionpool.Config{})
 	srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 	t.Cleanup(func() {
 		srv.Close()
@@ -311,6 +311,32 @@ func TestSessionStatsAndMetrics(t *testing.T) {
 	}
 	if v := scrapeMetric(t, srv.URL, "rustprobed_session_findings_replayed_total"); v == 0 {
 		t.Error("rustprobed_session_findings_replayed_total = 0 after an incremental round")
+	}
+
+	// Store-backed daemon: every round's snapshot is written behind the
+	// push, so the save counters settle shortly after the pushes return.
+	dir := t.TempDir()
+	stored, err := store.Open(dir, engine.StoreVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssrv, _ := newSessionServer(t, stored)
+	pushOK(t, ssrv.URL, "m", sessionPushRequest{Files: sessionBaseTree()})
+	pushOK(t, ssrv.URL, "m", sessionPushRequest{Changed: map[string]string{"util.rs": edited}})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		saves := scrapeMetric(t, ssrv.URL, "rustprobed_session_state_saves_total")
+		coalesced := scrapeMetric(t, ssrv.URL, "rustprobed_session_state_saves_coalesced_total")
+		if saves+coalesced == 2 && saves >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session snapshot outcomes never settled: %v saved, %v coalesced, want 2 in total", saves, coalesced)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if v := scrapeMetric(t, ssrv.URL, "rustprobed_session_state_save_errors_total"); v != 0 {
+		t.Errorf("rustprobed_session_state_save_errors_total = %v, want 0", v)
 	}
 
 	// Pool-less daemon: no session route, no session series.
@@ -613,7 +639,7 @@ func TestSessionRestartPersistence(t *testing.T) {
 	epoch := func(dir string) (*httptest.Server, func()) {
 		st := openStore(dir)
 		eng := engine.New(engine.Config{Workers: 2, Store: st})
-		pool := sessionpool.New(eng, sessionpool.Config{Store: st})
+		pool := sessionpool.New(eng, sessionpool.Config{})
 		srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 		return srv, func() {
 			srv.Close()
@@ -710,7 +736,7 @@ func TestSessionRestartPersistence(t *testing.T) {
 		}
 
 		eng := engine.New(engine.Config{Workers: 2, Store: st})
-		pool := sessionpool.New(eng, sessionpool.Config{Store: st})
+		pool := sessionpool.New(eng, sessionpool.Config{})
 		srv := httptest.NewServer(newServer(eng, serverOptions{timeout: 30 * time.Second, pool: pool}))
 		defer func() { srv.Close(); pool.Close(); eng.Close() }()
 

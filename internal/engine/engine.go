@@ -157,8 +157,13 @@ type Engine struct {
 	jobs    chan *job
 	cache   *lru[*Response] // nil when disabled
 	ctr     counters
-	puts    chan storePending // write-behind queue; nil without a store
-	storeWG sync.WaitGroup    // the store writers and overflow puts
+	puts    chan string    // keys with a queued write-behind put; nil without a store
+	storeWG sync.WaitGroup // the store writers and overflow puts
+
+	putMu      sync.Mutex            // guards queued, writing, putsClosed and sends on puts
+	queued     map[string]storeWrite // per key, the latest write not yet started
+	writing    map[string]bool       // keys a writer is putting now
+	putsClosed bool
 
 	flightMu sync.Mutex // guards flights
 	flights  map[string]*flight
@@ -195,13 +200,15 @@ func New(cfg Config) *Engine {
 		e.cache = newLRU(cacheCap, (*Response).clone)
 	}
 	if cfg.Store != nil {
-		e.puts = make(chan storePending, storeQueue)
+		e.puts = make(chan string, storeQueue)
+		e.queued = make(map[string]storeWrite)
+		e.writing = make(map[string]bool)
 		for i := 0; i < storeWriters; i++ {
 			e.storeWG.Add(1)
 			go func() {
 				defer e.storeWG.Done()
-				for p := range e.puts {
-					e.persist(p.key, p.resp)
+				for key := range e.puts {
+					e.drain(key)
 				}
 			}()
 		}
@@ -234,10 +241,13 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	e.wg.Wait()
 	// Flush write-behind puts so a restart (or a replica) sees every
-	// result this engine completed. Only workers queue puts, so none
-	// arrives after this close.
+	// result and session snapshot this engine completed. Later puts are
+	// refused (storePut checks putsClosed under the same lock).
 	if e.puts != nil {
+		e.putMu.Lock()
+		e.putsClosed = true
 		close(e.puts)
+		e.putMu.Unlock()
 	}
 	e.storeWG.Wait()
 }
@@ -447,7 +457,7 @@ func (e *Engine) analyze(ctx context.Context, req Request, key string) (*Respons
 	if e.cache != nil {
 		e.cache.put(key, resp)
 	}
-	e.storePut(key, resp)
+	e.storePut(key, storeWrite{encode: func() ([]byte, error) { return json.Marshal(resp) }})
 	e.ctr.completed.Add(1)
 	e.ctr.analyzeNs.Add(int64(time.Since(start)))
 	return resp, nil
@@ -485,38 +495,96 @@ const (
 	storeQueue   = 1024
 )
 
-// storePending is one queued write-behind put.
-type storePending struct {
-	key  string
-	resp *Response
+// storeWrite is one queued write-behind put. encode runs on a writer,
+// so the job that queued it does not pay for serialization; done, when
+// set, learns the outcome exactly once: nil once the payload is stored,
+// ErrSuperseded if a newer write to the same key replaced this one
+// before it started, or the encode or store error.
+type storeWrite struct {
+	encode func() ([]byte, error)
+	done   func(error)
 }
 
-// storePut persists a completed response write-behind: the waiter's
-// reply never blocks on disk, and Close drains the pending writes. A
-// full queue hands the put to a goroutine of its own.
-func (e *Engine) storePut(key string, resp *Response) {
+// ErrSuperseded is a write-behind put's outcome when a newer write to
+// the same key replaced it while it was still queued.
+var ErrSuperseded = errors.New("engine: superseded by a newer write to the same key")
+
+// storePut queues w write-behind under key: the job's reply never
+// blocks on disk, and Close drains the pending writes. Writes are
+// latest-wins per key: w replaces a write to key that is still queued,
+// and at most one write per key is in flight, so the last write of a
+// key is always its newest. A key whose write is in flight is picked
+// up again by that writer; a full queue hands the key to a goroutine of
+// its own. After Close the write is dropped with ErrClosed.
+func (e *Engine) storePut(key string, w storeWrite) {
 	if e.puts == nil {
 		return
 	}
-	select {
-	case e.puts <- storePending{key, resp}:
-	default:
-		e.storeWG.Add(1)
-		go func() {
-			defer e.storeWG.Done()
-			e.persist(key, resp)
-		}()
+	e.putMu.Lock()
+	if e.putsClosed {
+		e.putMu.Unlock()
+		if w.done != nil {
+			w.done(ErrClosed)
+		}
+		return
+	}
+	prev, pending := e.queued[key]
+	e.queued[key] = w
+	if !pending && !e.writing[key] {
+		select {
+		case e.puts <- key:
+		default:
+			e.storeWG.Add(1)
+			go func() {
+				defer e.storeWG.Done()
+				e.drain(key)
+			}()
+		}
+	}
+	e.putMu.Unlock()
+	if pending && prev.done != nil {
+		prev.done(ErrSuperseded)
 	}
 }
 
-// persist writes one response to the store.
-func (e *Engine) persist(key string, resp *Response) {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return
+// drain writes key's queued writes until none is left, so one writer
+// owns a key from its first queued write to its last.
+func (e *Engine) drain(key string) {
+	for {
+		e.putMu.Lock()
+		w, ok := e.queued[key]
+		if !ok {
+			delete(e.writing, key)
+			e.putMu.Unlock()
+			return
+		}
+		delete(e.queued, key)
+		e.writing[key] = true
+		e.putMu.Unlock()
+
+		payload, err := w.encode()
+		if err == nil {
+			err = e.cfg.Store.Put(key, payload) // failures are also counted by the store
+		}
+		if w.done != nil {
+			w.done(err)
+		}
 	}
-	e.cfg.Store.Put(key, payload) // put failures are counted by the store
 }
+
+// PersistState queues a session snapshot for the write-behind writers
+// under key: incrstate.Encode and the store put run on a writer, with
+// storePut's latest-wins rule, and Close flushes it. st must not change
+// after the call. done, when set, receives the outcome as described on
+// storeWrite, or ErrClosed after Close. Without a store PersistState
+// does nothing and never calls done.
+func (e *Engine) PersistState(key string, st *incrstate.State, done func(error)) {
+	e.storePut(key, storeWrite{encode: func() ([]byte, error) { return incrstate.Encode(st) }, done: done})
+}
+
+// Store returns the persistent tier the engine reads through and writes
+// behind, or nil without one.
+func (e *Engine) Store() *store.Store { return e.cfg.Store }
 
 // analyzeFrontend runs the request's frontend. Unparseable sources come
 // back as *rustprobe.SyntaxError; servers map it to 422.

@@ -95,9 +95,6 @@ func Decode(data []byte, version string) *State {
 }
 
 // Encode serializes the state compactly for a persistent-store payload.
-// Compact matters: the store embeds payloads as json.RawMessage and
-// re-marshaling compacts them, so an indented payload would come back
-// byte-different and fail the store's checksum.
 func Encode(st *State) ([]byte, error) {
 	return json.Marshal(st)
 }
@@ -137,15 +134,11 @@ func Save(path string, st *State) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ContentHashes digests each source, keyed by file name — the per-file
-// change test State.Files records.
-func ContentHashes(files map[string]string) map[string]string {
-	out := make(map[string]string, len(files))
-	for name, src := range files {
-		sum := sha256.Sum256([]byte(src))
-		out[name] = hex.EncodeToString(sum[:])
-	}
-	return out
+// ContentHash digests one source — the per-file change test
+// State.Files records.
+func ContentHash(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:])
 }
 
 // UnchangedFrom reports whether files hash exactly to the state's
@@ -156,8 +149,7 @@ func (st *State) UnchangedFrom(files map[string]string) bool {
 		return false
 	}
 	for name, src := range files {
-		sum := sha256.Sum256([]byte(src))
-		if st.Files[name] != hex.EncodeToString(sum[:]) {
+		if st.Files[name] != ContentHash(src) {
 			return false
 		}
 	}

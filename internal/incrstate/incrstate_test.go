@@ -12,7 +12,7 @@ import (
 func sampleState() *State {
 	return &State{
 		Version:    "v1:test",
-		Files:      ContentHashes(map[string]string{"a.rs": "fn main() {}"}),
+		Files:      map[string]string{"a.rs": ContentHash("fn main() {}")},
 		Interfaces: map[string]string{"a.rs": "ih"},
 		FnBodies:   map[string]string{"main": "bh"},
 		FnPos:      map[string]string{"main": "a.rs:0:1:1"},
@@ -111,7 +111,10 @@ func TestEncodeDecode(t *testing.T) {
 
 func TestUnchangedFrom(t *testing.T) {
 	files := map[string]string{"a.rs": "fn main() {}", "b.rs": "fn f() {}"}
-	st := &State{Files: ContentHashes(files)}
+	st := &State{Files: map[string]string{}}
+	for name, src := range files {
+		st.Files[name] = ContentHash(src)
+	}
 	if !st.UnchangedFrom(files) {
 		t.Fatal("identical tree reported as changed")
 	}

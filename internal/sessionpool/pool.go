@@ -18,12 +18,19 @@
 //
 // Lifecycle: entries are created on first push, touched on every push,
 // and evicted LRU once the pool exceeds MaxSessions or idle past
-// IdleTTL — but never while a push holds a reference. With a backing
-// store, every successful round synchronously persists the session's
+// IdleTTL — but never while a push holds a reference. When the engine
+// has a persistent store, every successful round hands the session's
 // exported state (the shared incrstate codec, same format as the CLI's
-// .rustprobe-state.json), so an evicted or restarted session's next
-// push restores hashes + findings from disk and still runs only the
-// dirty closure; a corrupt, stale, or version-bumped snapshot only
+// .rustprobe-state.json) to the engine's write-behind writers: the push
+// returns without waiting for the encode or the disk, a newer snapshot
+// of the same repo replaces one still queued (latest wins), and
+// Pool.Close followed by Engine.Close flushes what is pending. An
+// evicted or restarted session's next push restores hashes + findings
+// from disk and still runs only the dirty closure. A snapshot older
+// than the last round (lost to a crash before the flush) costs work,
+// not correctness: the restore treats every function whose body or
+// position differs from the snapshot as dirty, and any structural drift
+// means a full round. A corrupt, stale, or version-bumped snapshot only
 // costs that one push a full round.
 package sessionpool
 
@@ -39,7 +46,6 @@ import (
 	"rustprobe"
 	"rustprobe/internal/engine"
 	"rustprobe/internal/incrstate"
-	"rustprobe/internal/store"
 )
 
 // ErrNoSession is returned for a diff push to a repo the pool holds no
@@ -63,10 +69,6 @@ type Config struct {
 	// IdleTTL evicts sessions idle longer than this. 0 disables TTL
 	// eviction.
 	IdleTTL time.Duration
-
-	// Store, when non-nil, persists each session's exported state after
-	// every successful round and seeds new entries from it.
-	Store *store.Store
 
 	// Precise selects path-sensitive sessions (rustprobe.NewPreciseSession).
 	Precise bool
@@ -96,6 +98,14 @@ type Stats struct {
 	RootsDetected     uint64 `json:"roots_detected"`
 	FindingsReplayed  uint64 `json:"findings_replayed"`
 	StateSaveErrors   uint64 `json:"state_save_errors"`
+
+	// StateSaves counts session snapshots written to the store;
+	// StateSavesCoalesced counts snapshots a newer round of the same
+	// repo replaced before they were written. Every round queues one
+	// snapshot, which ends in exactly one of these two counters or in
+	// StateSaveErrors.
+	StateSaves          uint64 `json:"state_saves"`
+	StateSavesCoalesced uint64 `json:"state_saves_coalesced"`
 
 	// GlobalFactsReused sums, over all rounds, the per-function fact
 	// extractions the global detectors skipped by reusing carried
@@ -147,19 +157,21 @@ type Pool struct {
 	entries map[string]*entry
 	closed  bool
 
-	pushes             atomic.Uint64
-	hits               atomic.Uint64
-	misses             atomic.Uint64
-	restores           atomic.Uint64
-	evictionsLRU       atomic.Uint64
-	evictionsTTL       atomic.Uint64
-	fullRounds         atomic.Uint64
-	incrementalRounds  atomic.Uint64
-	rootsDetected      atomic.Uint64
-	findingsReplayed   atomic.Uint64
-	stateSaveErrors    atomic.Uint64
-	globalFactsReused  atomic.Uint64
-	graphPatchedRounds atomic.Uint64
+	pushes              atomic.Uint64
+	hits                atomic.Uint64
+	misses              atomic.Uint64
+	restores            atomic.Uint64
+	evictionsLRU        atomic.Uint64
+	evictionsTTL        atomic.Uint64
+	fullRounds          atomic.Uint64
+	incrementalRounds   atomic.Uint64
+	rootsDetected       atomic.Uint64
+	findingsReplayed    atomic.Uint64
+	stateSaveErrors     atomic.Uint64
+	stateSaves          atomic.Uint64
+	stateSavesCoalesced atomic.Uint64
+	globalFactsReused   atomic.Uint64
+	graphPatchedRounds  atomic.Uint64
 }
 
 // New builds a pool from cfg whose rounds run on eng's workers.
@@ -303,8 +315,8 @@ func (p *Pool) analyze(ctx context.Context, e *entry, mkFiles func(*entry) (map[
 	// stale version) and Restore refusals just mean a full round.
 	if !e.restoreTried {
 		e.restoreTried = true
-		if p.cfg.Store != nil {
-			if payload, ok := p.cfg.Store.Get(SessionKey(e.repo)); ok {
+		if store := p.eng.Store(); store != nil {
+			if payload, ok := store.Get(SessionKey(e.repo)); ok {
 				if st := incrstate.Decode(payload, rustprobe.StateVersion()); st != nil {
 					if err := e.sess.Restore(st); err == nil {
 						p.restores.Add(1)
@@ -336,22 +348,29 @@ func (p *Pool) analyze(ctx context.Context, e *entry, mkFiles func(*entry) (map[
 		p.graphPatchedRounds.Add(1)
 	}
 
-	// Persist synchronously: once the push returns, a restart can
-	// restore this round. An unsaveable state only degrades the next
-	// epoch's first push to a full round, so it is counted, not fatal.
-	if p.cfg.Store != nil {
+	// Persist write-behind. This runs inside the round's engine job, so
+	// the snapshot is queued before Engine.Close stops the writers. An
+	// unsaveable state only degrades the next epoch's first push to a
+	// full round, so it is counted, not fatal.
+	if p.eng.Store() != nil {
 		if st := e.sess.ExportState(); st != nil {
-			if payload, err := incrstate.Encode(st); err == nil {
-				if err := p.cfg.Store.Put(SessionKey(e.repo), payload); err != nil {
-					p.stateSaveErrors.Add(1)
-				}
-			} else {
-				p.stateSaveErrors.Add(1)
-			}
+			p.eng.PersistState(SessionKey(e.repo), st, p.saved)
 		}
 	}
 
-	return &Result{Findings: rustprobe.ResolveFindings(up.Result.Fset, up.Findings), Stats: PushStats{UpdateStats: up.Stats}}, nil
+	return &Result{Findings: up.Resolved, Stats: PushStats{UpdateStats: up.Stats}}, nil
+}
+
+// saved counts one snapshot's write-behind outcome.
+func (p *Pool) saved(err error) {
+	switch {
+	case err == nil:
+		p.stateSaves.Add(1)
+	case errors.Is(err, engine.ErrSuperseded):
+		p.stateSavesCoalesced.Add(1)
+	default:
+		p.stateSaveErrors.Add(1)
+	}
 }
 
 // evictLocked enforces TTL then the LRU cap. Callers hold p.mu. Entries
@@ -398,26 +417,30 @@ func (p *Pool) Stats() Stats {
 	live := len(p.entries)
 	p.mu.Unlock()
 	return Stats{
-		Live:               live,
-		Pushes:             p.pushes.Load(),
-		Hits:               p.hits.Load(),
-		Misses:             p.misses.Load(),
-		Restores:           p.restores.Load(),
-		EvictionsLRU:       p.evictionsLRU.Load(),
-		EvictionsTTL:       p.evictionsTTL.Load(),
-		FullRounds:         p.fullRounds.Load(),
-		IncrementalRounds:  p.incrementalRounds.Load(),
-		RootsDetected:      p.rootsDetected.Load(),
-		FindingsReplayed:   p.findingsReplayed.Load(),
-		StateSaveErrors:    p.stateSaveErrors.Load(),
-		GlobalFactsReused:  p.globalFactsReused.Load(),
-		GraphPatchedRounds: p.graphPatchedRounds.Load(),
+		Live:                live,
+		Pushes:              p.pushes.Load(),
+		Hits:                p.hits.Load(),
+		Misses:              p.misses.Load(),
+		Restores:            p.restores.Load(),
+		EvictionsLRU:        p.evictionsLRU.Load(),
+		EvictionsTTL:        p.evictionsTTL.Load(),
+		FullRounds:          p.fullRounds.Load(),
+		IncrementalRounds:   p.incrementalRounds.Load(),
+		RootsDetected:       p.rootsDetected.Load(),
+		FindingsReplayed:    p.findingsReplayed.Load(),
+		StateSaveErrors:     p.stateSaveErrors.Load(),
+		StateSaves:          p.stateSaves.Load(),
+		StateSavesCoalesced: p.stateSavesCoalesced.Load(),
+		GlobalFactsReused:   p.globalFactsReused.Load(),
+		GraphPatchedRounds:  p.graphPatchedRounds.Load(),
 	}
 }
 
 // Close rejects further pushes and drops the entry table. In-flight
-// rounds finish normally (their entries are simply no longer reachable);
-// persisted state was already written per round, so nothing is flushed.
+// rounds finish normally (their entries are simply no longer reachable)
+// and queue their snapshots like any other round. Close does not wait
+// for the store: snapshots are written by the engine's write-behind
+// writers, and Engine.Close, called after Close, flushes them.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

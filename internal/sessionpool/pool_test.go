@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,7 +42,15 @@ impl Shared {
 // the test ends.
 func testEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	eng := engine.New(engine.Config{Workers: 4})
+	return storeEngine(t, nil)
+}
+
+// storeEngine is testEngine over a persistent store: the pool restores
+// from it and persists through the engine's write-behind writers, which
+// Engine.Close flushes (Close is idempotent, so tests may close early).
+func storeEngine(t *testing.T, st *store.Store) *engine.Engine {
+	t.Helper()
+	eng := engine.New(engine.Config{Workers: 4, Store: st})
 	t.Cleanup(eng.Close)
 	return eng
 }
@@ -202,15 +211,17 @@ func TestPoolStoreRestore(t *testing.T) {
 	ctx := context.Background()
 	files := baseTree()
 
-	p1 := New(testEngine(t), Config{Store: open()})
+	eng1 := storeEngine(t, open())
+	p1 := New(eng1, Config{})
 	if _, err := p1.Push(ctx, "repo", files); err != nil {
 		t.Fatal(err)
 	}
 	p1.Close()
+	eng1.Close()
 
 	// New pool, same store: the first push restores and a body-only edit
 	// runs incrementally.
-	p2 := New(testEngine(t), Config{Store: open()})
+	p2 := New(storeEngine(t, open()), Config{})
 	edited := baseTree()
 	edited["util.rs"] = strings.Replace(uafSrc, "x + 1", "x + 9", 1)
 	res, err := p2.Push(ctx, "repo", edited)
@@ -229,9 +240,72 @@ func TestPoolStoreRestore(t *testing.T) {
 
 	// A diff push right after restart still fails: the diff base is the
 	// in-memory tree, which did not survive.
-	p3 := New(testEngine(t), Config{Store: open()})
+	p3 := New(storeEngine(t, open()), Config{})
 	if _, err := p3.PushDiff(ctx, "repo", map[string]string{"util.rs": uafSrc}, nil); err != ErrNoSession {
 		t.Fatalf("post-restart diff err = %v, want ErrNoSession", err)
+	}
+}
+
+// TestPoolFlushesLatestSnapshot: snapshots persist write-behind. After
+// K rounds of one repo, closing the pool and then the engine leaves the
+// final round's snapshot on disk, byte-identical to what a session with
+// the same history exports; every round's snapshot was either written
+// or coalesced into a later one; and a new epoch on the same store
+// restores it, so its first push runs no full round.
+func TestPoolFlushesLatestSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *store.Store {
+		s, err := store.Open(dir, "test-v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	tree := func(i int) map[string]string {
+		files := baseTree()
+		files["util.rs"] = strings.Replace(uafSrc, "x + 1", fmt.Sprintf("x + %d", i), 1)
+		return files
+	}
+
+	const rounds = 12
+	eng1 := storeEngine(t, open())
+	p1 := New(eng1, Config{})
+	ref := rustprobe.NewSession()
+	for i := 1; i <= rounds; i++ {
+		if _, err := p1.Push(ctx, "repo", tree(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Analyze(tree(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p1.Close()
+	eng1.Close()
+	st := p1.Stats()
+	if st.StateSaves+st.StateSavesCoalesced != rounds || st.StateSaveErrors != 0 || st.StateSaves == 0 {
+		t.Fatalf("snapshot outcomes after %d rounds: %+v", rounds, st)
+	}
+
+	want, err := incrstate.Encode(ref.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := open()
+	if got, ok := s2.Get(SessionKey("repo")); !ok || string(got) != string(want) {
+		t.Fatalf("stored snapshot is not the final round's (ok=%v)\n got: %s\nwant: %s", ok, got, want)
+	}
+
+	p2 := New(storeEngine(t, s2), Config{})
+	res, err := p2.Push(ctx, "repo", tree(rounds+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Full || !res.Stats.Restored || res.Stats.ChangedFns != 1 {
+		t.Fatalf("first push of the new epoch: %+v", res.Stats)
+	}
+	if st := p2.Stats(); st.FullRounds != 0 || st.Restores != 1 {
+		t.Fatalf("new epoch stats: %+v", st)
 	}
 }
 
@@ -245,10 +319,13 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1 := New(testEngine(t), Config{Store: s1})
+		eng1 := storeEngine(t, s1)
+		p1 := New(eng1, Config{})
 		if _, err := p1.Push(ctx, "repo", files); err != nil {
 			t.Fatal(err)
 		}
+		p1.Close()
+		eng1.Close()
 		// Smash the persisted snapshot's bytes on disk. The store's
 		// checksum catches it, quarantines the entry, and the next epoch's
 		// push runs a clean full round.
@@ -267,7 +344,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2 := New(testEngine(t), Config{Store: s2})
+		p2 := New(storeEngine(t, s2), Config{})
 		res, err := p2.Push(ctx, "repo", files)
 		if err != nil {
 			t.Fatalf("push over corrupt state failed: %v", err)
@@ -302,7 +379,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		if err := s1.Put(SessionKey("repo"), payload); err != nil {
 			t.Fatal(err)
 		}
-		p := New(testEngine(t), Config{Store: s1})
+		p := New(storeEngine(t, s1), Config{})
 		res, err := p.Push(ctx, "repo", files)
 		if err != nil {
 			t.Fatalf("push over stale state failed: %v", err)

@@ -45,6 +45,9 @@ type Stats struct {
 type Store struct {
 	dir     string
 	version string
+	// versionJSON is version as a JSON string, quoted once at Open for
+	// every envelope Put writes.
+	versionJSON []byte
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -85,7 +88,11 @@ func Open(dir, version string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, version: version}
+	vj, err := json.Marshal(version)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s := &Store{dir: dir, version: version, versionJSON: vj}
 	// Sweep temp files abandoned by a crashed writer and count entries.
 	shards, err := os.ReadDir(dir)
 	if err != nil {
@@ -207,6 +214,11 @@ func (s *Store) quarantine(key, path, reason string) {
 // Put writes payload under key: temp file in the entry's shard
 // directory, then an atomic rename into place. Losing a rename race to
 // a concurrent writer of the same key is fine — same key, same content.
+//
+// payload must be one JSON value without surrounding whitespace; it is
+// written verbatim, so Get returns it byte-identical whether it is
+// compact or indented. Bytes that are not such a value fail Get's
+// decode or checksum and are quarantined, never served.
 func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		s.putErrors.Add(1)
@@ -216,17 +228,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: empty payload for key %s", key)
 	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(entry{
-		Version: s.version,
-		Key:     key,
-		Sum:     hex.EncodeToString(sum[:]),
-		Payload: json.RawMessage(payload),
-	})
-	if err != nil {
-		s.putErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
+	head := s.envelopeHead(key, payload)
 	p := s.path(key)
 	dir := filepath.Dir(p)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -241,11 +243,13 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.putErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
+	for _, part := range [][]byte{head, payload, envelopeTail} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			s.putErrors.Add(1)
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
@@ -262,6 +266,27 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.entries.Add(1)
 	}
 	return nil
+}
+
+// The on-disk entry for a payload is envelopeHead, the payload bytes
+// verbatim, and envelopeTail. It is written by hand, not re-compacted by
+// json.Marshal and not copied into one buffer; for a compact payload
+// the bytes equal json.Marshal(entry{...}) exactly, so the file format
+// is unchanged.
+var envelopeTail = []byte("}")
+
+// envelopeHead renders the entry up to the payload. key needs no
+// escaping (validKey) and the sum is hex.
+func (s *Store) envelopeHead(key string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	head := make([]byte, 0, len(s.versionJSON)+len(key)+2*len(sum)+40)
+	head = append(head, `{"version":`...)
+	head = append(head, s.versionJSON...)
+	head = append(head, `,"key":"`...)
+	head = append(head, key...)
+	head = append(head, `","sum":"`...)
+	head = hex.AppendEncode(head, sum[:])
+	return append(head, `","payload":`...)
 }
 
 // Len reports the entry count (as tracked by this handle: counted at

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -296,5 +298,62 @@ func TestConcurrentMultiHandleAccess(t *testing.T) {
 	wg.Wait()
 	if got := a.Stats().Quarantined + b.Stats().Quarantined; got != 0 {
 		t.Fatalf("concurrent same-version writes caused %d quarantines", got)
+	}
+}
+
+// TestIndentedPayloadRoundTrips: Put writes the payload verbatim, so an
+// indented payload comes back byte-identical and passes the checksum.
+func TestIndentedPayloadRoundTrips(t *testing.T) {
+	s, err := Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key("indented")
+	payload, err := json.MarshalIndent(map[string]any{"findings": []int{1, 2}, "note": "a <b> & c"}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(k)
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("got %q ok=%v, want the indented payload back", got, ok)
+	}
+	if st := s.Stats(); st.Quarantined != 0 {
+		t.Fatalf("indented payload quarantined: %+v", st)
+	}
+}
+
+// TestCompactEnvelopeMatchesMarshal: for the compact payloads every
+// caller produces, the hand-built envelope is byte-identical to the
+// json.Marshal of the entry struct that earlier versions wrote, so
+// existing stores stay readable without a version bump.
+func TestCompactEnvelopeMatchesMarshal(t *testing.T) {
+	dir := t.TempDir()
+	const version = `rustprobe-11-"quoted"<v>`
+	s, err := Open(dir, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key("compact")
+	payload, err := json.Marshal(map[string]any{"kind": "use-after-free", "message": "x <-> y & z ", "line": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(s.path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	want, err := json.Marshal(entry{Version: version, Key: k, Sum: hex.EncodeToString(sum[:]), Payload: json.RawMessage(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("envelope diverged from json.Marshal\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -147,20 +147,22 @@ func AnalyzeSource(filename, src string) (*Result, error) {
 // inspection.
 //
 // Internally the pipeline is split into a per-file frontend phase
-// (parseArtifact: lex + parse + hashing) and a cross-file link phase
-// (link: resolve + lower); incremental sessions reuse frontend artifacts
-// for unchanged files and re-run only the link work that a change can
+// (parseArtifact: lex + parse) and a cross-file link phase (link:
+// resolve + lower); incremental sessions reuse frontend artifacts for
+// unchanged files and re-run only the link work that a change can
 // affect.
 func AnalyzeFiles(files map[string]string) (*Result, error) {
 	fset := source.NewFileSet()
 	diags := source.NewDiagnostics(fset)
-	res, _, err := analyzeArtifacts(fset, diags, files)
+	res, _, err := analyzeArtifacts(fset, diags, files, false)
 	return res, err
 }
 
 // analyzeArtifacts is the full frontend+link pipeline, also returning the
-// per-file artifacts so Session can seed its reuse state.
-func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map[string]string) (*Result, map[string]*fileArtifact, error) {
+// per-file artifacts so Session can seed its reuse state. hashed also
+// computes every artifact's reuse hashes (hashArtifact, bindFuncs),
+// which only sessions read.
+func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map[string]string, hashed bool) (*Result, map[string]*fileArtifact, error) {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
@@ -170,37 +172,97 @@ func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map
 	ordered := make([]*fileArtifact, 0, len(files))
 	for _, n := range names {
 		a := parseArtifact(fset, diags, n, files[n])
+		if hashed {
+			hashArtifact(a)
+		}
 		arts[n] = a
 		ordered = append(ordered, a)
 	}
 	res, err := link(fset, diags, ordered)
+	if err == nil && hashed {
+		bindFuncs(res.Program, ordered)
+	}
 	return res, arts, err
 }
 
 // fileArtifact is the per-file frontend product: the parsed AST plus the
-// hashes incremental reuse decisions key on. interfaceHash digests the
-// source with every function body blanked out — it is stable across
-// body-only edits — and fnBodyHashes digests each function body in
-// declaration order (the order is itself pinned by interfaceHash, so
-// index i names the same function across versions when the interface is
-// unchanged).
+// hashes incremental reuse decisions key on and a session persists.
+// Each is computed once, when the file is parsed, so a round pays only
+// for the files it re-parses.
+//
+// contentHash digests the source (incrstate.ContentHash).
+// interfaceHash digests the source with every function body blanked
+// out — it is stable across body-only edits — and fnBodyHashes digests
+// each function body in declaration order (the order is itself pinned
+// by interfaceHash, so index i names the same function across versions
+// when the interface is unchanged).
+//
+// fnBodies and fnPos are set by bindFuncs after link: for every function
+// the resolved program registered from this file, keyed by qualified
+// name, its body hash and its declaration-position fingerprint. They
+// are the file's share of incrstate.State's FnBodies and FnPos, and are
+// never written again once set.
 type fileArtifact struct {
 	name          string
 	file          *source.File
 	crate         *ast.Crate
+	fnItems       []*ast.FnItem // declaration order, aligned with fnBodyHashes
+	contentHash   string
 	interfaceHash string
 	fnBodyHashes  []string
-	fnItems       []*ast.FnItem // declaration order, aligned with fnBodyHashes
+	fnBodies      map[string]string
+	fnPos         map[string]string
 }
 
-// parseArtifact runs the per-file frontend: add to the file set, parse,
-// and compute the interface/body hash split.
+// parseArtifact runs the per-file frontend: add to the file set and
+// parse.
 func parseArtifact(fset *source.FileSet, diags *source.Diagnostics, name, src string) *fileArtifact {
 	f := fset.Add(name, src)
 	a := &fileArtifact{name: name, file: f, crate: parser.ParseFile(f, diags)}
 	a.fnItems = collectFnItems(a.crate)
-	a.interfaceHash, a.fnBodyHashes = interfaceAndBodyHashes(f, a.fnItems)
 	return a
+}
+
+// hashArtifact computes a's content hash and its interface/body hash
+// split.
+func hashArtifact(a *fileArtifact) {
+	a.contentHash = incrstate.ContentHash(a.file.Content)
+	a.interfaceHash, a.fnBodyHashes = interfaceAndBodyHashes(a.file, a.fnItems)
+}
+
+// bindFuncs sets fnBodies and fnPos of each of arts from the functions
+// prog registered from its file. Only the registered definition of a
+// qualified name counts, so every name lands in exactly one file.
+//
+// The position fingerprint is the file, byte offset, line and column of
+// the declaration start. Between two rounds with equal interface hashes,
+// a function whose body hash and fingerprint are both unchanged
+// resolves every span inside its body to identical positions — the
+// precondition for replaying its cached findings verbatim. The offset
+// alone would not be enough: a same-length edit above the function can
+// move newlines without moving bytes, shifting its line numbers.
+func bindFuncs(prog *hir.Program, arts []*fileArtifact) {
+	byFile := make(map[*source.File]*fileArtifact, len(arts))
+	for _, a := range arts {
+		byFile[a.file] = a
+		a.fnBodies = map[string]string{}
+		a.fnPos = map[string]string{}
+	}
+	for q, fd := range prog.Funcs {
+		if fd.Syntax == nil {
+			continue
+		}
+		start := fd.Syntax.Span().Start
+		a := byFile[prog.Fset.FileFor(start)]
+		if a == nil {
+			continue // registered from a file this round did not parse
+		}
+		pos := a.file.Position(start - a.file.Base)
+		a.fnPos[q] = fmt.Sprintf("%s:%d:%d:%d", pos.File, pos.Offset, pos.Line, pos.Column)
+		if fd.Syntax.Body != nil {
+			a.fnBodies[q] = hashBytes([]byte(prog.Fset.SpanText(fd.Syntax.Body.Span())))
+		}
+	}
 }
 
 // interfaceAndBodyHashes digests a file's interface (the source with
@@ -239,61 +301,6 @@ func interfaceAndBodyHashes(f *source.File, fnItems []*ast.FnItem) (string, []st
 	}
 	iface = append(iface, f.Content[prev:]...)
 	return hashBytes(iface), bodyHashes
-}
-
-// FileInterfaceHashes digests each analyzed file's interface — the
-// source with every function body excised — keyed by file name. Two
-// rounds with equal interface hashes differ at most in function bodies,
-// the precondition for incremental re-analysis.
-func (r *Result) FileInterfaceHashes() map[string]string {
-	byName := map[string]*source.File{}
-	for _, f := range r.Fset.Files() {
-		byName[f.Name] = f
-	}
-	out := make(map[string]string, len(r.Program.Crates))
-	for _, crate := range r.Program.Crates {
-		f := byName[crate.FileName]
-		if f == nil {
-			continue
-		}
-		h, _ := interfaceAndBodyHashes(f, collectFnItems(crate))
-		out[crate.FileName] = h
-	}
-	return out
-}
-
-// FuncBodyHashes digests every function's body text, keyed by qualified
-// name. A function whose hash is unchanged between two rounds (with
-// equal interface hashes) lowers to identical MIR.
-func (r *Result) FuncBodyHashes() map[string]string {
-	out := make(map[string]string, len(r.Program.Funcs))
-	for q, fd := range r.Program.Funcs {
-		if fd.Syntax == nil || fd.Syntax.Body == nil {
-			continue
-		}
-		out[q] = hashBytes([]byte(r.Fset.SpanText(fd.Syntax.Body.Span())))
-	}
-	return out
-}
-
-// FuncDeclPositions fingerprints where each function sits in its file:
-// file, byte offset, line and column of the declaration start, keyed by
-// qualified name. Between two rounds with equal interface hashes, a
-// function whose body hash and position fingerprint are both unchanged
-// resolves every span inside its body to identical positions — the
-// precondition for replaying its cached findings verbatim. The offset
-// alone would not be enough: a same-length edit above the function can
-// move newlines without moving bytes, shifting its line numbers.
-func (r *Result) FuncDeclPositions() map[string]string {
-	out := make(map[string]string, len(r.Program.Funcs))
-	for q, fd := range r.Program.Funcs {
-		if fd.Syntax == nil {
-			continue
-		}
-		pos := r.Fset.Position(fd.Syntax.Span().Start)
-		out[q] = fmt.Sprintf("%s:%d:%d:%d", pos.File, pos.Offset, pos.Line, pos.Column)
-	}
-	return out
 }
 
 // collectFnItems gathers every function item (top-level, impl methods,

@@ -64,6 +64,12 @@ type Session struct {
 	local   map[string][]Finding
 	last    *Update
 
+	// localRes is local resolved to file:line:col, per root. A round
+	// builds a new map, re-resolving only the roots it recomputed, and
+	// never writes a map or slice it has installed: ExportState hands
+	// them to a State that outlives the round.
+	localRes map[string][]incrstate.Finding
+
 	// carries holds each incremental global detector's opaque fact
 	// cache (per-function extractions plus summary fixpoints), keyed by
 	// detector name. Seeded by every full round, threaded through
@@ -86,7 +92,13 @@ type Session struct {
 type Update struct {
 	Result   *Result
 	Findings []Finding
-	Stats    UpdateStats
+
+	// Resolved is Findings resolved to file:line:col, in the same order
+	// (what ResolveFindings returns for them). The round resolves its
+	// findings once to sort them and keeps the result here.
+	Resolved []incrstate.Finding
+
+	Stats UpdateStats
 }
 
 // UpdateStats quantifies one incremental round.
@@ -213,7 +225,7 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	}
 	if len(changed) == 0 {
 		// Nothing to do: replay the last round's view.
-		up := &Update{Result: s.last.Result, Findings: s.last.Findings}
+		up := &Update{Result: s.last.Result, Findings: s.last.Findings, Resolved: s.last.Resolved}
 		up.Stats = UpdateStats{
 			Files:          len(files),
 			BodiesReused:   len(s.res.Bodies),
@@ -237,8 +249,12 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	// AnalyzeCtx rolls the new registrations back if the round fails.
 	diags := source.NewDiagnostics(s.fset)
 	newArts := make(map[string]*fileArtifact, len(changed))
+	fresh := make([]*fileArtifact, 0, len(changed))
 	for _, name := range changed {
-		newArts[name] = parseArtifact(s.fset, diags, name, files[name])
+		a := parseArtifact(s.fset, diags, name, files[name])
+		hashArtifact(a)
+		newArts[name] = a
+		fresh = append(fresh, a)
 	}
 	if diags.HasErrors() {
 		return nil, &SyntaxError{Diags: diags.String()}
@@ -274,6 +290,9 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	if diags.HasErrors() {
 		return nil, &SyntaxError{Diags: diags.String()}
 	}
+	// Equal interfaces register the same qualified names from the same
+	// files, so the reused artifacts' function hashes stay valid.
+	bindFuncs(prog, fresh)
 
 	// Diff function bodies at matching declaration indexes (the index
 	// correspondence is pinned by the unchanged interface hash), then map
@@ -357,21 +376,25 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	}
 	merged := out.findings
 	reusedFindings := 0
+	// Reused roots keep their resolved findings; only roots with fresh
+	// findings are resolved again.
 	local := make(map[string][]Finding, len(s.local))
+	localRes := make(map[string][]incrstate.Finding, len(s.local))
 	for fn, fs := range s.local {
 		if out.recomputed[fn] {
 			continue
 		}
 		local[fn] = fs
+		localRes[fn] = s.localRes[fn]
 		merged = append(merged, fs...)
 		reusedFindings += len(fs)
 	}
-	for _, f := range out.local {
-		local[f.Function] = append(local[f.Function], f)
+	for fn, fs := range groupByFunction(out.local) {
+		local[fn] = append(local[fn], fs...)
+		localRes[fn] = ResolveFindings(s.fset, local[fn])
 	}
-	sortFindingsByPosition(s.fset, merged)
 
-	up := &Update{Result: res, Findings: merged}
+	up := &Update{Result: res, Findings: merged, Resolved: sortFindingsByPosition(s.fset, merged)}
 	up.Stats = UpdateStats{
 		Files:             len(files),
 		FilesReparsed:     len(changed),
@@ -384,13 +407,13 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 		GlobalFactsReused: out.reused,
 		GraphPatched:      true,
 	}
-	s.commit(s.fset, arts, files, local, out.carries, up)
+	s.commit(s.fset, arts, files, local, localRes, out.carries, up)
 	return snapshotUpdate(up), nil
 }
 
 // commit installs a successful round as the session's reuse state. It is
 // the only place rounds write session state.
-func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, files map[string]string, local map[string][]Finding, carries map[string]detect.Carry, up *Update) {
+func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, files map[string]string, local map[string][]Finding, localRes map[string][]incrstate.Finding, carries map[string]detect.Carry, up *Update) {
 	s.fset = fset
 	s.arts = arts
 	s.src = make(map[string]string, len(files))
@@ -399,6 +422,7 @@ func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, fi
 	}
 	s.res = up.Result
 	s.local = local
+	s.localRes = localRes
 	s.carries = carries
 	s.prior = nil
 	s.last = up
@@ -408,7 +432,7 @@ func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, fi
 func (s *Session) full(ctx context.Context, files map[string]string, reason string) (*Update, error) {
 	fset := source.NewFileSet()
 	diags := source.NewDiagnostics(fset)
-	res, arts, err := analyzeArtifacts(fset, diags, files)
+	res, arts, err := analyzeArtifacts(fset, diags, files, true)
 	if err != nil {
 		return nil, err
 	}
@@ -427,13 +451,9 @@ func (s *Session) commitFull(ctx context.Context, files map[string]string, fset 
 	if err != nil {
 		return nil, err
 	}
-	local := map[string][]Finding{}
-	for _, f := range out.local {
-		local[f.Function] = append(local[f.Function], f)
-	}
-	sortFindingsByPosition(fset, out.findings)
+	local := groupByFunction(out.local)
 
-	up := &Update{Result: res, Findings: out.findings}
+	up := &Update{Result: res, Findings: out.findings, Resolved: sortFindingsByPosition(fset, out.findings)}
 	up.Stats = UpdateStats{
 		Full:          true,
 		FullReason:    reason,
@@ -445,8 +465,27 @@ func (s *Session) commitFull(ctx context.Context, files map[string]string, fset 
 		ChangedFns:    len(res.Bodies),
 		FuncsTotal:    len(res.Bodies),
 	}
-	s.commit(fset, arts, files, local, out.carries, up)
+	s.commit(fset, arts, files, local, resolveRoots(fset, local), out.carries, up)
 	return snapshotUpdate(up), nil
+}
+
+// groupByFunction groups findings by root function, keeping their
+// order.
+func groupByFunction(fs []Finding) map[string][]Finding {
+	out := map[string][]Finding{}
+	for _, f := range fs {
+		out[f.Function] = append(out[f.Function], f)
+	}
+	return out
+}
+
+// resolveRoots resolves every root's local findings.
+func resolveRoots(fset *source.FileSet, local map[string][]Finding) map[string][]incrstate.Finding {
+	out := make(map[string][]incrstate.Finding, len(local))
+	for fn, fs := range local {
+		out[fn] = ResolveFindings(fset, fs)
+	}
+	return out
 }
 
 // Restore arms an empty session with state persisted by an earlier
@@ -483,6 +522,12 @@ func (s *Session) Restore(st *incrstate.State) error {
 // plus the merged and per-root findings, fully resolved to file:line:col
 // so a later process can replay them without this FileSet. Returns nil
 // if the session has no successful round to export.
+//
+// Nothing is hashed or resolved here: each file's hashes were computed
+// when it was parsed and each finding when its round resolved it, so a
+// snapshot costs map assembly only. The State shares those resolved
+// findings with the session, which never writes them again; callers
+// must treat it as read-only.
 func (s *Session) ExportState() *incrstate.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -490,17 +535,11 @@ func (s *Session) ExportState() *incrstate.State {
 		return nil
 	}
 	st := &incrstate.State{
-		Version:    StateVersion(),
-		Files:      incrstate.ContentHashes(s.src),
-		Interfaces: s.res.FileInterfaceHashes(),
-		FnBodies:   s.res.FuncBodyHashes(),
-		FnPos:      s.res.FuncDeclPositions(),
-		Findings:   ResolveFindings(s.fset, s.last.Findings),
-		Local:      make(map[string][]incrstate.Finding, len(s.local)),
+		Version:  StateVersion(),
+		Findings: s.last.Resolved,
+		Local:    s.localRes,
 	}
-	for fn, fs := range s.local {
-		st.Local[fn] = ResolveFindings(s.fset, fs)
-	}
+	st.Files, st.Interfaces, st.FnBodies, st.FnPos = statePlanes(s.arts)
 	// Manifest only: the fact caches hold pointers into live MIR and
 	// cannot survive the process; record their sizes for observability.
 	for name, c := range s.carries {
@@ -514,6 +553,31 @@ func (s *Session) ExportState() *incrstate.State {
 	return st
 }
 
+// statePlanes assembles the hash planes of incrstate.State from the
+// artifacts' precomputed hashes: content and interface hash per file,
+// body hash and declaration-position fingerprint per function.
+func statePlanes(arts map[string]*fileArtifact) (files, ifaces, fnBodies, fnPos map[string]string) {
+	n := 0
+	for _, a := range arts {
+		n += len(a.fnPos)
+	}
+	files = make(map[string]string, len(arts))
+	ifaces = make(map[string]string, len(arts))
+	fnBodies = make(map[string]string, n)
+	fnPos = make(map[string]string, n)
+	for name, a := range arts {
+		files[name] = a.contentHash
+		ifaces[name] = a.interfaceHash
+		for q, h := range a.fnBodies {
+			fnBodies[q] = h
+		}
+		for q, p := range a.fnPos {
+			fnPos[q] = p
+		}
+	}
+	return files, ifaces, fnBodies, fnPos
+}
+
 // restoreRound is the first round after Restore: a full frontend
 // (nothing in-memory to reuse) followed by dirty-closure-only detection
 // against the persisted hashes. Structural drift from the recorded
@@ -525,15 +589,13 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 	prior := s.prior
 	fset := source.NewFileSet()
 	diags := source.NewDiagnostics(fset)
-	res, arts, err := analyzeArtifacts(fset, diags, files)
+	res, arts, err := analyzeArtifacts(fset, diags, files, true)
 	if err != nil {
 		return nil, err
 	}
 
-	ifaces := res.FileInterfaceHashes()
-	fnBodies := res.FuncBodyHashes()
-	fnPos := res.FuncDeclPositions()
-	if !sameKeysStr(prior.Files, incrstate.ContentHashes(files)) ||
+	contents, ifaces, fnBodies, fnPos := statePlanes(arts)
+	if !sameKeysStr(prior.Files, contents) ||
 		!mapsEqualStr(prior.Interfaces, ifaces) ||
 		!sameKeysStr(prior.FnBodies, fnBodies) ||
 		!sameKeysStr(prior.FnPos, fnPos) {
@@ -563,10 +625,7 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 		byName[f.Name] = f
 	}
 	merged := out.findings
-	localMap := make(map[string][]Finding, len(prior.Local))
-	for _, f := range out.local {
-		localMap[f.Function] = append(localMap[f.Function], f)
-	}
+	localMap := groupByFunction(out.local)
 	reusedFindings := 0
 	roots := make([]string, 0, len(prior.Local))
 	for root := range prior.Local {
@@ -586,9 +645,8 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 		merged = append(merged, fs...)
 		reusedFindings += len(rfs)
 	}
-	sortFindingsByPosition(fset, merged)
 
-	up := &Update{Result: res, Findings: merged}
+	up := &Update{Result: res, Findings: merged, Resolved: sortFindingsByPosition(fset, merged)}
 	up.Stats = UpdateStats{
 		Restored:       true,
 		Files:          len(files),
@@ -599,7 +657,7 @@ func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*U
 		ChangedFns:     len(changed),
 		FuncsTotal:     len(res.Bodies),
 	}
-	s.commit(fset, arts, files, localMap, out.carries, up)
+	s.commit(fset, arts, files, localMap, resolveRoots(fset, localMap), out.carries, up)
 	return snapshotUpdate(up), nil
 }
 
@@ -660,11 +718,20 @@ func mapsEqualStr(a, b map[string]string) bool {
 // annotates the returned findings cannot corrupt subsequent rounds'
 // merged output (mirroring the engine cache tier's defensive copies).
 func snapshotUpdate(up *Update) *Update {
-	return &Update{Result: up.Result, Findings: cloneFindings(up.Findings), Stats: up.Stats}
+	return &Update{Result: up.Result, Findings: cloneFindings(up.Findings), Resolved: cloneResolved(up.Resolved), Stats: up.Stats}
 }
 
 func cloneFindings(fs []Finding) []Finding {
 	out := make([]Finding, len(fs))
+	copy(out, fs)
+	for i := range out {
+		out[i].Notes = append([]string(nil), out[i].Notes...)
+	}
+	return out
+}
+
+func cloneResolved(fs []incrstate.Finding) []incrstate.Finding {
+	out := make([]incrstate.Finding, len(fs))
 	copy(out, fs)
 	for i := range out {
 		out[i].Notes = append([]string(nil), out[i].Notes...)
@@ -699,21 +766,23 @@ func closureBase(name string) string {
 }
 
 // sortFindingsByPosition orders findings by their resolved position in
-// the incrstate.Less order. For a single FileSet this matches
-// detect.SortFindings' span ordering; incremental rounds need the
-// resolved form because cached findings carry spans from earlier file-set
-// entries whose raw offsets are not comparable with fresh ones.
-func sortFindingsByPosition(fset *source.FileSet, fs []Finding) {
-	type entry struct {
-		f   Finding
-		key incrstate.Finding
+// the incrstate.Less order and returns them resolved, in that order. For
+// a single FileSet this matches detect.SortFindings' span ordering;
+// incremental rounds need the resolved form because cached findings
+// carry spans from earlier file-set entries whose raw offsets are not
+// comparable with fresh ones.
+func sortFindingsByPosition(fset *source.FileSet, fs []Finding) []incrstate.Finding {
+	resolved := ResolveFindings(fset, fs)
+	order := make([]int, len(fs))
+	for i := range order {
+		order[i] = i
 	}
-	entries := make([]entry, len(fs))
-	for i, r := range ResolveFindings(fset, fs) {
-		entries[i] = entry{f: fs[i], key: r}
+	sort.SliceStable(order, func(i, j int) bool { return incrstate.Less(&resolved[order[i]], &resolved[order[j]]) })
+	sortedFs := make([]Finding, len(fs))
+	sortedRes := make([]incrstate.Finding, len(fs))
+	for i, k := range order {
+		sortedFs[i], sortedRes[i] = fs[k], resolved[k]
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return incrstate.Less(&entries[i].key, &entries[j].key) })
-	for i, e := range entries {
-		fs[i] = e.f
-	}
+	copy(fs, sortedFs)
+	return sortedRes
 }

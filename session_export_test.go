@@ -1,0 +1,243 @@
+package rustprobe
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"rustprobe/internal/gen"
+	"rustprobe/internal/incrstate"
+)
+
+// exportProgram is one gen program and its buggy/clean twin, both
+// without the generated header line (it names the variant, so with it a
+// twin swap would be an interface edit instead of a body-only one).
+type exportProgram struct{ main, twin string }
+
+func exportPrograms(seed int64, n int) []exportProgram {
+	strip := func(s string) string {
+		if i := strings.Index(s, "\n"); i >= 0 && strings.HasPrefix(s, "// generated:") {
+			return s[i+1:]
+		}
+		return s
+	}
+	out := make([]exportProgram, n)
+	for i := range out {
+		p := gen.Generate(seed*100 + int64(i))
+		out[i] = exportProgram{strip(p.Source), strip(gen.New(p.Seed, p.Kind, !p.Buggy).Source)}
+	}
+	return out
+}
+
+// exportHistory is a seeded mutation history over a three-file tree:
+// twin swaps (body-only), blank lines inserted at the top of the file's
+// first function body (body-only, but every later function's line
+// numbers shift), and reverts to an earlier tree. Entry 0 is the base.
+func exportHistory(seed int64, steps int) []map[string]string {
+	rng := rand.New(rand.NewSource(seed))
+	progs := exportPrograms(seed, 3)
+	type fileState struct {
+		alt bool
+		pad int
+	}
+	state := make([]fileState, len(progs))
+	render := func() map[string]string {
+		files := make(map[string]string, len(progs))
+		for i, p := range progs {
+			src := p.main
+			if state[i].alt {
+				src = p.twin
+			}
+			if pad := state[i].pad; pad > 0 {
+				if j := strings.Index(src, "fn "); j >= 0 {
+					if k := strings.Index(src[j:], "{\n"); k >= 0 {
+						at := j + k + 2
+						src = src[:at] + strings.Repeat("\n", pad) + src[at:]
+					}
+				}
+			}
+			files[fmt.Sprintf("f%d.rs", i)] = src
+		}
+		return files
+	}
+	history := []map[string]string{render()}
+	saved := [][]fileState{append([]fileState(nil), state...)}
+	for len(history) <= steps {
+		i := rng.Intn(len(progs))
+		switch rng.Intn(4) {
+		case 0, 1:
+			state[i].alt = !state[i].alt
+		case 2:
+			state[i].pad = (state[i].pad + 1 + rng.Intn(2)) % 4
+		case 3:
+			copy(state, saved[rng.Intn(len(saved))])
+		}
+		history = append(history, render())
+		saved = append(saved, append([]fileState(nil), state...))
+	}
+	return history
+}
+
+// encodeComparable is a state's encoding without GlobalFacts, the one
+// field that depends on how the fact caches were seeded rather than on
+// the tree.
+func encodeComparable(t *testing.T, st *incrstate.State) []byte {
+	t.Helper()
+	cp := *st
+	cp.GlobalFacts = nil
+	b, err := incrstate.Encode(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestExportStateMatchesFullRound is the export oracle: at every round
+// of a mutation history, a live session's ExportState must equal that of
+// a fresh session's full round over the same files, field by field
+// except GlobalFacts, and encode to the same bytes. The live session
+// assembles its snapshot from hashes and resolved findings kept since
+// the round that computed them, so this pins that the kept values never
+// go stale.
+func TestExportStateMatchesFullRound(t *testing.T) {
+	t.Setenv("RUSTPROBE_GRAPH_CHECK", "1")
+	seeds, steps := 6, 8
+	if testing.Short() {
+		seeds = 2
+	}
+	incremental := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		live := NewSession()
+		for round, files := range exportHistory(seed, steps) {
+			up, err := live.Analyze(files)
+			if err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			if !up.Stats.Full {
+				incremental++
+			}
+			fresh := NewSession()
+			if _, err := fresh.Analyze(files); err != nil {
+				t.Fatalf("seed %d round %d oracle: %v", seed, round, err)
+			}
+			got, want := live.ExportState(), fresh.ExportState()
+			gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
+			for i := 0; i < gv.NumField(); i++ {
+				name := gv.Type().Field(i).Name
+				if name == "GlobalFacts" {
+					continue
+				}
+				if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+					t.Fatalf("seed %d round %d (full=%t %s): ExportState.%s diverges from a full round\n got: %v\nwant: %v",
+						seed, round, up.Stats.Full, up.Stats.FullReason, name, gv.Field(i).Interface(), wv.Field(i).Interface())
+				}
+			}
+			if !bytes.Equal(encodeComparable(t, got), encodeComparable(t, want)) {
+				t.Fatalf("seed %d round %d: encoded snapshot diverges from a full round's", seed, round)
+			}
+		}
+	}
+	if incremental == 0 {
+		t.Fatal("history never ran an incremental round")
+	}
+	t.Logf("%d seeds x %d rounds, %d incremental", seeds, steps+1, incremental)
+}
+
+// TestStaleSnapshotRestoreMatchesStateless: a snapshot may be rounds
+// older than the tree it is restored against (write-behind persistence
+// can lose the newest rounds to a crash). Restoring round k's snapshot
+// and analyzing round k+n must still give exactly the stateless
+// AnalyzeFiles+Detect findings: every function whose body or position
+// differs from the snapshot is dirty, and structural drift runs full.
+func TestStaleSnapshotRestoreMatchesStateless(t *testing.T) {
+	seeds, steps := 4, 6
+	if testing.Short() {
+		seeds = 2
+	}
+	restoredIncremental := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		history := exportHistory(seed+50, steps)
+		live := NewSession()
+		snaps := make([]*incrstate.State, len(history))
+		for k, files := range history {
+			if _, err := live.Analyze(files); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, k, err)
+			}
+			snaps[k] = live.ExportState()
+		}
+		for k := range history {
+			for _, n := range []int{1, 3, 5} {
+				if k+n >= len(history) {
+					continue
+				}
+				files := history[k+n]
+				s := NewSession()
+				if err := s.Restore(snaps[k]); err != nil {
+					t.Fatal(err)
+				}
+				up, err := s.Analyze(files)
+				if err != nil {
+					t.Fatalf("seed %d: restore %d, analyze %d: %v", seed, k, k+n, err)
+				}
+				if !up.Stats.Full {
+					restoredIncremental++
+				}
+				if got, want := sessionStrings(up), fullDetect(t, files); !equalStrings(got, want) {
+					t.Fatalf("seed %d: snapshot of round %d restored at round %d diverges (stats %+v)\n got: %v\nwant: %v",
+						seed, k, k+n, up.Stats, got, want)
+				}
+				if got, want := resolvedStrings(up.Resolved), sessionStrings(up); !equalStrings(got, want) {
+					t.Fatalf("seed %d: Update.Resolved does not match Findings\n got: %v\nwant: %v", seed, got, want)
+				}
+			}
+		}
+	}
+	if restoredIncremental == 0 {
+		t.Fatal("no stale restore ran incrementally")
+	}
+	t.Logf("%d stale restores ran incrementally", restoredIncremental)
+}
+
+// TestExportStateIsImmutable: a caller mutating a round's Update (its
+// resolved findings included) must not change the session's snapshot,
+// and a later round must not change a snapshot already handed out.
+func TestExportStateIsImmutable(t *testing.T) {
+	history := exportHistory(7, 4)
+	s := NewSession()
+	up, err := s.Analyze(history[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.ExportState()
+	before := encodeState(t, s)
+	for i := range up.Resolved {
+		up.Resolved[i].Message = "mutated"
+		up.Resolved[i].Notes = append(up.Resolved[i].Notes, "extra")
+	}
+	if after := encodeState(t, s); !bytes.Equal(before, after) {
+		t.Fatal("mutating Update.Resolved changed the session's snapshot")
+	}
+	for _, files := range history[1:] {
+		if _, err := s.Analyze(files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, err := incrstate.Encode(st); err != nil || !bytes.Equal(b, before) {
+		t.Fatalf("later rounds changed a snapshot already exported (err %v)", err)
+	}
+}
+
+// resolvedStrings renders resolved findings like sessionStrings renders
+// live ones, sorted.
+func resolvedStrings(fs []incrstate.Finding) []string {
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = f.Format()
+	}
+	sort.Strings(out)
+	return out
+}
