@@ -17,9 +17,11 @@ import (
 //
 //   - nothing changed: replay the cached findings without analyzing;
 //   - only function bodies changed (every file's interface hash is
-//     intact): rebuild the frontend, then re-run the local detectors
-//     only over the dirty callgraph closure and merge cached findings
-//     for every other root;
+//     intact): rebuild the frontend, mark a function changed when its
+//     body hash or declaration position differs from the state's (the
+//     one rule a live Session round uses too), then re-run the local
+//     detectors only over the dirty callgraph closure and merge cached
+//     findings for every other root;
 //   - anything else (first run, state version bump, file added/removed,
 //     interface edit): full analysis, which reseeds the state.
 //

@@ -145,9 +145,9 @@ func TestSessionFailedRoundKeepsState(t *testing.T) {
 					next[k] = v
 				}
 				stateBefore := encodeState(t, s)
-				sizeBefore := s.fset.Size()
-				carriesBefore := make(map[string]detect.Carry, len(s.carries))
-				for k, v := range s.carries {
+				sizeBefore := s.prev.fset.Size()
+				carriesBefore := make(map[string]detect.Carry, len(s.prev.carries))
+				for k, v := range s.prev.carries {
 					carriesBefore[k] = v
 				}
 
@@ -168,14 +168,14 @@ func TestSessionFailedRoundKeepsState(t *testing.T) {
 				if after := encodeState(t, s); !bytes.Equal(after, stateBefore) {
 					t.Errorf("failed round changed the exported state\nbefore: %s\n after: %s", stateBefore, after)
 				}
-				if got := s.fset.Size(); got != sizeBefore {
+				if got := s.prev.fset.Size(); got != sizeBefore {
 					t.Errorf("failed round changed the FileSet size: %d -> %d", sizeBefore, got)
 				}
-				if len(s.carries) != len(carriesBefore) {
-					t.Errorf("failed round changed the carries: %d -> %d", len(carriesBefore), len(s.carries))
+				if len(s.prev.carries) != len(carriesBefore) {
+					t.Errorf("failed round changed the carries: %d -> %d", len(carriesBefore), len(s.prev.carries))
 				}
 				for k, v := range carriesBefore {
-					if s.carries[k] != v {
+					if s.prev.carries[k] != v {
 						t.Errorf("failed round replaced the %s carry", k)
 					}
 				}

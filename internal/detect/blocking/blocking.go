@@ -518,14 +518,16 @@ func implTypeOf(fn string) string {
 	}
 }
 
-func sortedEvents(s resSummary) []*event {
+// sortedEvents flattens a summary into a deterministic slice: by source
+// position (FileSet.Compare), then path, then kind.
+func sortedEvents(fset *source.FileSet, s resSummary) []*event {
 	out := make([]*event, 0, len(s))
 	for _, e := range s {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Span.Start != out[j].Span.Start {
-			return out[i].Span.Start < out[j].Span.Start
+		if c := fset.Compare(out[i].Span.Start, out[j].Span.Start); c != 0 {
+			return c < 0
 		}
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
@@ -549,7 +551,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 	}
 	var qsends []qsend
 	for _, name := range names {
-		for _, e := range sortedEvents(sums[name]) {
+		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
 			if e.Data.Kind != opSend {
 				continue
 			}
@@ -570,7 +572,7 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 
 	for _, name := range names {
 		owner := implTypeOf(name)
-		for _, e := range sortedEvents(sums[name]) {
+		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
 			if e.Data.Kind != opRecv || len(e.Locks) == 0 {
 				continue
 			}
@@ -884,7 +886,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	// a notify on whatever the caller passed in. Strictly additive over
 	// the direct entries (own events are skipped — already indexed).
 	for _, name := range names {
-		for _, e := range sortedEvents(sums[name]) {
+		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
 			if e.Data.Kind != opNotify || e.Fn == name {
 				continue
 			}
@@ -947,7 +949,7 @@ func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[st
 	}
 	for _, name := range names {
 		info := infos[name]
-		for _, e := range sortedEvents(sums[name]) {
+		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
 			if e.Data.Kind != opWait || e.Fn == name {
 				continue
 			}
@@ -973,7 +975,7 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 	reentrant := func(info *funcInfo, closureName, sitePath string) *event {
 		site := summary.NormalizePath(sitePath)
 		closureInfo := infos[closureName]
-		for _, e := range sortedEvents(sums[closureName]) {
+		for _, e := range sortedEvents(ctx.Fset, sums[closureName]) {
 			if e.Data.Kind != opOnce {
 				continue
 			}
@@ -1112,7 +1114,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 		var recvs []ctxRecv
 		var sends []ctxSend
 		collect := func(spawnIdx int, sum resSummary, capInfo *funcInfo) {
-			for _, e := range sortedEvents(sum) {
+			for _, e := range sortedEvents(ctx.Fset, sum) {
 				if e.Data.Kind != opRecv && e.Data.Kind != opSend {
 					continue
 				}
@@ -1186,7 +1188,7 @@ func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map
 					continue
 				}
 				first, second := ri, rj
-				if second.ev.Span.Start < first.ev.Span.Start {
+				if ctx.Fset.Compare(second.ev.Span.Start, first.ev.Span.Start) < 0 {
 					first, second = second, first
 				}
 				emit(detect.Finding{

@@ -267,19 +267,20 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 	return info
 }
 
-// sortedAccs flattens a summary into a deterministic slice: by span,
-// then path, writes before reads. The write-first tiebreak matters for
+// sortedAccs flattens a summary into a deterministic slice: by source
+// position (FileSet.Compare, so a session orders reused and re-parsed
+// spans as a full build does), then path, writes before reads. The write-first tiebreak matters for
 // compound assignments (`x += 1` is a read and a write at one span):
 // pairKey ignores the access kind, so the first pair encountered wins,
 // and sorting keeps that choice stable across runs.
-func sortedAccs(s accSummary) []*Access {
+func sortedAccs(fset *source.FileSet, s accSummary) []*Access {
 	out := make([]*Access, 0, len(s))
 	for _, a := range s {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Span.Start != out[j].Span.Start {
-			return out[i].Span.Start < out[j].Span.Start
+		if c := fset.Compare(out[i].Span.Start, out[j].Span.Start); c != 0 {
+			return c < 0
 		}
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
@@ -347,7 +348,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 			target: sp.target,
 			inLoop: info.g.ReachableFrom(sp.target)[sp.at],
 		}
-		for _, a := range sortedAccs(sums[sp.closure]) {
+		for _, a := range sortedAccs(ctx.Fset, sums[sp.closure]) {
 			root := alias.Root(a.Path)
 			// Each context holds its own copy, so pointer identity
 			// never spans two contexts (see conflicts).
@@ -386,7 +387,7 @@ func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums ma
 	// continuation. They are paired per spawn below — never against each
 	// other, since they are program-ordered on the spawner thread.
 	var spawnerAccs []*Access
-	for _, a := range sortedAccs(sums[name]) {
+	for _, a := range sortedAccs(ctx.Fset, sums[name]) {
 		root := alias.Root(a.Path)
 		if escaped[root] || strings.HasPrefix(root, "static ") {
 			spawnerAccs = append(spawnerAccs, a)

@@ -4,6 +4,7 @@
 package source
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,6 +17,10 @@ type File struct {
 	Content string
 	Base    int   // global offset of byte 0 of this file within the FileSet
 	lines   []int // byte offset of the start of each line (line 1 at lines[0])
+
+	// rank places the file in source order (FileSet.Compare): its own
+	// Base, or for a revision the rank of the file it revises.
+	rank int
 }
 
 // NewFile builds a standalone File with Base 0. Most callers should use
@@ -171,9 +176,43 @@ func NewFileSet() *FileSet { return &FileSet{next: 1} }
 func (fs *FileSet) Add(name, content string) *File {
 	f := NewFile(name, content)
 	f.Base = fs.next
+	f.rank = f.Base
 	fs.next += len(content) + 1
 	fs.files = append(fs.files, f)
 	return f
+}
+
+// Revise registers content as a new revision of prev, a file of this
+// set. The revision gets fresh global offsets, but sorts in source order
+// (Compare) where prev does: spans of an edited file's new revision and
+// spans still held from its older ones then order against each other,
+// and against every other file, as they would in a set that registered
+// each file once.
+func (fs *FileSet) Revise(prev *File, content string) *File {
+	f := fs.Add(prev.Name, content)
+	f.rank = prev.rank
+	return f
+}
+
+// Compare orders two global offsets in source order: by file, in the
+// order the files were first registered (Revise keeps a file's place),
+// then by offset within the file. In a set that registered each file
+// once this is plain offset order. Offsets outside every file order by
+// their value.
+func (fs *FileSet) Compare(a, b int) int {
+	ra, oa := fs.sourceKey(a)
+	rb, ob := fs.sourceKey(b)
+	if ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	return cmp.Compare(oa, ob)
+}
+
+func (fs *FileSet) sourceKey(global int) (rank, offset int) {
+	if f := fs.FileFor(global); f != nil {
+		return f.rank, global - f.Base
+	}
+	return global, 0
 }
 
 // FileFor returns the file containing the global offset, or nil.

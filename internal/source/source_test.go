@@ -174,3 +174,35 @@ func TestFileSetMarkRollback(t *testing.T) {
 		t.Fatalf("stale rollback mutated the set: %d files", got)
 	}
 }
+
+// TestFileSetCompareSourceOrder: Compare is plain offset order over
+// files registered once, and a revision sorts where the file it revises
+// does — against that file's older revision by offset, and against
+// files registered after the original but before the revision by file.
+func TestFileSetCompareSourceOrder(t *testing.T) {
+	fset := NewFileSet()
+	a := fset.Add("a.rs", "fn first() {}\nfn second() {}\n")
+	b := fset.Add("b.rs", "fn other() {}\n")
+	for _, pair := range [][2]int{{a.Base, a.Base + 3}, {a.Base + 3, b.Base}, {0, a.Base}, {b.Base + 4, b.Base + 100}} {
+		if got := fset.Compare(pair[0], pair[1]); got != -1 {
+			t.Errorf("Compare(%d, %d) = %d, want -1 (offset order)", pair[0], pair[1], got)
+		}
+	}
+
+	// A same-length edit of first(): the revision's first() precedes the
+	// older revision's second() and b.rs, though its offsets are higher.
+	a2 := fset.Revise(a, strings.Replace(a.Content, "{}", "{;", 1))
+	if a2.Name != "a.rs" || a2.Base <= b.Base {
+		t.Fatalf("revision registered as %q at %d, want a.rs after b.rs (%d)", a2.Name, a2.Base, b.Base)
+	}
+	second := a.Base + strings.Index(a.Content, "fn second")
+	if got := fset.Compare(a2.Base, second); got != -1 {
+		t.Errorf("revised first() vs old second() = %d, want -1", got)
+	}
+	if got := fset.Compare(a2.Base+5, b.Base); got != -1 {
+		t.Errorf("revised a.rs vs b.rs = %d, want -1", got)
+	}
+	if got := fset.Compare(a2.Base+5, a.Base+5); got != 0 {
+		t.Errorf("one offset in two revisions = %d, want 0", got)
+	}
+}

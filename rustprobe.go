@@ -171,7 +171,7 @@ func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map
 	arts := make(map[string]*fileArtifact, len(files))
 	ordered := make([]*fileArtifact, 0, len(files))
 	for _, n := range names {
-		a := parseArtifact(fset, diags, n, files[n])
+		a := parseArtifact(fset.Add(n, files[n]), diags)
 		if hashed {
 			hashArtifact(a)
 		}
@@ -192,10 +192,7 @@ func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map
 //
 // contentHash digests the source (incrstate.ContentHash).
 // interfaceHash digests the source with every function body blanked
-// out — it is stable across body-only edits — and fnBodyHashes digests
-// each function body in declaration order (the order is itself pinned
-// by interfaceHash, so index i names the same function across versions
-// when the interface is unchanged).
+// out, so it is stable across body-only edits.
 //
 // fnBodies and fnPos are set by bindFuncs after link: for every function
 // the resolved program registered from this file, keyed by qualified
@@ -206,28 +203,21 @@ type fileArtifact struct {
 	name          string
 	file          *source.File
 	crate         *ast.Crate
-	fnItems       []*ast.FnItem // declaration order, aligned with fnBodyHashes
 	contentHash   string
 	interfaceHash string
-	fnBodyHashes  []string
 	fnBodies      map[string]string
 	fnPos         map[string]string
 }
 
-// parseArtifact runs the per-file frontend: add to the file set and
-// parse.
-func parseArtifact(fset *source.FileSet, diags *source.Diagnostics, name, src string) *fileArtifact {
-	f := fset.Add(name, src)
-	a := &fileArtifact{name: name, file: f, crate: parser.ParseFile(f, diags)}
-	a.fnItems = collectFnItems(a.crate)
-	return a
+// parseArtifact runs the per-file frontend over a registered file.
+func parseArtifact(f *source.File, diags *source.Diagnostics) *fileArtifact {
+	return &fileArtifact{name: f.Name, file: f, crate: parser.ParseFile(f, diags)}
 }
 
-// hashArtifact computes a's content hash and its interface/body hash
-// split.
+// hashArtifact computes a's content and interface hashes.
 func hashArtifact(a *fileArtifact) {
 	a.contentHash = incrstate.ContentHash(a.file.Content)
-	a.interfaceHash, a.fnBodyHashes = interfaceAndBodyHashes(a.file, a.fnItems)
+	a.interfaceHash = interfaceHash(a.file, collectFnItems(a.crate))
 }
 
 // bindFuncs sets fnBodies and fnPos of each of arts from the functions
@@ -265,27 +255,23 @@ func bindFuncs(prog *hir.Program, arts []*fileArtifact) {
 	}
 }
 
-// interfaceAndBodyHashes digests a file's interface (the source with
-// every function body excised, each replaced by a fixed marker, so the
-// digest is invariant under body-only edits of any length) and each
-// function body in declaration order. Body spans of distinct functions
-// never overlap (closures are not separate FnItems), so a
-// sort-and-splice walk suffices.
-func interfaceAndBodyHashes(f *source.File, fnItems []*ast.FnItem) (string, []string) {
-	bodyHashes := make([]string, len(fnItems))
+// interfaceHash digests a file's interface: the source with every
+// function body excised, each replaced by a fixed marker, so the digest
+// is invariant under body-only edits of any length. Body spans of
+// distinct functions never overlap (closures are not separate FnItems),
+// so a sort-and-splice walk suffices.
+func interfaceHash(f *source.File, fnItems []*ast.FnItem) string {
 	type srcRange struct{ lo, hi int }
 	var bodies []srcRange
-	for i, fn := range fnItems {
+	for _, fn := range fnItems {
 		if fn.Body == nil {
 			continue
 		}
 		sp := fn.Body.Span()
 		lo, hi := sp.Start-f.Base, sp.End-f.Base
 		if lo < 0 || hi > len(f.Content) || lo > hi {
-			bodyHashes[i] = fmt.Sprintf("invalid-span-%d", i)
-			continue
+			continue // a malformed span stays interface text
 		}
-		bodyHashes[i] = hashBytes([]byte(f.Content[lo:hi]))
 		bodies = append(bodies, srcRange{lo, hi})
 	}
 	sort.Slice(bodies, func(i, j int) bool { return bodies[i].lo < bodies[j].lo })
@@ -300,11 +286,12 @@ func interfaceAndBodyHashes(f *source.File, fnItems []*ast.FnItem) (string, []st
 		prev = r.hi
 	}
 	iface = append(iface, f.Content[prev:]...)
-	return hashBytes(iface), bodyHashes
+	return hashBytes(iface)
 }
 
 // collectFnItems gathers every function item (top-level, impl methods,
-// trait methods) in declaration order.
+// trait methods, and those inside inline mod blocks) in declaration
+// order.
 func collectFnItems(crate *ast.Crate) []*ast.FnItem {
 	var out []*ast.FnItem
 	var walk func(items []ast.Item)
@@ -316,6 +303,8 @@ func collectFnItems(crate *ast.Crate) []*ast.FnItem {
 			case *ast.ImplItem:
 				walk(it.Items)
 			case *ast.TraitItem:
+				walk(it.Items)
+			case *ast.ModItem:
 				walk(it.Items)
 			}
 		}

@@ -3,6 +3,7 @@ package rustprobe
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"strings"
@@ -25,11 +26,11 @@ import (
 //
 //   - re-lexes/parses only files whose content changed (unchanged files
 //     reuse their parsed AST; the persistent FileSet keeps spans valid),
-//   - re-lowers only functions whose body text changed — plus the
-//     functions in edited files that sit at or after the first changed
-//     byte, whose body text may be identical but whose source positions
-//     shifted: reusing their MIR or cached findings would replay spans
-//     that resolve against the old revision's line numbers,
+//   - re-lowers only the functions whose body hash or declaration
+//     position (file, byte offset, line, column) changed: a function
+//     that moved may have identical body text, but reusing its MIR or
+//     cached findings would replay spans that resolve against the old
+//     revision's line numbers,
 //   - re-runs the local detectors only over the dirty callgraph closure —
 //     the changed functions, their transitive callers (whose summaries
 //     can observe the change), and the transitive callees of those (so
@@ -57,33 +58,38 @@ import (
 type Session struct {
 	mu      sync.Mutex
 	precise bool
-	fset    *source.FileSet
-	arts    map[string]*fileArtifact
-	res     *Result
-	src     map[string]string // last successfully analyzed content
-	local   map[string][]Finding
-	last    *Update
+	prev    *prevRound // nil until the first successful round or Restore
+}
 
-	// localRes is local resolved to file:line:col, per root. A round
-	// builds a new map, re-resolving only the roots it recomputed, and
-	// never writes a map or slice it has installed: ExportState hands
-	// them to a State that outlives the round.
+// prevRound is the round the next one diffs against and reuses from:
+// the session's last successful round, or a snapshot installed by
+// Restore standing in for one. A round installs a new record and never
+// writes one it has installed: ExportState hands its maps and slices to
+// a State that outlives the round.
+type prevRound struct {
+	// restored is the persisted state a Restore'd record stands for; nil
+	// on a live record. A restored record has no FileSet, ASTs, MIR or
+	// carries, so the round after it runs the frontend in full and diffs
+	// the whole tree against the snapshot's hash planes.
+	restored *incrstate.State
+
+	// localRes is each root's local findings resolved to file:line:col.
+	// A round re-resolves only the roots it recomputed.
 	localRes map[string][]incrstate.Finding
+
+	// The rest is set on a live record only.
+	fset  *source.FileSet
+	arts  map[string]*fileArtifact // per-file ASTs and hash planes
+	src   map[string]string        // the round's sources
+	res   *Result
+	local map[string][]Finding
+	last  *Update
 
 	// carries holds each incremental global detector's opaque fact
 	// cache (per-function extractions plus summary fixpoints), keyed by
-	// detector name. Seeded by every full round, threaded through
-	// incremental rounds, and process-local: persisted state (Restore)
-	// starts with an empty map whose first round reseeds it.
+	// detector name. Process-local: a restored record has none, and the
+	// round after it reseeds them.
 	carries map[string]detect.Carry
-
-	// prior is persisted state from an earlier process (Restore), armed
-	// on an otherwise empty session. The first Analyze round consumes it:
-	// the frontend runs in full (a fresh process has no ASTs or MIR to
-	// reuse), but if the tree's structure still matches the recorded
-	// hashes, detection runs only over the dirty closure and the
-	// recorded findings are replayed for every clean root.
-	prior *incrstate.State
 }
 
 // Update is one Session.Analyze round: the full analysis view, the
@@ -190,48 +196,194 @@ func (s *Session) AnalyzeCtx(ctx context.Context, files map[string]string) (up *
 	// Incremental rounds register changed files in the persistent
 	// FileSet. A round that does not commit (error or panic) must not
 	// leak entries that belong to no retained artifact.
-	if fset := s.fset; fset != nil {
-		mark := fset.Mark()
+	if p := s.prev; p != nil && p.fset != nil {
+		mark := p.fset.Mark()
 		defer func() {
 			if up == nil {
-				fset.Rollback(mark)
+				p.fset.Rollback(mark)
 			}
 		}()
 	}
 	return s.round(ctx, files)
 }
 
-// round dispatches one AnalyzeCtx round. Every path builds the next
-// state in locals and installs it only once detection has succeeded.
+// draft is one round's frontend product, what its detection runs over.
+type draft struct {
+	fset *source.FileSet
+	arts map[string]*fileArtifact
+	res  *Result
+
+	// full, when set, names why every function is dirty; otherwise
+	// changed lists the functions whose body hash or declaration
+	// position differs from the previous round's.
+	full    string
+	changed []string
+
+	reparsed int  // files parsed this round
+	lowered  int  // bodies lowered this round; every other one was reused
+	patched  bool // res's call graph was patched from the previous round's
+}
+
+// round runs one AnalyzeCtx round: a frontend that reuses what the
+// previous round allows, then one detect, merge and commit. It builds
+// the next state in locals and installs it only once detection has
+// succeeded.
 func (s *Session) round(ctx context.Context, files map[string]string) (*Update, error) {
-	if s.res == nil {
-		if s.prior != nil {
-			return s.restoreRound(ctx, files)
+	p := s.prev
+	var d *draft
+	var err error
+	switch {
+	case p == nil:
+		d, err = fullFrontend(files, "first analysis")
+	case p.restored != nil:
+		d, err = restoredFrontend(p.restored, files)
+	default:
+		d, err = liveFrontend(p, files)
+		if d == nil && err == nil {
+			// Nothing to do: replay the last round's view.
+			up := &Update{Result: p.res, Findings: p.last.Findings, Resolved: p.last.Resolved}
+			up.Stats = (&draft{res: p.res}).stats(len(files), false, &detectOutcome{}, len(p.last.Findings))
+			return snapshotUpdate(up), nil
 		}
-		return s.full(ctx, files, "first analysis")
 	}
-	if len(files) != len(s.src) {
-		return s.full(ctx, files, "file set changed")
+	if err != nil {
+		return nil, err
+	}
+	d.res.Precise = s.precise
+
+	// Local detectors run over the dirty callgraph closure; the global
+	// detectors run incrementally over the carried fact caches, or
+	// extract from scratch and seed them when there are none to carry.
+	rd := detectRound{full: d.full != "", changed: d.changed, carries: map[string]detect.Carry{}}
+	if !rd.full && p.carries != nil {
+		rd.carries = p.carries
+	}
+	out, err := d.res.detect(ctx, rd)
+	if err != nil {
+		return nil, err
+	}
+
+	// Every root outside the closure keeps its findings, resolved as
+	// they were; only roots with fresh findings are resolved again.
+	merged := out.findings
+	reused := 0
+	local := map[string][]Finding{}
+	localRes := map[string][]incrstate.Finding{}
+	if !rd.full {
+		prevLocal := p.local
+		if p.restored != nil {
+			prevLocal = findingsFromResolved(d.fset, p.localRes)
+		}
+		roots := make([]string, 0, len(prevLocal))
+		for root := range prevLocal {
+			roots = append(roots, root)
+		}
+		sort.Strings(roots)
+		for _, root := range roots {
+			if out.recomputed[root] {
+				continue
+			}
+			fs := prevLocal[root]
+			local[root] = fs
+			localRes[root] = p.localRes[root]
+			merged = append(merged, fs...)
+			reused += len(fs)
+		}
+	}
+	for fn, fs := range groupByFunction(out.local) {
+		local[fn] = append(local[fn], fs...)
+		localRes[fn] = ResolveFindings(d.fset, local[fn])
+	}
+
+	up := &Update{Result: d.res, Findings: merged, Resolved: sortFindingsByPosition(d.fset, merged)}
+	up.Stats = d.stats(len(files), p != nil && p.restored != nil, out, reused)
+	s.prev = &prevRound{
+		localRes: localRes,
+		fset:     d.fset,
+		arts:     d.arts,
+		src:      maps.Clone(files),
+		res:      d.res,
+		local:    local,
+		last:     up,
+		carries:  out.carries,
+	}
+	return snapshotUpdate(up), nil
+}
+
+// stats is the one constructor of a round's UpdateStats.
+func (d *draft) stats(files int, restored bool, out *detectOutcome, findingsReused int) UpdateStats {
+	st := UpdateStats{
+		Full:              d.full != "",
+		FullReason:        d.full,
+		Restored:          restored,
+		Files:             files,
+		FilesReparsed:     d.reparsed,
+		FuncsLowered:      d.lowered,
+		BodiesReused:      len(d.res.Bodies) - d.lowered,
+		RootsDetected:     len(out.recomputed),
+		FindingsReused:    findingsReused,
+		ChangedFns:        len(d.changed),
+		FuncsTotal:        len(d.res.Bodies),
+		GlobalFactsReused: out.reused,
+		GraphPatched:      d.patched,
+	}
+	if st.Full {
+		st.RootsDetected, st.ChangedFns = st.FuncsTotal, st.FuncsTotal
+	}
+	return st
+}
+
+// fullFrontend parses, resolves and lowers every file into a fresh
+// FileSet; reason, when set, makes the round a full one.
+func fullFrontend(files map[string]string, reason string) (*draft, error) {
+	fset := source.NewFileSet()
+	res, arts, err := analyzeArtifacts(fset, source.NewDiagnostics(fset), files, true)
+	if err != nil {
+		return nil, err
+	}
+	return &draft{fset: fset, arts: arts, res: res, full: reason, reparsed: len(files), lowered: len(res.Bodies)}, nil
+}
+
+// restoredFrontend is the frontend of the round after Restore: a full
+// one (a fresh process has no ASTs or MIR to reuse), whose functions are
+// then diffed against the snapshot's hash planes across the whole tree.
+// Structural drift from the snapshot — the file set, any interface, the
+// function set — makes the round a full one on the same frontend.
+func restoredFrontend(st *incrstate.State, files map[string]string) (*draft, error) {
+	d, err := fullFrontend(files, "")
+	if err != nil {
+		return nil, err
+	}
+	contents, ifaces, fnBodies, fnPos := statePlanes(d.arts)
+	changed, ok := changedFuncs(st.FnBodies, st.FnPos, fnBodies, fnPos)
+	if !ok || !sameKeys(st.Files, contents) || !maps.Equal(st.Interfaces, ifaces) {
+		d.full = "restored state structure changed"
+		return d, nil
+	}
+	d.changed = changed
+	return d, nil
+}
+
+// liveFrontend reuses the previous live round: it re-parses only the
+// changed files, re-lowers only the changed functions and patches the
+// previous call graph. A structural change rebuilds from scratch
+// instead. It returns a nil draft when no file changed.
+func liveFrontend(p *prevRound, files map[string]string) (*draft, error) {
+	if len(files) != len(p.src) {
+		return fullFrontend(files, "file set changed")
 	}
 	var changed []string
 	for name, src := range files {
-		old, ok := s.src[name]
+		old, ok := p.src[name]
 		if !ok {
-			return s.full(ctx, files, "file set changed")
+			return fullFrontend(files, "file set changed")
 		}
 		if old != src {
 			changed = append(changed, name)
 		}
 	}
 	if len(changed) == 0 {
-		// Nothing to do: replay the last round's view.
-		up := &Update{Result: s.last.Result, Findings: s.last.Findings, Resolved: s.last.Resolved}
-		up.Stats = UpdateStats{
-			Files:          len(files),
-			BodiesReused:   len(s.res.Bodies),
-			FindingsReused: len(s.last.Findings),
-		}
-		return snapshotUpdate(up), nil
+		return nil, nil
 	}
 	sort.Strings(changed)
 
@@ -240,21 +392,20 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	for _, src := range files {
 		live += len(src)
 	}
-	if s.fset.Size() > fsetCompactMinBytes && s.fset.Size() > fsetCompactFactor*live {
-		return s.full(ctx, files, "state compaction")
+	if p.fset.Size() > fsetCompactMinBytes && p.fset.Size() > fsetCompactFactor*live {
+		return fullFrontend(files, "state compaction")
 	}
 
 	// Per-file frontend for the changed files only. The persistent
-	// FileSet means spans in reused ASTs and cached findings stay valid;
+	// FileSet means spans in reused ASTs and cached findings stay valid,
+	// and a revision sorts in source order where its file always did, so
+	// detectors order reused and fresh spans as a full build would.
 	// AnalyzeCtx rolls the new registrations back if the round fails.
-	diags := source.NewDiagnostics(s.fset)
-	newArts := make(map[string]*fileArtifact, len(changed))
-	fresh := make([]*fileArtifact, 0, len(changed))
-	for _, name := range changed {
-		a := parseArtifact(s.fset, diags, name, files[name])
-		hashArtifact(a)
-		newArts[name] = a
-		fresh = append(fresh, a)
+	diags := source.NewDiagnostics(p.fset)
+	fresh := make([]*fileArtifact, len(changed))
+	for i, name := range changed {
+		fresh[i] = parseArtifact(p.fset.Revise(p.arts[name].file, files[name]), diags)
+		hashArtifact(fresh[i])
 	}
 	if diags.HasErrors() {
 		return nil, &SyntaxError{Diags: diags.String()}
@@ -262,65 +413,44 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 
 	// Anything outside a function body changed — signatures, items,
 	// statics — can shift types and resolution program-wide: rebuild.
-	for _, name := range changed {
-		if newArts[name].interfaceHash != s.arts[name].interfaceHash ||
-			len(newArts[name].fnBodyHashes) != len(s.arts[name].fnBodyHashes) {
-			return s.full(ctx, files, "interface changed: "+name)
+	for _, a := range fresh {
+		if a.interfaceHash != p.arts[a.name].interfaceHash {
+			return fullFrontend(files, "interface changed: "+a.name)
 		}
 	}
 
 	// Link phase: resolve over reused + fresh ASTs in the same sorted
 	// order a full build uses.
-	names := make([]string, 0, len(files))
-	for n := range files {
+	arts := maps.Clone(p.arts)
+	for _, a := range fresh {
+		arts[a.name] = a
+	}
+	names := make([]string, 0, len(arts))
+	for n := range arts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	arts := make(map[string]*fileArtifact, len(files))
-	crates := make([]*ast.Crate, 0, len(files))
-	for _, n := range names {
-		a, ok := newArts[n]
-		if !ok {
-			a = s.arts[n]
-		}
-		arts[n] = a
-		crates = append(crates, a.crate)
+	crates := make([]*ast.Crate, len(names))
+	for i, n := range names {
+		crates[i] = arts[n].crate
 	}
-	prog := resolve.Crates(s.fset, diags, crates...)
+	prog := resolve.Crates(p.fset, diags, crates...)
 	if diags.HasErrors() {
 		return nil, &SyntaxError{Diags: diags.String()}
 	}
 	// Equal interfaces register the same qualified names from the same
-	// files, so the reused artifacts' function hashes stay valid.
+	// files, so the reused artifacts' function hashes stay valid and
+	// only the changed files need diffing.
 	bindFuncs(prog, fresh)
-
-	// Diff function bodies at matching declaration indexes (the index
-	// correspondence is pinned by the unchanged interface hash), then map
-	// the changed items to qualified names through the fresh registry.
-	// A function whose body text is unchanged but that is not entirely
-	// within the two revisions' common byte prefix is treated as changed
-	// too: bytes at or after the first differing byte may have shifted
-	// line or column (even under a same-length edit that moves a newline),
-	// and replaying its cached findings — or reusing MIR spans bound to
-	// the old registration — would report positions from the old revision.
-	bySyntax := map[*ast.FnItem]string{}
-	for _, fd := range prog.Funcs {
-		if fd.Syntax != nil {
-			bySyntax[fd.Syntax] = fd.Qualified
-		}
-	}
 	changedFns := map[string]bool{}
-	for _, name := range changed {
-		oldA, newA := s.arts[name], newArts[name]
-		stable := commonPrefixLen(oldA.file.Content, newA.file.Content)
-		for i, h := range newA.fnBodyHashes {
-			it := newA.fnItems[i]
-			if h == oldA.fnBodyHashes[i] && it.Span().End-newA.file.Base <= stable {
-				continue
-			}
-			if q, ok := bySyntax[it]; ok {
-				changedFns[q] = true
-			}
+	for _, a := range fresh {
+		old := p.arts[a.name]
+		fns, ok := changedFuncs(old.fnBodies, old.fnPos, a.fnBodies, a.fnPos)
+		if !ok {
+			return fullFrontend(files, "interface changed: "+a.name)
+		}
+		for _, q := range fns {
+			changedFns[q] = true
 		}
 	}
 
@@ -330,31 +460,28 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	if diags.HasErrors() {
 		return nil, &SyntaxError{Diags: diags.String()}
 	}
-	bodies := make(map[string]*mir.Body, len(s.res.Bodies))
-	reused := 0
-	for bname, b := range s.res.Bodies {
+	bodies := make(map[string]*mir.Body, len(p.res.Bodies))
+	for bname, b := range p.res.Bodies {
 		if !changedFns[closureBase(bname)] {
 			bodies[bname] = b
-			reused++
 		}
 	}
 	for bname, b := range lowered {
 		bodies[bname] = b
 	}
-
-	res := &Result{Program: prog, Bodies: bodies, Fset: s.fset, Diags: diags, Precise: s.precise}
+	res := &Result{Program: prog, Bodies: bodies, Fset: p.fset, Diags: diags}
 
 	// Patch the previous round's call graph instead of rebuilding:
 	// only re-lowered bodies are rescanned for edges (plus callers whose
 	// unresolved callee names could have flipped, which body-only edits
 	// cannot cause). The from-scratch rebuild remains the correctness
-	// anchor — structural changes take the full() path above, and the
+	// anchor — structural changes take the full path above, and the
 	// debug cross-check compares fingerprints on every patched round.
 	relowered := make(map[string]bool, len(lowered))
 	for bname := range lowered {
 		relowered[bname] = true
 	}
-	graph := callgraph.Patch(s.res.Context().Graph, bodies, relowered)
+	graph := callgraph.Patch(p.res.Context().Graph, bodies, relowered)
 	if graphCrossCheckEnabled() {
 		if want := callgraph.Build(bodies).Fingerprint(); graph.Fingerprint() != want {
 			panic(fmt.Sprintf("rustprobe: patched call graph diverged from rebuild (patched %x, rebuilt %x)",
@@ -363,110 +490,43 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	}
 	res.graph = graph
 
-	// Incremental detection: local detectors over the dirty callgraph
-	// closure, cached findings for every root outside it, global
-	// detectors incrementally over their carried fact caches.
-	changedList := make([]string, 0, len(changedFns))
+	fns := make([]string, 0, len(changedFns))
 	for q := range changedFns {
-		changedList = append(changedList, q)
+		fns = append(fns, q)
 	}
-	out, err := res.detect(ctx, detectRound{changed: changedList, carries: s.carries})
-	if err != nil {
-		return nil, err
+	return &draft{fset: p.fset, arts: arts, res: res, changed: fns, reparsed: len(fresh), lowered: len(lowered), patched: true}, nil
+}
+
+// changedFuncs is the session's one dirty rule, shared by live and
+// restored rounds: a function changed when its body hash or its
+// declaration-position fingerprint differs from the previous round's.
+// Between rounds with equal interface hashes, a function with both
+// unchanged resolves every span inside it to the same position, so its
+// MIR and cached findings can be reused verbatim. ok is false when the
+// two rounds do not declare the same functions, a structural change.
+func changedFuncs(oldBodies, oldPos, newBodies, newPos map[string]string) (changed []string, ok bool) {
+	if !sameKeys(oldBodies, newBodies) || !sameKeys(oldPos, newPos) {
+		return nil, false
 	}
-	merged := out.findings
-	reusedFindings := 0
-	// Reused roots keep their resolved findings; only roots with fresh
-	// findings are resolved again.
-	local := make(map[string][]Finding, len(s.local))
-	localRes := make(map[string][]incrstate.Finding, len(s.local))
-	for fn, fs := range s.local {
-		if out.recomputed[fn] {
-			continue
+	for q, h := range newBodies {
+		if oldBodies[q] != h || oldPos[q] != newPos[q] {
+			changed = append(changed, q)
 		}
-		local[fn] = fs
-		localRes[fn] = s.localRes[fn]
-		merged = append(merged, fs...)
-		reusedFindings += len(fs)
 	}
-	for fn, fs := range groupByFunction(out.local) {
-		local[fn] = append(local[fn], fs...)
-		localRes[fn] = ResolveFindings(s.fset, local[fn])
-	}
-
-	up := &Update{Result: res, Findings: merged, Resolved: sortFindingsByPosition(s.fset, merged)}
-	up.Stats = UpdateStats{
-		Files:             len(files),
-		FilesReparsed:     len(changed),
-		FuncsLowered:      len(lowered),
-		BodiesReused:      reused,
-		RootsDetected:     len(out.recomputed),
-		FindingsReused:    reusedFindings,
-		ChangedFns:        len(changedFns),
-		FuncsTotal:        len(res.Bodies),
-		GlobalFactsReused: out.reused,
-		GraphPatched:      true,
-	}
-	s.commit(s.fset, arts, files, local, localRes, out.carries, up)
-	return snapshotUpdate(up), nil
+	return changed, true
 }
 
-// commit installs a successful round as the session's reuse state. It is
-// the only place rounds write session state.
-func (s *Session) commit(fset *source.FileSet, arts map[string]*fileArtifact, files map[string]string, local map[string][]Finding, localRes map[string][]incrstate.Finding, carries map[string]detect.Carry, up *Update) {
-	s.fset = fset
-	s.arts = arts
-	s.src = make(map[string]string, len(files))
-	for n, text := range files {
-		s.src[n] = text
+// sameKeys reports whether two maps have identical key sets.
+func sameKeys(a, b map[string]string) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	s.res = up.Result
-	s.local = local
-	s.localRes = localRes
-	s.carries = carries
-	s.prior = nil
-	s.last = up
-}
-
-// full rebuilds the session from scratch and reseeds the reuse state.
-func (s *Session) full(ctx context.Context, files map[string]string, reason string) (*Update, error) {
-	fset := source.NewFileSet()
-	diags := source.NewDiagnostics(fset)
-	res, arts, err := analyzeArtifacts(fset, diags, files, true)
-	if err != nil {
-		return nil, err
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
 	}
-	return s.commitFull(ctx, files, fset, res, arts, reason, false)
-}
-
-// commitFull finishes a full round over an already-built frontend: it
-// runs every detector from scratch and reseeds the session's reuse
-// state. Shared by full() and the restore path's structural fallback
-// (which has already paid for the frontend and must not rebuild it).
-func (s *Session) commitFull(ctx context.Context, files map[string]string, fset *source.FileSet, res *Result, arts map[string]*fileArtifact, reason string, restored bool) (*Update, error) {
-	res.Precise = s.precise
-	// A full round runs the global detectors from scratch but still seeds
-	// their carries, so the very next incremental round reuses facts.
-	out, err := res.detect(ctx, detectRound{full: true, carries: map[string]detect.Carry{}})
-	if err != nil {
-		return nil, err
-	}
-	local := groupByFunction(out.local)
-
-	up := &Update{Result: res, Findings: out.findings, Resolved: sortFindingsByPosition(fset, out.findings)}
-	up.Stats = UpdateStats{
-		Full:          true,
-		FullReason:    reason,
-		Restored:      restored,
-		Files:         len(files),
-		FilesReparsed: len(files),
-		FuncsLowered:  len(res.Bodies),
-		RootsDetected: len(res.Bodies),
-		ChangedFns:    len(res.Bodies),
-		FuncsTotal:    len(res.Bodies),
-	}
-	s.commit(fset, arts, files, local, resolveRoots(fset, local), out.carries, up)
-	return snapshotUpdate(up), nil
+	return true
 }
 
 // groupByFunction groups findings by root function, keeping their
@@ -479,23 +539,16 @@ func groupByFunction(fs []Finding) map[string][]Finding {
 	return out
 }
 
-// resolveRoots resolves every root's local findings.
-func resolveRoots(fset *source.FileSet, local map[string][]Finding) map[string][]incrstate.Finding {
-	out := make(map[string][]incrstate.Finding, len(local))
-	for fn, fs := range local {
-		out[fn] = ResolveFindings(fset, fs)
-	}
-	return out
-}
-
 // Restore arms an empty session with state persisted by an earlier
-// process (Session.ExportState, saved via the incrstate codec). The next
-// Analyze round rebuilds the frontend — ASTs and MIR cannot be persisted
-// — but if the tree's structural hashes still match the recorded state,
-// detection runs only over the dirty closure of the functions whose body
-// hash or declaration position changed, and the recorded findings are
-// replayed for every clean root. Callers must validate st against
-// StateVersion() (incrstate.Load/Decode do) before restoring.
+// process (Session.ExportState, saved via the incrstate codec) as its
+// previous round. The next Analyze round rebuilds the frontend — ASTs
+// and MIR cannot be persisted — and diffs it against the recorded hash
+// planes under the same rule as a live round: if the tree's structure
+// still matches, detection runs only over the dirty closure of the
+// functions whose body hash or declaration position changed, and the
+// recorded findings are replayed for every clean root. Callers must
+// validate st against StateVersion() (incrstate.Load/Decode do) before
+// restoring.
 //
 // Restore fails on a session that has already analyzed: live state is
 // strictly better than persisted state, and silently replacing it would
@@ -506,14 +559,14 @@ func (s *Session) Restore(st *incrstate.State) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.res != nil {
+	if s.prev != nil && s.prev.restored == nil {
 		return fmt.Errorf("rustprobe: Restore: session has already analyzed")
 	}
 	if st.FnPos == nil {
 		// Legacy pre-fn_pos state cannot prove positions didn't shift.
 		return fmt.Errorf("rustprobe: Restore: state has no declaration-position fingerprints")
 	}
-	s.prior = st
+	s.prev = &prevRound{restored: st, localRes: st.Local}
 	return nil
 }
 
@@ -531,18 +584,19 @@ func (s *Session) Restore(st *incrstate.State) error {
 func (s *Session) ExportState() *incrstate.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.res == nil || s.last == nil {
+	p := s.prev
+	if p == nil || p.restored != nil {
 		return nil
 	}
 	st := &incrstate.State{
 		Version:  StateVersion(),
-		Findings: s.last.Resolved,
-		Local:    s.localRes,
+		Findings: p.last.Resolved,
+		Local:    p.localRes,
 	}
-	st.Files, st.Interfaces, st.FnBodies, st.FnPos = statePlanes(s.arts)
+	st.Files, st.Interfaces, st.FnBodies, st.FnPos = statePlanes(p.arts)
 	// Manifest only: the fact caches hold pointers into live MIR and
 	// cannot survive the process; record their sizes for observability.
-	for name, c := range s.carries {
+	for name, c := range p.carries {
 		if fc, ok := c.(detect.FactCounter); ok {
 			if st.GlobalFacts == nil {
 				st.GlobalFacts = map[string]int{}
@@ -578,137 +632,41 @@ func statePlanes(arts map[string]*fileArtifact) (files, ifaces, fnBodies, fnPos 
 	return files, ifaces, fnBodies, fnPos
 }
 
-// restoreRound is the first round after Restore: a full frontend
-// (nothing in-memory to reuse) followed by dirty-closure-only detection
-// against the persisted hashes. Structural drift from the recorded
-// state — different file set, any interface change, a function added or
-// removed — falls back to full detection on the same frontend. The
-// persisted state is consumed only by a successful round, so a failed
-// round keeps it armed for the next push.
-func (s *Session) restoreRound(ctx context.Context, files map[string]string) (*Update, error) {
-	prior := s.prior
-	fset := source.NewFileSet()
-	diags := source.NewDiagnostics(fset)
-	res, arts, err := analyzeArtifacts(fset, diags, files, true)
-	if err != nil {
-		return nil, err
-	}
-
-	contents, ifaces, fnBodies, fnPos := statePlanes(arts)
-	if !sameKeysStr(prior.Files, contents) ||
-		!mapsEqualStr(prior.Interfaces, ifaces) ||
-		!sameKeysStr(prior.FnBodies, fnBodies) ||
-		!sameKeysStr(prior.FnPos, fnPos) {
-		return s.commitFull(ctx, files, fset, res, arts, "restored state structure changed", true)
-	}
-	res.Precise = s.precise
-
-	// A function is dirty if its body text changed or its declaration
-	// moved (an edit above it shifted every recorded position in it).
-	var changed []string
-	for q, h := range fnBodies {
-		if prior.FnBodies[q] != h || prior.FnPos[q] != fnPos[q] {
-			changed = append(changed, q)
-		}
-	}
-	sort.Strings(changed)
-
-	// Restored carries do not exist — fact caches are process-local — so
-	// the first round's global detectors extract from scratch and seed
-	// the carries for every later round.
-	out, err := res.detect(ctx, detectRound{changed: changed, carries: map[string]detect.Carry{}})
-	if err != nil {
-		return nil, err
-	}
+// findingsFromResolved rebuilds per-root detector findings from their
+// persisted resolved form, re-anchoring each span into fset's
+// registration of the same (byte-identical, per the content-hash
+// precondition) file so position resolution and sorting work exactly as
+// for fresh findings.
+func findingsFromResolved(fset *source.FileSet, local map[string][]incrstate.Finding) map[string][]Finding {
 	byName := map[string]*source.File{}
 	for _, f := range fset.Files() {
 		byName[f.Name] = f
 	}
-	merged := out.findings
-	localMap := groupByFunction(out.local)
-	reusedFindings := 0
-	roots := make([]string, 0, len(prior.Local))
-	for root := range prior.Local {
-		roots = append(roots, root)
-	}
-	sort.Strings(roots)
-	for _, root := range roots {
-		if out.recomputed[root] {
-			continue
-		}
-		rfs := prior.Local[root]
+	out := make(map[string][]Finding, len(local))
+	for root, rfs := range local {
 		fs := make([]Finding, 0, len(rfs))
 		for _, rf := range rfs {
-			fs = append(fs, findingFromResolved(byName, rf))
+			var span source.Span
+			if f := byName[rf.File]; f != nil {
+				off := f.Base + f.OffsetOf(rf.Line, rf.Column)
+				span = source.Span{Start: off, End: off}
+			}
+			sev := detect.SeverityWarning
+			if rf.Severity == detect.SeverityError.String() {
+				sev = detect.SeverityError
+			}
+			fs = append(fs, Finding{
+				Kind:     detect.Kind(rf.Kind),
+				Severity: sev,
+				Function: rf.Function,
+				Span:     span,
+				Message:  rf.Message,
+				Notes:    append([]string(nil), rf.Notes...),
+			})
 		}
-		localMap[root] = fs
-		merged = append(merged, fs...)
-		reusedFindings += len(rfs)
+		out[root] = fs
 	}
-
-	up := &Update{Result: res, Findings: merged, Resolved: sortFindingsByPosition(fset, merged)}
-	up.Stats = UpdateStats{
-		Restored:       true,
-		Files:          len(files),
-		FilesReparsed:  len(files),
-		FuncsLowered:   len(res.Bodies),
-		RootsDetected:  len(out.recomputed),
-		FindingsReused: reusedFindings,
-		ChangedFns:     len(changed),
-		FuncsTotal:     len(res.Bodies),
-	}
-	s.commit(fset, arts, files, localMap, resolveRoots(fset, localMap), out.carries, up)
-	return snapshotUpdate(up), nil
-}
-
-// findingFromResolved rebuilds a detector finding from its persisted
-// resolved form, re-anchoring the span into the current registration of
-// the same (byte-identical, per the content-hash precondition) file so
-// position resolution and sorting work exactly as for fresh findings.
-func findingFromResolved(byName map[string]*source.File, rf incrstate.Finding) Finding {
-	var span source.Span
-	if f := byName[rf.File]; f != nil {
-		off := f.Base + f.OffsetOf(rf.Line, rf.Column)
-		span = source.Span{Start: off, End: off}
-	}
-	sev := detect.SeverityWarning
-	if rf.Severity == detect.SeverityError.String() {
-		sev = detect.SeverityError
-	}
-	return Finding{
-		Kind:     detect.Kind(rf.Kind),
-		Severity: sev,
-		Function: rf.Function,
-		Span:     span,
-		Message:  rf.Message,
-		Notes:    append([]string(nil), rf.Notes...),
-	}
-}
-
-// sameKeysStr reports whether two maps have identical key sets.
-func sameKeysStr(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// mapsEqualStr reports whether two maps are identical.
-func mapsEqualStr(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // snapshotUpdate returns a caller-owned copy of an update. The session
@@ -737,21 +695,6 @@ func cloneResolved(fs []incrstate.Finding) []incrstate.Finding {
 		out[i].Notes = append([]string(nil), out[i].Notes...)
 	}
 	return out
-}
-
-// commonPrefixLen reports the length of the longest common byte prefix of
-// a and b — positions at offsets strictly below it resolve identically in
-// both revisions.
-func commonPrefixLen(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // closureBase strips the "::closure#N..." suffix lowering appends, naming

@@ -33,51 +33,92 @@ func exportPrograms(seed int64, n int) []exportProgram {
 	return out
 }
 
-// exportHistory is a seeded mutation history over a three-file tree:
-// twin swaps (body-only), blank lines inserted at the top of the file's
-// first function body (body-only, but every later function's line
-// numbers shift), and reverts to an earlier tree. Entry 0 is the base.
-func exportHistory(seed int64, steps int) []map[string]string {
-	rng := rand.New(rand.NewSource(seed))
+// historyTree is a three-file tree of gen programs that mutation steps
+// edit. Every step is body-only, so a session diffs it incrementally.
+type historyTree struct {
+	progs []exportProgram
+	state []historyFile
+	saved [][]historyFile // the state of every tree rendered so far
+}
+
+// historyFile is one file's edits: which twin it shows, how many pad
+// lines open its first function body, and how the pad is spelled.
+type historyFile struct {
+	alt   bool
+	pad   int
+	spell bool
+}
+
+// The history steps. A newline pad shifts the lines of every later
+// function in the file; a respelling of the pad is a same-length edit
+// that keeps every later function's offset, line and column.
+const (
+	stepSwap = iota
+	stepPad
+	stepSpell
+	stepRevert
+	numHistorySteps
+)
+
+func newHistoryTree(seed int64) *historyTree {
 	progs := exportPrograms(seed, 3)
-	type fileState struct {
-		alt bool
-		pad int
+	return &historyTree{progs: progs, state: make([]historyFile, len(progs))}
+}
+
+// step applies one mutation to file (mod the file count); arg picks the
+// pad growth or the earlier tree a revert goes back to. It returns the
+// rendered tree.
+func (h *historyTree) step(kind, file, arg int) map[string]string {
+	st := &h.state[file%len(h.state)]
+	switch kind {
+	case stepSwap:
+		st.alt = !st.alt
+	case stepPad:
+		st.pad = (st.pad + 1 + arg%2) % 4
+	case stepSpell:
+		st.spell = !st.spell
+	case stepRevert:
+		copy(h.state, h.saved[arg%len(h.saved)])
 	}
-	state := make([]fileState, len(progs))
-	render := func() map[string]string {
-		files := make(map[string]string, len(progs))
-		for i, p := range progs {
-			src := p.main
-			if state[i].alt {
-				src = p.twin
+	return h.render()
+}
+
+// render returns the current tree and records its state for reverts.
+func (h *historyTree) render() map[string]string {
+	h.saved = append(h.saved, append([]historyFile(nil), h.state...))
+	files := make(map[string]string, len(h.progs))
+	for i, p := range h.progs {
+		st := h.state[i]
+		src := p.main
+		if st.alt {
+			src = p.twin
+		}
+		if st.pad > 0 {
+			unit := "  \n"
+			if st.spell {
+				unit = " \n "
 			}
-			if pad := state[i].pad; pad > 0 {
-				if j := strings.Index(src, "fn "); j >= 0 {
-					if k := strings.Index(src[j:], "{\n"); k >= 0 {
-						at := j + k + 2
-						src = src[:at] + strings.Repeat("\n", pad) + src[at:]
-					}
+			if j := strings.Index(src, "fn "); j >= 0 {
+				if k := strings.Index(src[j:], "{\n"); k >= 0 {
+					at := j + k + 2
+					src = src[:at] + strings.Repeat(unit, st.pad) + src[at:]
 				}
 			}
-			files[fmt.Sprintf("f%d.rs", i)] = src
 		}
-		return files
+		files[fmt.Sprintf("f%d.rs", i)] = src
 	}
-	history := []map[string]string{render()}
-	saved := [][]fileState{append([]fileState(nil), state...)}
+	return files
+}
+
+// exportHistory is a seeded mutation history over a historyTree: twin
+// swaps, newline pads, pad respellings and reverts. Entry 0 is the base.
+func exportHistory(seed int64, steps int) []map[string]string {
+	rng := rand.New(rand.NewSource(seed))
+	h := newHistoryTree(seed)
+	history := []map[string]string{h.render()}
+	kinds := []int{stepSwap, stepSwap, stepPad, stepSpell, stepRevert}
 	for len(history) <= steps {
-		i := rng.Intn(len(progs))
-		switch rng.Intn(4) {
-		case 0, 1:
-			state[i].alt = !state[i].alt
-		case 2:
-			state[i].pad = (state[i].pad + 1 + rng.Intn(2)) % 4
-		case 3:
-			copy(state, saved[rng.Intn(len(saved))])
-		}
-		history = append(history, render())
-		saved = append(saved, append([]fileState(nil), state...))
+		history = append(history, h.step(kinds[rng.Intn(len(kinds))], rng.Intn(len(h.progs)), rng.Intn(1<<16)))
 	}
 	return history
 }
@@ -102,7 +143,9 @@ func encodeComparable(t *testing.T, st *incrstate.State) []byte {
 // except GlobalFacts, and encode to the same bytes. The live session
 // assembles its snapshot from hashes and resolved findings kept since
 // the round that computed them, so this pins that the kept values never
-// go stale.
+// go stale. It also pins live/restored parity: restoring the previous
+// round's snapshot and analyzing the round must change, detect and find
+// exactly what the live round did.
 func TestExportStateMatchesFullRound(t *testing.T) {
 	t.Setenv("RUSTPROBE_GRAPH_CHECK", "1")
 	seeds, steps := 6, 8
@@ -112,6 +155,7 @@ func TestExportStateMatchesFullRound(t *testing.T) {
 	incremental := 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		live := NewSession()
+		var prev *incrstate.State
 		for round, files := range exportHistory(seed, steps) {
 			up, err := live.Analyze(files)
 			if err != nil {
@@ -139,6 +183,29 @@ func TestExportStateMatchesFullRound(t *testing.T) {
 			if !bytes.Equal(encodeComparable(t, got), encodeComparable(t, want)) {
 				t.Fatalf("seed %d round %d: encoded snapshot diverges from a full round's", seed, round)
 			}
+
+			// The round restored from the previous round's snapshot
+			// diffs under the same rule, so it does the same work and
+			// gives the same findings as the live round.
+			if round > 0 {
+				rs := NewSession()
+				if err := rs.Restore(prev); err != nil {
+					t.Fatal(err)
+				}
+				rup, err := rs.Analyze(files)
+				if err != nil {
+					t.Fatalf("seed %d round %d restored: %v", seed, round, err)
+				}
+				if rup.Stats.ChangedFns != up.Stats.ChangedFns || rup.Stats.RootsDetected != up.Stats.RootsDetected {
+					t.Fatalf("seed %d round %d: restored round changed %d fns, detected %d roots; live round %d, %d",
+						seed, round, rup.Stats.ChangedFns, rup.Stats.RootsDetected, up.Stats.ChangedFns, up.Stats.RootsDetected)
+				}
+				if !reflect.DeepEqual(rup.Resolved, up.Resolved) {
+					t.Fatalf("seed %d round %d: restored round's findings diverge from the live round's\n got: %v\nwant: %v",
+						seed, round, resolvedStrings(rup.Resolved), resolvedStrings(up.Resolved))
+				}
+			}
+			prev = got
 		}
 	}
 	if incremental == 0 {

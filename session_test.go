@@ -368,6 +368,120 @@ func TestSessionShiftedPositionsMatchFull(t *testing.T) {
 	}
 }
 
+// TestSessionSameLengthEditDirtiesOnlyTheEditedFunction: a same-length
+// edit inside the first of three functions leaves the other two at the
+// same offset, line and column, so only the edited function is dirty
+// and the other two replay their findings.
+func TestSessionSameLengthEditDirtiesOnlyTheEditedFunction(t *testing.T) {
+	mk := func(a string) map[string]string {
+		return map[string]string{"x.rs": "fn first() {\n    let a = " + a + ";\n}\n" +
+			"fn second(v: Vec<i32>) {\n    let p = v.as_ptr();\n    drop(v);\n    unsafe { let x = *p; }\n}\n" +
+			"fn third() {\n    let m = Mutex::new(0);\n    let g = m.lock().unwrap();\n    let h = m.lock().unwrap();\n}\n"}
+	}
+	s := NewSession()
+	if _, err := s.Analyze(mk("1")); err != nil {
+		t.Fatal(err)
+	}
+	files := mk("7")
+	up, err := s.Analyze(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Stats.Full || up.Stats.ChangedFns != 1 || up.Stats.RootsDetected != 1 || up.Stats.FindingsReused == 0 {
+		t.Fatalf("same-length edit in first(): stats %+v, want changed_fns 1, roots_detected 1 and replayed findings", up.Stats)
+	}
+	if got, want := sessionStrings(up), fullDetect(t, files); !equalStrings(got, want) {
+		t.Fatalf("same-length edit diverges from full analysis\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestSessionOrdersRevisedSpansLikeAFullBuild: the all-ends-waiting
+// rule names whichever of two recvs comes first in source order. After
+// a body edit to worker_a only its file is re-parsed, so worker_a's
+// spans get higher global offsets than worker_b's reused ones; the
+// session must still order them as a full build does, whether the two
+// workers share a file or not.
+func TestSessionOrdersRevisedSpansLikeAFullBuild(t *testing.T) {
+	worker := func(name, n string) string {
+		return "fn " + name + "(rx: Receiver<i32>, tx: Sender<i32>) {\n    let job = rx.recv().unwrap();\n    tx.send(job + " + n + ");\n}\n"
+	}
+	pipeline := "fn pipeline() {\n    let (tx_a, rx_a) = mpsc::channel();\n    let (tx_b, rx_b) = mpsc::channel();\n" +
+		"    thread::spawn(move || { worker_a(rx_a, tx_b); });\n    thread::spawn(move || { worker_b(rx_b, tx_a); });\n}\n"
+	for _, tc := range []struct {
+		name string
+		tree func(n string) map[string]string
+	}{
+		{"one file", func(n string) map[string]string {
+			return map[string]string{"a.rs": worker("worker_a", n) + worker("worker_b", "2") + pipeline}
+		}},
+		{"three files", func(n string) map[string]string {
+			return map[string]string{"a.rs": worker("worker_a", n), "b.rs": worker("worker_b", "2"), "c.rs": pipeline}
+		}},
+	} {
+		s := NewSession()
+		if _, err := s.Analyze(tc.tree("1")); err != nil {
+			t.Fatal(err)
+		}
+		files := tc.tree("3")
+		up, err := s.Analyze(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.Stats.Full || countKind(up.Findings, "blocking") != 1 {
+			t.Fatalf("%s: stats %+v, %d blocking findings; want an incremental round with one", tc.name, up.Stats, countKind(up.Findings, "blocking"))
+		}
+		if got, want := sessionStrings(up), fullDetect(t, files); !equalStrings(got, want) {
+			t.Fatalf("%s: session orders spans unlike a full build\n got: %v\nwant: %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestSessionInlineModBodyEdit: the body of a function inside an inline
+// mod block is body text, not interface text, so editing it runs
+// incrementally — live and restored alike — with one changed function.
+func TestSessionInlineModBodyEdit(t *testing.T) {
+	mk := func(n string) map[string]string {
+		return map[string]string{
+			"a.rs": "fn stale(v: Vec<i32>) {\n    let p = v.as_ptr();\n    drop(v);\n    unsafe { let x = *p; }\n}\n" +
+				"mod m {\n    fn helper(x: i32) -> i32 {\n        x + " + n + "\n    }\n}\n",
+			"b.rs": "fn main() {\n    let y = helper(2);\n}\n",
+		}
+	}
+	base, edited := mk("1"), mk("22")
+	s := NewSession()
+	if _, err := s.Analyze(base); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.ExportState()
+	want := fullDetect(t, edited)
+
+	up, err := s.Analyze(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Stats.Full || up.Stats.ChangedFns != 1 {
+		t.Fatalf("mod body edit: stats %+v, want an incremental round with changed_fns 1", up.Stats)
+	}
+	if got := sessionStrings(up); !equalStrings(got, want) {
+		t.Fatalf("mod body edit diverges from full analysis\n got: %v\nwant: %v", got, want)
+	}
+
+	rs := NewSession()
+	if err := rs.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	rup, err := rs.Analyze(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rup.Stats.Full || !rup.Stats.Restored || rup.Stats.ChangedFns != 1 {
+		t.Fatalf("restored mod body edit: stats %+v, want an incremental restored round with changed_fns 1", rup.Stats)
+	}
+	if got := sessionStrings(rup); !equalStrings(got, want) {
+		t.Fatalf("restored mod body edit diverges from full analysis\n got: %v\nwant: %v", got, want)
+	}
+}
+
 // TestSessionUpdateIsCallerOwned: mutating a returned Update's findings
 // (sorting, appending, editing Notes) must not corrupt the session's
 // cached state for later rounds.
@@ -426,14 +540,14 @@ func TestSessionErrorKeepsState(t *testing.T) {
 
 	broken := clone(files)
 	broken["a.rs"] = "fn f(x: i32) -> i32 { x +\n"
-	filesBefore := len(s.fset.Files())
-	sizeBefore := s.fset.Size()
+	filesBefore := len(s.prev.fset.Files())
+	sizeBefore := s.prev.fset.Size()
 	if _, err := s.Analyze(broken); err == nil {
 		t.Fatal("syntax error round succeeded")
 	}
 	// The failed round's speculative registrations must be rolled back:
 	// they belong to no retained artifact.
-	if n, sz := len(s.fset.Files()), s.fset.Size(); n != filesBefore || sz != sizeBefore {
+	if n, sz := len(s.prev.fset.Files()), s.prev.fset.Size(); n != filesBefore || sz != sizeBefore {
 		t.Fatalf("error round leaked FileSet state: files %d->%d, size %d->%d",
 			filesBefore, n, sizeBefore, sz)
 	}
@@ -479,8 +593,8 @@ func TestSessionFileSetCompaction(t *testing.T) {
 		}
 		if up.Stats.Full && up.Stats.FullReason == "state compaction" {
 			compacted = true
-			if live := len(files["a.rs"]); s.fset.Size() > 2*live+2 {
-				t.Fatalf("compaction did not reseed the FileSet: size %d for %d live bytes", s.fset.Size(), live)
+			if live := len(files["a.rs"]); s.prev.fset.Size() > 2*live+2 {
+				t.Fatalf("compaction did not reseed the FileSet: size %d for %d live bytes", s.prev.fset.Size(), live)
 			}
 		}
 		want := fullDetect(t, files)
