@@ -64,7 +64,7 @@ func TestBitSetLattice(t *testing.T) {
 		})
 		return ok && u.Equal(u2)
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -37,15 +37,6 @@ import (
 	"rustprobe/internal/summary"
 )
 
-// channel constructors whose tuple result provides sender/receiver
-// provenance for the orphaned-receive rule. Mirrors the lowering's
-// intrinsic table.
-var chanCtors = map[string]bool{
-	"channel::unbounded": true,
-	"mpsc::channel":      true,
-	"mpsc::sync_channel": true,
-}
-
 // Detector is the blocking-bug detector.
 type Detector struct{}
 
@@ -644,11 +635,11 @@ func (d *Detector) collectOrphans(ctx *detect.Context, info *funcInfo) {
 				if isAliasMove(as, ch) {
 					continue
 				}
-				for _, pl := range rvaluePlaces(as.Rvalue) {
+				forEachRvaluePlace(as.Rvalue, func(pl mir.Place) {
 					if len(pl.Proj) == 0 && ch.senders[pl.Local] {
 						live = true
 					}
-				}
+				})
 			}
 			switch t := blk.Term.(type) {
 			case mir.Drop:
@@ -740,7 +731,7 @@ func channelProvenance(body *mir.Body) []*chanProv {
 	var chans []*chanProv
 	for _, blk := range body.Blocks {
 		c, ok := blk.Term.(mir.Call)
-		if !ok || c.Intrinsic != mir.IntrinsicNone || !chanCtors[c.Callee] || !c.Dest.IsLocal() {
+		if !ok || c.Intrinsic != mir.IntrinsicNone || !mir.IsChannelCtor(c.Callee) || !c.Dest.IsLocal() {
 			continue
 		}
 		chans = append(chans, &chanProv{
@@ -828,36 +819,18 @@ func firstArgPlace(c mir.Call) (mir.Place, bool) {
 	return mir.OperandPlace(c.Args[0])
 }
 
-// rvaluePlaces lists the places an rvalue reads.
-func rvaluePlaces(rv mir.Rvalue) []mir.Place {
-	var out []mir.Place
-	add := func(op mir.Operand) {
-		if pl, ok := mir.OperandPlace(op); ok {
-			out = append(out, pl)
-		}
-	}
+// forEachRvaluePlace calls f on each place rv reads, borrows or takes
+// the address of.
+func forEachRvaluePlace(rv mir.Rvalue, f func(mir.Place)) {
+	mir.ForEachOperandPlace(rv, f)
 	switch rv := rv.(type) {
-	case mir.Use:
-		add(rv.X)
 	case mir.Ref:
-		out = append(out, rv.Place)
+		f(rv.Place)
 	case mir.AddrOf:
-		out = append(out, rv.Place)
-	case mir.Cast:
-		add(rv.X)
-	case mir.BinaryOp:
-		add(rv.L)
-		add(rv.R)
-	case mir.UnaryOp:
-		add(rv.X)
-	case mir.Aggregate:
-		for _, op := range rv.Ops {
-			add(op)
-		}
+		f(rv.Place)
 	case mir.Discriminant:
-		out = append(out, rv.Place)
+		f(rv.Place)
 	}
-	return out
 }
 
 // lostSignals is the missing/conditional-notify rule: a Condvar::wait
@@ -1251,13 +1224,13 @@ func (d *Detector) escapedChannels(ctx *detect.Context, info *funcInfo) map[int]
 				continue
 			}
 			if len(as.Place.Proj) > 0 {
-				for _, pl := range rvaluePlaces(as.Rvalue) {
+				forEachRvaluePlace(as.Rvalue, func(pl mir.Place) {
 					if len(pl.Proj) == 0 {
 						if ci, ok := endpointOf(pl.Local); ok {
 							tainted[ci] = true
 						}
 					}
-				}
+				})
 			}
 		}
 		c, ok := blk.Term.(mir.Call)

@@ -1,6 +1,7 @@
 // Tests that the per-function facts the detectors share (the CFG, the
-// double-lock guard analysis, the alias resolver) are computed once per
-// Context and read-only to every detector that uses them.
+// double-lock guard analysis, the alias resolver, the uninitialized-
+// allocation dataflow) are computed once per Context and read-only to
+// every detector that uses them.
 package detect_test
 
 import (
@@ -8,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -27,8 +29,10 @@ import (
 // detector that asked, and the acquisition summary double-lock and lock
 // order read was computed once; repeat lookups return the same object;
 // lock order alone builds the double-lock facts; no detector resolves
-// callees or builds CFGs on its own, and no detector builds an event
-// summary or a namespace translation of its own.
+// callees or builds CFGs on its own, no detector builds an event summary
+// or a namespace translation of its own, drop-bugs reads the uninit
+// dataflow instead of running its own, and the drop-glue, pointer and
+// heap-ownership rules are declared only in package types.
 func TestContextSharesFunctionFacts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -52,7 +56,7 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 			t.Errorf("%s built %d times for %d bodies", kind, b, n)
 		}
 	}
-	for _, kind := range []string{"cfg", "doublelock.facts", "doublelock.acquisitions", "alias"} {
+	for _, kind := range []string{"cfg", "doublelock.facts", "doublelock.acquisitions", "alias", "uninit.facts"} {
 		if builds[kind] != n {
 			t.Errorf("%s built %d times, want once per body (%d)", kind, builds[kind], n)
 		}
@@ -63,8 +67,8 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 	want := fmt.Sprint(builds)
 
 	for _, fn := range ctx.Graph.Names() {
-		g, lf, r := ctx.CFG(fn), doublelock.Facts(ctx, fn), alias.For(ctx, fn)
-		if ctx.CFG(fn) != g || doublelock.Facts(ctx, fn) != lf || alias.For(ctx, fn) != r {
+		g, lf, r, u := ctx.CFG(fn), doublelock.Facts(ctx, fn), alias.For(ctx, fn), uninit.Facts(ctx, fn)
+		if ctx.CFG(fn) != g || doublelock.Facts(ctx, fn) != lf || alias.For(ctx, fn) != r || uninit.Facts(ctx, fn) != u {
 			t.Fatalf("%s: a repeat lookup returned a different object", fn)
 		}
 		if lf.CFG != g || r.Locks() != lf {
@@ -123,6 +127,10 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		if strings.Contains(string(src), "func resolvedCallee(") {
 			t.Errorf("%s declares its own resolvedCallee; use Context.Callee", f)
 		}
+		// Drop-bugs reads the invalid-free facts from uninit.Facts.
+		if filepath.Dir(f) == "dfree" && strings.Contains(string(src), "dataflow.Problem") {
+			t.Errorf("%s builds a dataflow.Problem; use uninit.Facts", f)
+		}
 		// Race, blocking, double-lock and lock order summarize their
 		// events through the one lockset-annotated event summary and its
 		// one path-depth cap.
@@ -139,17 +147,26 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		}
 	}
 
-	// Callee paths reach a caller through summary.TranslateRoot alone.
+	// Callee paths reach a caller through summary.TranslateRoot alone,
+	// and the type rules the memory detectors, the refuter, the lowering
+	// and the dynamic oracle must agree on have one copy, in package types.
 	translate := "summary." + "Translate("
+	typeRule := regexp.MustCompile(`func (\([^)]*\) )?(needsDrop|typeNeedsDrop|ownsHeap|isPointer)\(`)
 	err = filepath.WalkDir("..", func(path string, e fs.DirEntry, err error) error {
 		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
 		src, err := os.ReadFile(path)
-		if err == nil && strings.Contains(string(src), translate) {
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(src), translate) {
 			t.Errorf("%s calls %s; use summary.TranslateRoot", path, translate)
 		}
-		return err
+		if m := typeRule.FindSubmatch(src); m != nil && filepath.Dir(path) != filepath.Join("..", "types") {
+			t.Errorf("%s declares %s; use the rule in package types", path, m[2])
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

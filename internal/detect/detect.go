@@ -79,9 +79,10 @@ func (f Finding) Format(fset *source.FileSet) string {
 // concurrent goroutines.
 //
 // The per-function facts several detectors start from (the CFG, points-to,
-// dropflow, the lock facts of package doublelock, the alias resolver)
-// are computed once per Context through Shared and live as long as the
-// Context. Every user must treat a shared value as read-only.
+// dropflow, the lock facts of package doublelock, the alias resolver, the
+// uninitialized-allocation dataflow of package uninit) are computed once
+// per Context through Shared and live as long as the Context. Every user
+// must treat a shared value as read-only.
 type Context struct {
 	Program *hir.Program
 	Bodies  map[string]*mir.Body

@@ -11,8 +11,8 @@ package dfree
 import (
 	"fmt"
 
-	"rustprobe/internal/dataflow"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/detect/uninit"
 	"rustprobe/internal/dropflow"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/types"
@@ -45,72 +45,18 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	return out
 }
 
-// checkInvalidFree tracks pointers to uninitialized allocations: alloc()
-// (and mem::uninitialized/MaybeUninit::uninit) gen an "uninit" bit on the
-// destination and everything it flows into by cast/copy; a plain MIR
-// Assign through such a pointer drops the uninitialized previous value —
-// invalid free. ptr::write initializes without dropping and clears the bit.
+// checkInvalidFree flags a plain MIR Assign through a pointer that the
+// shared uninit facts say may point to an uninitialized allocation: the
+// assignment drops the uninitialized previous value — invalid free — when
+// the assigned type has drop glue. ptr::write initializes without dropping.
 func (d *Detector) checkInvalidFree(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
 	g := ctx.CFG(name)
-	pts := ctx.PointsTo(name)
 	var df *dropflow.Result
 	if d.Precise {
 		df = ctx.DropFlow(name)
 	}
-
-	// Locals that (may) hold pointers to uninitialized memory, seeded by
-	// alloc intrinsics and spread through copies/casts; flow-sensitive so
-	// ptr::write can clear.
-	prob := &dataflow.Problem{
-		Bits: len(body.Locals),
-		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
-			as, ok := st.(mir.Assign)
-			if !ok {
-				return
-			}
-			if !as.Place.IsLocal() {
-				return
-			}
-			switch rv := as.Rvalue.(type) {
-			case mir.Use:
-				if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-					state.Set(int(as.Place.Local))
-					return
-				}
-			case mir.Cast:
-				if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-					state.Set(int(as.Place.Local))
-					return
-				}
-			}
-			state.Clear(int(as.Place.Local))
-		},
-		TransferTerm: func(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
-			c, ok := term.(mir.Call)
-			if !ok {
-				return
-			}
-			switch c.Intrinsic {
-			case mir.IntrinsicAlloc:
-				if c.Dest.IsLocal() {
-					state.Set(int(c.Dest.Local))
-				}
-			case mir.IntrinsicPtrWrite:
-				// ptr::write(p, v): p's target is now initialized.
-				if len(c.Args) > 0 {
-					if pl, ok := mir.OperandPlace(c.Args[0]); ok && pl.IsLocal() {
-						state.Clear(int(pl.Local))
-					}
-				}
-			default:
-				if c.Dest.IsLocal() {
-					state.Clear(int(c.Dest.Local))
-				}
-			}
-		},
-	}
-	res := dataflow.Forward(g, prob)
+	res := uninit.Facts(ctx, name)
 
 	var out []detect.Finding
 	for _, blk := range body.Blocks {
@@ -128,8 +74,7 @@ func (d *Detector) checkInvalidFree(ctx *detect.Context, name string) []detect.F
 			}
 			// The assigned value must have drop glue for the implicit
 			// drop of the previous value to matter.
-			assignedTy := assignedType(body, as)
-			if !typeNeedsDrop(assignedTy) {
+			if !types.NeedsDrop(mir.AssignedType(body, as)) {
 				continue
 			}
 			state := res.StateAt(blk.ID, i)
@@ -151,49 +96,7 @@ func (d *Detector) checkInvalidFree(ctx *detect.Context, name string) []detect.F
 			}
 		}
 	}
-	_ = pts
 	return out
-}
-
-func assignedType(body *mir.Body, as mir.Assign) types.Type {
-	switch rv := as.Rvalue.(type) {
-	case mir.Use:
-		return operandType(body, rv.X)
-	case mir.Aggregate:
-		return types.NamedOf(rv.Name)
-	default:
-		return types.UnknownType
-	}
-}
-
-func operandType(body *mir.Body, op mir.Operand) types.Type {
-	switch op := op.(type) {
-	case mir.Copy:
-		return body.Local(op.Place.Local).Ty
-	case mir.Move:
-		return body.Local(op.Place.Local).Ty
-	case mir.Const:
-		return op.Ty
-	}
-	return types.UnknownType
-}
-
-func typeNeedsDrop(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		switch t.Name {
-		case "PhantomData", "Ordering":
-			return false
-		}
-		return true
-	case *types.Tuple:
-		for _, e := range t.Elems {
-			if typeNeedsDrop(e) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkDoubleFree flags ptr::read duplications where both the original

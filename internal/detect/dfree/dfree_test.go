@@ -12,6 +12,12 @@ import (
 
 func analyze(t *testing.T, src string) []detect.Finding {
 	t.Helper()
+	findings, _ := analyzeWith(t, New(), src)
+	return findings
+}
+
+func analyzeWith(t *testing.T, d *Detector, src string) ([]detect.Finding, *source.FileSet) {
+	t.Helper()
 	fset := source.NewFileSet()
 	f := fset.Add("test.rs", src)
 	diags := source.NewDiagnostics(fset)
@@ -22,7 +28,7 @@ func analyze(t *testing.T, src string) []detect.Finding {
 	prog := resolve.Crates(fset, diags, crate)
 	bodies := lower.Program(prog, diags)
 	ctx := detect.NewContext(prog, bodies)
-	return New().Run(ctx)
+	return d.Run(ctx), fset
 }
 
 func count(fs []detect.Finding, kind detect.Kind) int {
@@ -67,6 +73,47 @@ func TestFigure6FixedClean(t *testing.T) {
 	findings := analyze(t, figure6Fixed)
 	if n := count(findings, detect.KindInvalidFree); n != 0 {
 		t.Fatalf("fixed version flagged: %+v", findings)
+	}
+}
+
+// Only the first plain assignment through a fresh allocation drops a
+// garbage previous value; it initializes the memory, so the second
+// assignment drops the first one's valid value.
+const figure6Twice = `
+pub struct FILE { buf: Vec<u8> }
+
+pub unsafe fn _fdopen() {
+    let f = alloc(size_of::<FILE>()) as *mut FILE;
+    *f = FILE { buf: vec![0u8; 100] };
+    *f = FILE { buf: vec![0u8; 100] };
+}
+`
+
+// Duration and NonNull have no drop glue, so overwriting garbage of those
+// types through a fresh allocation drops nothing.
+const noGlueOverwrite = `
+pub unsafe fn set_timeout(t: Duration) {
+    let d = alloc(size_of::<Duration>()) as *mut Duration;
+    *d = t;
+}
+
+pub unsafe fn set_head(h: NonNull<u8>) {
+    let p = alloc(size_of::<NonNull<u8>>()) as *mut NonNull<u8>;
+    *p = h;
+}
+`
+
+// TestInvalidFreeOnlyBeforeInit pins the invalid-free rule on the shared
+// uninit facts and the shared drop-glue rule, in default and precise mode.
+func TestInvalidFreeOnlyBeforeInit(t *testing.T) {
+	for _, d := range []*Detector{New(), NewPrecise()} {
+		findings, fset := analyzeWith(t, d, figure6Twice)
+		if len(findings) != 1 || fset.Position(findings[0].Span.Start).Line != 6 {
+			t.Errorf("precise=%v: findings = %+v, want one invalid free at the first assignment (line 6)", d.Precise, findings)
+		}
+		if findings, _ := analyzeWith(t, d, noGlueOverwrite); len(findings) != 0 {
+			t.Errorf("precise=%v: overwrite without drop glue flagged: %+v", d.Precise, findings)
+		}
 	}
 }
 

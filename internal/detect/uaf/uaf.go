@@ -196,7 +196,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 		TransferTerm: func(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
 			switch term := term.(type) {
 			case mir.Drop:
-				if term.Place.IsLocal() && ownsHeap(body.Local(term.Place.Local).Ty) {
+				if term.Place.IsLocal() && types.OwnsHeap(body.Local(term.Place.Local).Ty) {
 					state.Set(int(term.Place.Local))
 				}
 			case mir.Call:
@@ -255,7 +255,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 				if !p.HasDeref() {
 					return
 				}
-				if !isPointer(body.Local(p.Local).Ty) {
+				if !types.IsPointerLike(body.Local(p.Local).Ty) {
 					return
 				}
 				if dead, isDead := deadPointees(state, p.Local); isDead {
@@ -277,7 +277,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 				if !isPlace {
 					continue
 				}
-				if pl.HasDeref() && isPointer(body.Local(pl.Local).Ty) {
+				if pl.HasDeref() && types.IsPointerLike(body.Local(pl.Local).Ty) {
 					if dead, isDead := deadPointees(state, pl.Local); isDead {
 						if df.RefutesUseDead(dropflow.SiteKey{Block: blk.ID, Stmt: -1, Local: pl.Local}) {
 							continue
@@ -291,7 +291,7 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 				if d.IntraOnly {
 					continue
 				}
-				if !isPointer(body.Local(pl.Local).Ty) {
+				if !types.IsPointerLike(body.Local(pl.Local).Ty) {
 					continue
 				}
 				derefs := false
@@ -318,57 +318,17 @@ func (d *Detector) checkFunction(ctx *detect.Context, name string, sums map[stri
 	return out
 }
 
+// forEachRvaluePlace calls f on each place rv reads: its operands, a
+// borrowed place and a discriminant's place. Taking an address is not a
+// dereference.
 func forEachRvaluePlace(rv mir.Rvalue, f func(mir.Place)) {
-	visit := func(op mir.Operand) {
-		if pl, ok := mir.OperandPlace(op); ok {
-			f(pl)
-		}
-	}
+	mir.ForEachOperandPlace(rv, f)
 	switch rv := rv.(type) {
-	case mir.Use:
-		visit(rv.X)
 	case mir.Ref:
 		f(rv.Place)
-	case mir.AddrOf:
-		// Taking an address is not a dereference.
-	case mir.Cast:
-		visit(rv.X)
-	case mir.BinaryOp:
-		visit(rv.L)
-		visit(rv.R)
-	case mir.UnaryOp:
-		visit(rv.X)
-	case mir.Aggregate:
-		for _, op := range rv.Ops {
-			visit(op)
-		}
 	case mir.Discriminant:
 		f(rv.Place)
 	}
-}
-
-func isPointer(t types.Type) bool {
-	switch t.(type) {
-	case *types.RawPtr, *types.Ref:
-		return true
-	}
-	return false
-}
-
-// ownsHeap reports whether dropping a value of t frees heap memory that
-// pointers may still reference.
-func ownsHeap(t types.Type) bool {
-	if types.IsOwningContainer(t) {
-		return true
-	}
-	if n, ok := t.(*types.Named); ok {
-		switch n.Name {
-		case "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard":
-			return false
-		}
-		return true // user structs may own heap through fields
-	}
-	return false
 }
 
 func isStaticLocal(name string) bool {

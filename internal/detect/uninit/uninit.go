@@ -1,7 +1,11 @@
 // Package uninit detects reads of uninitialized memory (Table 2's
 // "Uninitialized" category, all unsafe→safe in the paper): a buffer created
 // by alloc()/mem::uninitialized is read — dereferenced in rvalue position
-// or passed to a dereferencing callee — before any initializing write.
+// or by ptr::read — before any initializing write.
+//
+// Facts, the per-function dataflow of which locals point to uninitialized
+// allocations, is shared through the detect.Context: the drop-bugs
+// detector's invalid-free rule reads the same facts.
 package uninit
 
 import (
@@ -47,59 +51,7 @@ func (d *Detector) check(ctx *detect.Context, name string) []detect.Finding {
 	if d.Precise {
 		df = ctx.DropFlow(name)
 	}
-
-	// Bit l: local l holds a pointer to (or is a value of) uninitialized
-	// memory.
-	prob := &dataflow.Problem{
-		Bits: len(body.Locals),
-		TransferStmt: func(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
-			as, ok := st.(mir.Assign)
-			if !ok {
-				return
-			}
-			if as.Place.HasDeref() {
-				// Writing through the pointer initializes it.
-				state.Clear(int(as.Place.Local))
-				return
-			}
-			switch rv := as.Rvalue.(type) {
-			case mir.Use:
-				if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-					state.Set(int(as.Place.Local))
-					return
-				}
-			case mir.Cast:
-				if pl, ok := mir.OperandPlace(rv.X); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
-					state.Set(int(as.Place.Local))
-					return
-				}
-			}
-			state.Clear(int(as.Place.Local))
-		},
-		TransferTerm: func(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
-			c, ok := term.(mir.Call)
-			if !ok {
-				return
-			}
-			switch c.Intrinsic {
-			case mir.IntrinsicAlloc:
-				if c.Dest.IsLocal() {
-					state.Set(int(c.Dest.Local))
-				}
-			case mir.IntrinsicPtrWrite:
-				if len(c.Args) > 0 {
-					if pl, ok := mir.OperandPlace(c.Args[0]); ok && pl.IsLocal() {
-						state.Clear(int(pl.Local))
-					}
-				}
-			default:
-				if c.Dest.IsLocal() {
-					state.Clear(int(c.Dest.Local))
-				}
-			}
-		},
-	}
-	res := dataflow.Forward(g, prob)
+	res := Facts(ctx, name)
 
 	var out []detect.Finding
 	report := func(span source.Span, l mir.LocalID) {
@@ -167,4 +119,68 @@ func (d *Detector) check(ctx *detect.Context, name string) []detect.Finding {
 		}
 	}
 	return out
+}
+
+// Facts returns (computing once per Context) the uninitialized-allocation
+// dataflow of function fn. Bit l of a state is set when local l may hold a
+// pointer to (or be a value of) memory that alloc()/mem::uninitialized
+// returned and nothing has initialized yet. A copy or cast spreads the
+// bit; an assignment through the pointer or ptr::write(l, _) initializes
+// the memory and clears it. The result is shared by every detector that
+// asks and must be treated as read-only.
+func Facts(ctx *detect.Context, fn string) *dataflow.Result {
+	return detect.Shared(ctx, "uninit.facts", fn, func() *dataflow.Result {
+		return dataflow.Forward(ctx.CFG(fn), &dataflow.Problem{
+			Bits:         len(ctx.Bodies[fn].Locals),
+			TransferStmt: transferStmt,
+			TransferTerm: transferTerm,
+		})
+	})
+}
+
+func transferStmt(state dataflow.BitSet, _ mir.BlockID, _ int, st mir.Statement) {
+	as, ok := st.(mir.Assign)
+	if !ok {
+		return
+	}
+	if as.Place.HasDeref() {
+		// Writing through the pointer initializes it.
+		state.Clear(int(as.Place.Local))
+		return
+	}
+	var src mir.Operand
+	switch rv := as.Rvalue.(type) {
+	case mir.Use:
+		src = rv.X
+	case mir.Cast:
+		src = rv.X
+	}
+	if pl, ok := mir.OperandPlace(src); ok && pl.IsLocal() && state.Has(int(pl.Local)) {
+		state.Set(int(as.Place.Local))
+	} else {
+		state.Clear(int(as.Place.Local))
+	}
+}
+
+func transferTerm(state dataflow.BitSet, _ mir.BlockID, term mir.Terminator) {
+	c, ok := term.(mir.Call)
+	if !ok {
+		return
+	}
+	switch c.Intrinsic {
+	case mir.IntrinsicAlloc:
+		if c.Dest.IsLocal() {
+			state.Set(int(c.Dest.Local))
+		}
+	case mir.IntrinsicPtrWrite:
+		if len(c.Args) > 0 {
+			if pl, ok := mir.OperandPlace(c.Args[0]); ok && pl.IsLocal() {
+				state.Clear(int(pl.Local))
+			}
+		}
+	default:
+		if c.Dest.IsLocal() {
+			state.Clear(int(c.Dest.Local))
+		}
+	}
 }

@@ -166,7 +166,7 @@ func newState(body *mir.Body) *state {
 	}
 	for i := 0; i < body.ArgCount; i++ {
 		l := mir.LocalID(i + 1)
-		if isPointer(body.Local(l).Ty) {
+		if types.IsPointerLike(body.Local(l).Ty) {
 			// A pointer param points at (a proxy for) itself, mirroring
 			// the flow-insensitive model so summaries line up.
 			s.pts[l] = []mir.LocalID{l}
@@ -488,12 +488,17 @@ func (w *walker) stmt(s *state, b mir.BlockID, i int, st mir.Statement) {
 			s.dead[st.Local] = true
 		}
 	case mir.Assign:
-		// Reads first: any deref on the rvalue side is a site.
-		forEachOperandPlace(st.Rvalue, func(pl mir.Place) {
+		// Reads first: any deref on the rvalue side is a site. Reading a
+		// discriminant counts; borrowing or taking an address does not.
+		read := func(pl mir.Place) {
 			if pl.HasDeref() {
 				w.derefSite(s, SiteKey{Block: b, Stmt: i, Local: pl.Local})
 			}
-		})
+		}
+		mir.ForEachOperandPlace(st.Rvalue, read)
+		if d, ok := st.Rvalue.(mir.Discriminant); ok {
+			read(d.Place)
+		}
 		if st.Place.IsLocal() {
 			w.assignLocal(s, st.Place.Local, st.Rvalue)
 			return
@@ -676,7 +681,7 @@ func (w *walker) copyLocal(s *state, dest mir.LocalID, src mir.Place, isMove boo
 	if roots, ok := s.pts[l]; ok {
 		s.pts[dest] = append([]mir.LocalID(nil), roots...)
 	}
-	if isMove && ownsHeap(w.body.Local(l).Ty) {
+	if isMove && types.OwnsHeap(w.body.Local(l).Ty) {
 		// Moving an owner transfers its drop class; the destination also
 		// becomes a root (pointers derived from it must die with it), and
 		// the source's scope-end StorageDead no longer frees the heap —
@@ -751,7 +756,7 @@ func (w *walker) dropPlace(s *state, b mir.BlockID, p mir.Place) {
 	if s.moved[l] {
 		return // ownership escaped via into_raw/forget: drop frees nothing
 	}
-	if !ownsHeap(w.body.Local(l).Ty) {
+	if !types.OwnsHeap(w.body.Local(l).Ty) {
 		return
 	}
 	for _, r := range w.ownsOf(s, l) {
@@ -903,7 +908,7 @@ func (w *walker) externalCall(s *state, b mir.BlockID, c mir.Call) {
 			continue
 		}
 		ty := w.body.Local(pl.Local).Ty
-		if !isPointer(ty) {
+		if !types.IsPointerLike(ty) {
 			continue
 		}
 		derefs := false
@@ -1122,61 +1127,9 @@ func isBoolLocal(body *mir.Body, l mir.LocalID) bool {
 	return ok && p.Kind == types.Bool
 }
 
-func forEachOperandPlace(rv mir.Rvalue, fn func(mir.Place)) {
-	visitOp := func(op mir.Operand) {
-		if pl, ok := mir.OperandPlace(op); ok {
-			fn(pl)
-		}
-	}
-	switch rv := rv.(type) {
-	case mir.Use:
-		visitOp(rv.X)
-	case mir.Cast:
-		visitOp(rv.X)
-	case mir.BinaryOp:
-		visitOp(rv.L)
-		visitOp(rv.R)
-	case mir.UnaryOp:
-		visitOp(rv.X)
-	case mir.Aggregate:
-		for _, op := range rv.Ops {
-			visitOp(op)
-		}
-	case mir.Discriminant:
-		fn(rv.Place)
-	}
-}
-
 func calleeName(c mir.Call) string {
 	if c.Def != nil {
 		return c.Def.Qualified
 	}
 	return c.Callee
-}
-
-func isPointer(t types.Type) bool {
-	switch t.(type) {
-	case *types.RawPtr, *types.Ref:
-		return true
-	}
-	return false
-}
-
-// ownsHeap mirrors the default uaf detector's rule exactly — the walk's
-// dead set must over-approximate the default detector's for refutations
-// to stay sound: dropping the value frees heap memory (owning containers
-// and user types that may own heap through fields), excluding lock guards
-// whose drop releases a lock instead.
-func ownsHeap(t types.Type) bool {
-	if types.IsOwningContainer(t) {
-		return true
-	}
-	if n, ok := t.(*types.Named); ok {
-		switch n.Name {
-		case "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard":
-			return false
-		}
-		return true
-	}
-	return false
 }

@@ -85,6 +85,30 @@ func TestStorePutLatestWinsPerKey(t *testing.T) {
 	}
 }
 
+// TestStorePutOverflowsFullQueue: when the queue has no room for a key,
+// storePut hands it to a goroutine of its own, which writes it as a
+// writer would and which the store wait group covers.
+func TestStorePutOverflowsFullQueue(t *testing.T) {
+	st, err := store.Open(t.TempDir(), StoreVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No writers and an unbuffered queue: every send finds it full.
+	e := &Engine{cfg: Config{Store: st}, puts: make(chan string), queued: map[string]storeWrite{}, writing: map[string]bool{}}
+	outcome := errors.New("no outcome")
+	e.storePut("k", storeWrite{
+		encode: func() ([]byte, error) { return []byte(`{"v":1}`), nil },
+		done:   func(err error) { outcome = err },
+	})
+	e.storeWG.Wait()
+	if outcome != nil {
+		t.Fatalf("overflow put outcome: %v", outcome)
+	}
+	if got, ok := st.Get("k"); !ok || string(got) != `{"v":1}` {
+		t.Fatalf("stored %q (ok=%v), want the overflow write", got, ok)
+	}
+}
+
 // TestPersistStateFlushesOnClose: snapshots queued with PersistState are
 // on disk once Close returns, the newest per key, and every queued
 // snapshot reports exactly one outcome.

@@ -277,51 +277,9 @@ func (ex *explorer) step(s *machineState, st mir.Statement, trace []string) {
 		ex.releaseGuard(s, st.Local)
 	case mir.Assign:
 		ex.readRvalue(s, st.Rvalue, st.Span, trace)
-		ex.writePlace(s, st.Place, st.Span, trace, assignDropsGlue(ex.body, st))
+		ex.writePlace(s, st.Place, st.Span, trace, types.NeedsDrop(mir.AssignedType(ex.body, st)))
 		ex.flowAssign(s, st)
 	}
-}
-
-// assignDropsGlue reports whether the assigned value's type has drop
-// glue, so overwriting a garbage previous value through a raw pointer
-// actually runs a destructor (the Figure 6 invalid free). Mirrors the
-// static dfree detector's typeNeedsDrop so the two oracles agree.
-func assignDropsGlue(body *mir.Body, as mir.Assign) bool {
-	var ty types.Type
-	switch rv := as.Rvalue.(type) {
-	case mir.Use:
-		switch op := rv.X.(type) {
-		case mir.Copy:
-			ty = body.Local(op.Place.Local).Ty
-		case mir.Move:
-			ty = body.Local(op.Place.Local).Ty
-		case mir.Const:
-			ty = op.Ty
-		}
-	case mir.Aggregate:
-		ty = types.NamedOf(rv.Name)
-	default:
-		return false
-	}
-	return typeNeedsDrop(ty)
-}
-
-func typeNeedsDrop(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		switch t.Name {
-		case "PhantomData", "Ordering":
-			return false
-		}
-		return true
-	case *types.Tuple:
-		for _, e := range t.Elems {
-			if typeNeedsDrop(e) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // localName renders a local or pseudo heap root for messages.

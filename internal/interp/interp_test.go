@@ -216,6 +216,36 @@ pub unsafe fn f() {
 	}
 }
 
+// The dynamic oracle shares the static detector's drop-glue rule: only
+// the first assignment through a fresh allocation drops garbage, and a
+// type without drop glue (Duration, NonNull) drops nothing.
+func TestDynamicInvalidFreeOnlyBeforeInitWithGlue(t *testing.T) {
+	src := `
+pub struct FILE { buf: Vec<u8> }
+pub unsafe fn twice() {
+    let p = alloc(32) as *mut FILE;
+    *p = FILE { buf: vec![0u8; 16] };
+    *p = FILE { buf: vec![0u8; 16] };
+}
+pub unsafe fn set_timeout(t: Duration) {
+    let d = alloc(16) as *mut Duration;
+    *d = t;
+}
+pub unsafe fn set_head(h: NonNull<u8>) {
+    let p = alloc(8) as *mut NonNull<u8>;
+    *p = h;
+}
+`
+	if r := run(t, src, "twice"); kinds(r)[ErrInvalidFree] != 1 {
+		t.Errorf("twice: errors = %+v, want one invalid free", r.Errors)
+	}
+	for _, fn := range []string{"set_timeout", "set_head"} {
+		if r := run(t, src, fn); len(r.Errors) != 0 {
+			t.Errorf("%s: overwrite without drop glue reported: %+v", fn, r.Errors)
+		}
+	}
+}
+
 // Heap allocations are pseudo roots with their own lifecycle: uninit
 // until written, independent of the stack temporaries that held the
 // pointer (regression for the generator-exposed alloc model gap).

@@ -226,7 +226,7 @@ func (b *builder) lowerExplicitDrop(e *ast.CallExpr) (mir.Operand, types.Type) {
 	// The value moves into drop(): its scope-end drop is suppressed and
 	// the destructor runs here instead.
 	b.markMoved(pl)
-	if !needsDrop(ty) {
+	if !types.NeedsDrop(ty) {
 		return nil, types.UnitType
 	}
 	next := b.body.NewBlock()
@@ -372,7 +372,8 @@ func stdFunction(short, qual string) (mir.Intrinsic, retFn, bool) {
 		return mir.IntrinsicSpawn, retConst(types.NamedOf("JoinHandle", types.UnknownType)), true
 	case "mem::size_of", "size_of":
 		return mir.IntrinsicNone, retConst(types.USizeType), true
-	case "channel::unbounded", "mpsc::channel", "mpsc::sync_channel":
+	}
+	if mir.IsChannelCtor(short) {
 		return mir.IntrinsicNone, retConst(&types.Tuple{Elems: []types.Type{
 			types.NamedOf("Sender", types.UnknownType),
 			types.NamedOf("Receiver", types.UnknownType),

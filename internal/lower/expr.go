@@ -152,7 +152,7 @@ func (b *builder) lowerLet(st *ast.LetStmt) {
 	case *ast.WildPat:
 		// `let _ = x;` drops the value at the end of the statement: keep
 		// it in the statement scope.
-		if pl, ok := mir.OperandPlace(op); ok && needsDrop(ty) && mir.IsMove(op) {
+		if pl, ok := mir.OperandPlace(op); ok && types.NeedsDrop(ty) && mir.IsMove(op) {
 			// Re-own into a temp so the drop is visible.
 			tmp := b.newTemp(ty, st.Sp)
 			b.moved[pl.Local] = true

@@ -185,7 +185,7 @@ func (b *builder) emitScopeExit(s *scope, sp source.Span) {
 	for i := len(s.locals) - 1; i >= 0; i-- {
 		id := s.locals[i]
 		l := b.body.Local(id)
-		if needsDrop(l.Ty) && !b.moved[id] {
+		if types.NeedsDrop(l.Ty) && !b.moved[id] {
 			next := b.body.NewBlock()
 			b.setTerm(mir.Drop{Place: mir.PlaceOf(id), Target: next.ID, Span: sp})
 			b.cur = next
@@ -264,29 +264,6 @@ func (b *builder) setTerm(t mir.Terminator) {
 func (b *builder) startBlock(blk *mir.Block) {
 	b.cur = blk
 	b.terminated = false
-}
-
-// needsDrop reports whether a type has drop glue in our model.
-func needsDrop(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Named:
-		switch t.Name {
-		case "PhantomData", "Ordering", "NonNull", "Duration", "Instant":
-			return false
-		}
-		return true
-	case *types.Tuple:
-		for _, e := range t.Elems {
-			if needsDrop(e) {
-				return true
-			}
-		}
-		return false
-	case *types.Array:
-		return needsDrop(t.Elem)
-	default:
-		return false
-	}
 }
 
 // markMoved records that a whole local's value moved out, suppressing its

@@ -369,6 +369,32 @@ type Discriminant struct{ Place Place }
 
 func (d Discriminant) rvalueString() string { return "discriminant(" + d.Place.String() + ")" }
 
+// ForEachOperandPlace calls f with the place of each Copy or Move operand
+// rv reads, in operand order. Ref, AddrOf and Discriminant name a place
+// without an operand; each caller decides whether those count as reads.
+func ForEachOperandPlace(rv Rvalue, f func(Place)) {
+	visit := func(op Operand) {
+		if pl, ok := OperandPlace(op); ok {
+			f(pl)
+		}
+	}
+	switch rv := rv.(type) {
+	case Use:
+		visit(rv.X)
+	case Cast:
+		visit(rv.X)
+	case BinaryOp:
+		visit(rv.L)
+		visit(rv.R)
+	case UnaryOp:
+		visit(rv.X)
+	case Aggregate:
+		for _, op := range rv.Ops {
+			visit(op)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Statements
 
@@ -413,6 +439,26 @@ func (a Assign) stmtString() string { return a.Place.String() + " = " + a.Rvalue
 
 // StmtSpan implements Statement.
 func (a Assign) StmtSpan() source.Span { return a.Span }
+
+// AssignedType returns the type of the value an assignment stores: the
+// declared type of a used place's base local, a constant's type, or the
+// named type an aggregate builds. Other rvalues yield types.UnknownType.
+func AssignedType(b *Body, as Assign) types.Type {
+	switch rv := as.Rvalue.(type) {
+	case Use:
+		switch op := rv.X.(type) {
+		case Copy:
+			return b.Local(op.Place.Local).Ty
+		case Move:
+			return b.Local(op.Place.Local).Ty
+		case Const:
+			return op.Ty
+		}
+	case Aggregate:
+		return types.NamedOf(rv.Name)
+	}
+	return types.UnknownType
+}
 
 // Nop is an erased statement.
 type Nop struct{ Span source.Span }
@@ -516,6 +562,18 @@ const (
 	IntrinsicFromRaw // Box/Arc/CString::from_raw: adopts ownership of ptr
 	IntrinsicIntoRaw // into_raw: releases ownership as pointer
 )
+
+// channelCtors are the std channel constructors. Lowering gives their
+// calls a (Sender, Receiver) tuple result, and the blocking detector takes
+// a call to one as the provenance of a channel's two halves.
+var channelCtors = map[string]bool{
+	"channel::unbounded": true,
+	"mpsc::channel":      true,
+	"mpsc::sync_channel": true,
+}
+
+// IsChannelCtor reports whether callee names a std channel constructor.
+func IsChannelCtor(callee string) bool { return channelCtors[callee] }
 
 // Call invokes a function and, when it returns, stores the result to Dest
 // and continues at Target.

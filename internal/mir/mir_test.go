@@ -58,6 +58,44 @@ func TestOperandHelpers(t *testing.T) {
 	}
 }
 
+// TestRvalueHelpers: the operand walk visits operand places only, and an
+// assignment's type comes from the used local, the constant or the
+// aggregate's name.
+func TestRvalueHelpers(t *testing.T) {
+	var got []string
+	visit := func(p Place) { got = append(got, p.String()) }
+	for _, rv := range []Rvalue{
+		BinaryOp{L: Copy{Place: PlaceOf(1)}, R: Const{Text: "1"}},
+		Aggregate{Ops: []Operand{Move{Place: PlaceOf(2)}, Copy{Place: PlaceOf(3)}}},
+		Ref{Place: PlaceOf(4)}, AddrOf{Place: PlaceOf(5)}, Discriminant{Place: PlaceOf(6)},
+	} {
+		ForEachOperandPlace(rv, visit)
+	}
+	if strings.Join(got, " ") != "_1 _2 _3" {
+		t.Errorf("operand places = %v, want [_1 _2 _3]", got)
+	}
+
+	b := &Body{}
+	b.NewLocal("", types.UnitType, true, source.Span{})
+	v := b.NewLocal("v", types.NamedOf("Vec", types.U8Type), false, source.Span{})
+	for _, tc := range []struct {
+		rv   Rvalue
+		want string
+	}{
+		{Use{X: Move{Place: PlaceOf(v.ID).WithProj(FieldProj{Name: "f"})}}, "Vec<u8>"},
+		{Use{X: Const{Text: "1", Ty: types.I32Type}}, "i32"},
+		{Aggregate{Kind: AggStruct, Name: "FILE"}, "FILE"},
+		{Ref{Place: PlaceOf(v.ID)}, "?"},
+	} {
+		if got := AssignedType(b, Assign{Place: PlaceOf(0), Rvalue: tc.rv}).String(); got != tc.want {
+			t.Errorf("AssignedType(%s) = %s, want %s", tc.rv.rvalueString(), got, tc.want)
+		}
+	}
+	if !IsChannelCtor("mpsc::channel") || IsChannelCtor("Vec::new") {
+		t.Error("IsChannelCtor wrong")
+	}
+}
+
 func TestTerminatorSuccessors(t *testing.T) {
 	if got := (Goto{Target: 4}).Successors(); len(got) != 1 || got[0] != 4 {
 		t.Errorf("Goto successors = %v", got)

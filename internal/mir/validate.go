@@ -82,7 +82,7 @@ func Validate(b *Body) []string {
 				}
 			case Assign:
 				checkPlace(sw, st.Place)
-				forEachOperand(st.Rvalue, func(op Operand) { checkOperand(sw, op) })
+				ForEachOperandPlace(st.Rvalue, func(p Place) { checkPlace(sw, p) })
 				switch rv := st.Rvalue.(type) {
 				case Ref:
 					checkPlace(sw, rv.Place)
@@ -115,22 +115,4 @@ func Validate(b *Body) []string {
 		}
 	}
 	return errs
-}
-
-func forEachOperand(rv Rvalue, f func(Operand)) {
-	switch rv := rv.(type) {
-	case Use:
-		f(rv.X)
-	case Cast:
-		f(rv.X)
-	case BinaryOp:
-		f(rv.L)
-		f(rv.R)
-	case UnaryOp:
-		f(rv.X)
-	case Aggregate:
-		for _, op := range rv.Ops {
-			f(op)
-		}
-	}
 }

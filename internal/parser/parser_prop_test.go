@@ -22,7 +22,7 @@ func TestParserTotal(t *testing.T) {
 		crate, _, _ := ParseString("fuzz.rs", src)
 		return crate != nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -53,7 +53,7 @@ func TestParserTotalOnTokenSoup(t *testing.T) {
 		crate, _, _ := ParseString("soup.rs", b.String())
 		return crate != nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -309,6 +309,18 @@ func TestPoolFlushesLatestSnapshot(t *testing.T) {
 	}
 }
 
+// TestPoolCountsSnapshotOutcomes: each write-behind outcome lands in its
+// own counter, and a superseded snapshot counts as coalesced, not failed.
+func TestPoolCountsSnapshotOutcomes(t *testing.T) {
+	p := &Pool{}
+	p.saved(nil)
+	p.saved(fmt.Errorf("put: %w", engine.ErrSuperseded))
+	p.saved(errors.New("disk full"))
+	if st := p.Stats(); st.StateSaves != 1 || st.StateSavesCoalesced != 1 || st.StateSaveErrors != 1 {
+		t.Fatalf("stats = %+v, want one save, one coalesced and one error", st)
+	}
+}
+
 func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 	ctx := context.Background()
 	files := baseTree()

@@ -284,6 +284,45 @@ func IsLockGuard(t Type) (lockType string, ok bool) {
 	return lt, ok
 }
 
+// OwnsHeap reports whether dropping a value of t frees heap memory that
+// pointers may still reference: owning containers and user types that may
+// own heap through fields, but not lock guards, whose drop releases a lock
+// instead. The use-after-free detector and the dropflow refuter share this
+// rule, so the refuter's dead set over-approximates the detector's.
+func OwnsHeap(t Type) bool {
+	if _, guard := IsLockGuard(t); guard {
+		return false
+	}
+	_, named := t.(*Named)
+	return named
+}
+
+// NeedsDrop reports whether a value of t has drop glue. Lowering emits a
+// Drop terminator exactly for the locals whose type needs drop, so every
+// other drop-glue question (an overwrite through a pointer dropping the
+// previous value) asks this one rule too.
+func NeedsDrop(t Type) bool {
+	switch t := t.(type) {
+	case *Named:
+		switch t.Name {
+		case "PhantomData", "Ordering", "NonNull", "Duration", "Instant":
+			return false
+		}
+		return true
+	case *Tuple:
+		for _, e := range t.Elems {
+			if NeedsDrop(e) {
+				return true
+			}
+		}
+		return false
+	case *Array:
+		return NeedsDrop(t.Elem)
+	default:
+		return false
+	}
+}
+
 // IsLock reports whether t is a lock (Mutex or RwLock).
 func IsLock(t Type) bool {
 	n, ok := t.(*Named)

@@ -90,6 +90,34 @@ func TestOwningContainers(t *testing.T) {
 	}
 }
 
+func TestNeedsDropAndOwnsHeap(t *testing.T) {
+	glue := []Type{NamedOf("Vec", U8Type), NamedOf("Inner"), NamedOf("MutexGuard", I32Type),
+		&Tuple{Elems: []Type{I32Type, NamedOf("Box", I32Type)}}, &Array{Elem: NamedOf("String"), Len: 2}}
+	for _, ty := range glue {
+		if !NeedsDrop(ty) {
+			t.Errorf("%s should need drop", ty)
+		}
+	}
+	noGlue := []Type{I32Type, RefTo(NamedOf("Vec")), &RawPtr{Elem: NamedOf("Inner")}, UnknownType,
+		NamedOf("Duration"), NamedOf("NonNull", U8Type), NamedOf("Instant"), NamedOf("PhantomData"),
+		NamedOf("Ordering"), &Tuple{Elems: []Type{I32Type, BoolType}}, &Array{Elem: U8Type, Len: 4}}
+	for _, ty := range noGlue {
+		if NeedsDrop(ty) {
+			t.Errorf("%s should have no drop glue", ty)
+		}
+	}
+	for _, ty := range []Type{NamedOf("Vec", U8Type), NamedOf("Inner"), NamedOf("Arc", I32Type)} {
+		if !OwnsHeap(ty) {
+			t.Errorf("%s should own heap", ty)
+		}
+	}
+	for _, ty := range []Type{NamedOf("MutexGuard", I32Type), NamedOf("RwLockWriteGuard"), I32Type, RefTo(NamedOf("Vec"))} {
+		if OwnsHeap(ty) {
+			t.Errorf("%s should not own heap", ty)
+		}
+	}
+}
+
 // genType builds a random type of bounded depth for property tests.
 func genType(r *rand.Rand, depth int) Type {
 	if depth <= 0 {
@@ -147,7 +175,7 @@ func TestPeelAllTerminates(t *testing.T) {
 		// The result is never pointer-like.
 		return !IsPointerLike(out)
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -64,7 +64,7 @@ import (
 // the engine folds it (with the detector registry) into the persistent
 // store's entry version, so old entries self-invalidate instead of being
 // served.
-const AnalyzerVersion = "11"
+const AnalyzerVersion = "12"
 
 // StateVersion ties persisted incremental-analysis state
 // (incrstate.State) to the analyzer + detector set that produced it.
