@@ -311,8 +311,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchrecord: warm/cold ratio %.1fx is below the 10x floor\n", rec.WarmColdRatio)
 		os.Exit(1)
 	}
-	// The warm push patches the previous round's call graph and reuses
-	// the global detectors' per-function fact caches, so a one-body edit
+	// The warm push patches the previous round's call graph and inherits
+	// every unchanged function's per-function facts, so a one-body edit
 	// pays frontend + detection proportional to its dirty closure, not
 	// the tree (measured ~5x over the stateless batch on the padded
 	// patterns tree; the old ~2x ceiling came from re-running the global

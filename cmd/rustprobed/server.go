@@ -448,7 +448,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("rustprobed_session_state_saves_total", "counter", "Session snapshots written to the store (write-behind).", float64(ps.StateSaves))
 		metric("rustprobed_session_state_saves_coalesced_total", "counter", "Session snapshots replaced by a newer round of the same repo before they were written.", float64(ps.StateSavesCoalesced))
 		metric("rustprobed_session_state_save_errors_total", "counter", "Failed persists of session state to the store.", float64(ps.StateSaveErrors))
-		metric("rustprobed_session_global_facts_reused_total", "counter", "Per-function fact extractions the global detectors skipped by reusing carried caches.", float64(ps.GlobalFactsReused))
+		metric("rustprobed_session_global_facts_reused_total", "counter", "Per-function facts session rounds inherited from the previous round instead of rebuilding.", float64(ps.GlobalFactsReused))
 		metric("rustprobed_session_graph_patched_total", "counter", "Session rounds whose call graph was patched from the previous round instead of rebuilt.", float64(ps.GraphPatchedRounds))
 	}
 	if len(st.DetectorMSTotal) > 0 {

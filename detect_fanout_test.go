@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"rustprobe/internal/detect"
-	"rustprobe/internal/incrstate"
 )
 
 type panickyDetector struct{}
@@ -107,9 +106,11 @@ func TestDetectRepanics(t *testing.T) {
 // TestSessionFailedRoundKeepsState: a round that fails in detection — a
 // detector panic or a cancelled ctx — returns the error instead of
 // panicking and leaves the session exactly at its last good round:
-// byte-equal exported state, the same FileSet size, the same carried
-// fact caches. Re-sending the same push then matches a stateless
-// analysis, with the patched-call-graph cross-check on. Both round
+// byte-equal exported state, the same FileSet size, the same Context
+// with its facts untouched, so the retry inherits exactly what the same
+// push inherits without the failure. Re-sending the same push then
+// matches a stateless analysis, with the patched-call-graph cross-check
+// on. Both round
 // shapes are covered: a body-only edit (incremental) and an interface
 // edit (full rebuild).
 func TestSessionFailedRoundKeepsState(t *testing.T) {
@@ -144,12 +145,9 @@ func TestSessionFailedRoundKeepsState(t *testing.T) {
 				for k, v := range edit {
 					next[k] = v
 				}
-				stateBefore := encodeState(t, s)
+				stateBefore := mustEncode(t, s.ExportState())
 				sizeBefore := s.prev.fset.Size()
-				carriesBefore := make(map[string]detect.Carry, len(s.prev.carries))
-				for k, v := range s.prev.carries {
-					carriesBefore[k] = v
-				}
+				ctxBefore := s.prev.res.Context()
 
 				ctx, restore := fail()
 				up, err := s.AnalyzeCtx(ctx, next)
@@ -165,19 +163,14 @@ func TestSessionFailedRoundKeepsState(t *testing.T) {
 					t.Fatalf("failed round returned an update: %+v", up.Stats)
 				}
 
-				if after := encodeState(t, s); !bytes.Equal(after, stateBefore) {
+				if after := mustEncode(t, s.ExportState()); !bytes.Equal(after, stateBefore) {
 					t.Errorf("failed round changed the exported state\nbefore: %s\n after: %s", stateBefore, after)
 				}
 				if got := s.prev.fset.Size(); got != sizeBefore {
 					t.Errorf("failed round changed the FileSet size: %d -> %d", sizeBefore, got)
 				}
-				if len(s.prev.carries) != len(carriesBefore) {
-					t.Errorf("failed round changed the carries: %d -> %d", len(carriesBefore), len(s.prev.carries))
-				}
-				for k, v := range carriesBefore {
-					if s.prev.carries[k] != v {
-						t.Errorf("failed round replaced the %s carry", k)
-					}
+				if s.prev.res.Context() != ctxBefore {
+					t.Error("failed round replaced the last good round's Context")
 				}
 
 				up, err = s.Analyze(next)
@@ -187,19 +180,21 @@ func TestSessionFailedRoundKeepsState(t *testing.T) {
 				if wantFull := editName == "interface edit"; up.Stats.Full != wantFull {
 					t.Errorf("retry round Full = %t, want %t: %+v", up.Stats.Full, wantFull, up.Stats)
 				}
+				clean := NewSession()
+				if _, err := clean.Analyze(base); err != nil {
+					t.Fatal(err)
+				}
+				cup, err := clean.Analyze(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if up.Stats.GlobalFactsReused != cup.Stats.GlobalFactsReused {
+					t.Errorf("retry inherited %d facts, the same push without the failure %d", up.Stats.GlobalFactsReused, cup.Stats.GlobalFactsReused)
+				}
 				if got, want := sessionStrings(up), fullDetect(t, next); !equalStrings(got, want) {
 					t.Fatalf("retry round diverged\n got: %v\nwant: %v", got, want)
 				}
 			})
 		}
 	}
-}
-
-func encodeState(t *testing.T, s *Session) []byte {
-	t.Helper()
-	b, err := incrstate.Encode(s.ExportState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

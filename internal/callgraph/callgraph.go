@@ -58,6 +58,21 @@ func Build(bodies map[string]*mir.Body) *Graph {
 	return g
 }
 
+// Resolve returns the function a call resolves to in bodies, or "": its
+// resolved definition when it has one, else its callee name, and only
+// when that function has a body. It is the one rule behind every graph
+// edge and every detector's callee lookup (detect.Context.Callee).
+func Resolve(c mir.Call, bodies map[string]*mir.Body) string {
+	name := c.Callee
+	if c.Def != nil {
+		name = c.Def.Qualified
+	}
+	if _, ok := bodies[name]; ok {
+		return name
+	}
+	return ""
+}
+
 // scan appends name's outgoing edges and unresolved callee names.
 func (g *Graph) scan(name string, body *mir.Body) {
 	for _, blk := range body.Blocks {
@@ -65,24 +80,16 @@ func (g *Graph) scan(name string, body *mir.Body) {
 		if !ok {
 			continue
 		}
-		calleeName := ""
-		if c.Def != nil {
-			calleeName = c.Def.Qualified
-		} else if _, exists := g.Bodies[c.Callee]; exists {
-			calleeName = c.Callee
-		}
-		if calleeName == "" {
-			if c.Callee != "" {
+		callee := Resolve(c, g.Bodies)
+		if callee == "" {
+			if c.Def != nil {
+				g.Unresolved[name] = append(g.Unresolved[name], c.Def.Qualified)
+			} else if c.Callee != "" {
 				g.Unresolved[name] = append(g.Unresolved[name], c.Callee)
 			}
 			continue
 		}
-		if _, exists := g.Bodies[calleeName]; !exists {
-			g.Unresolved[name] = append(g.Unresolved[name], calleeName)
-			continue
-		}
-		e := Edge{Caller: name, Callee: calleeName, Site: c, Block: blk.ID}
-		g.Callees[name] = append(g.Callees[name], e)
+		g.Callees[name] = append(g.Callees[name], Edge{Caller: name, Callee: callee, Site: c, Block: blk.ID})
 	}
 }
 

@@ -3,6 +3,7 @@ package callgraph
 import (
 	"testing"
 
+	"rustprobe/internal/hir"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/parser"
@@ -317,5 +318,33 @@ fn c() {}
 	}
 	if len(g2.Callees["a"]) != 2 {
 		t.Errorf("a's edges after re-add: %+v", g2.Callees["a"])
+	}
+}
+
+// TestResolveDefWithoutBody pins the one callee rule on the shape the
+// graph and the detectors once disagreed on: a call whose resolved
+// definition has no body while a body carries its callee name. The call
+// is unresolved — no edge, its definition recorded as unresolved — and
+// Resolve says the same.
+func TestResolveDefWithoutBody(t *testing.T) {
+	call := mir.Call{Callee: "helper", Def: &hir.FuncDef{Qualified: "T::helper"}, Target: 1}
+	caller := &mir.Body{}
+	caller.NewBlock().Term = call
+	caller.NewBlock().Term = mir.Return{}
+	bodies := map[string]*mir.Body{"caller": caller, "helper": {}}
+
+	if got := Resolve(call, bodies); got != "" {
+		t.Errorf("Resolve = %q, want unresolved", got)
+	}
+	g := Build(bodies)
+	if len(g.Callees["caller"]) != 0 || len(g.Callers["helper"]) != 0 {
+		t.Errorf("edges %v, want none", g.Callees["caller"])
+	}
+	if u := g.Unresolved["caller"]; len(u) != 1 || u[0] != "T::helper" {
+		t.Errorf("Unresolved = %v, want [T::helper]", u)
+	}
+	bodies["T::helper"] = &mir.Body{}
+	if got := Resolve(call, bodies); got != "T::helper" {
+		t.Errorf("with a body for the definition, Resolve = %q, want T::helper", got)
 	}
 }

@@ -203,55 +203,24 @@ type funcInfo struct {
 	chans    []*chanProv
 	captures map[string]bool
 	params   map[string]bool
-	// orphans caches the intra-procedural orphaned-receive findings so
-	// the incremental path can replay them without rescanning the body.
+	// orphans holds the intra-procedural orphaned-receive findings.
 	orphans []detect.Finding
 }
 
-// carry is the detector's incremental fact cache: the per-function
-// extraction results and the summary fixpoint of the previous round.
-// Facts are revalidated by body pointer identity — the session reuses
-// body objects for unchanged functions, so a cached funcInfo is valid
-// exactly when ctx.Bodies still holds the body it was extracted from.
-type carry struct {
-	infos map[string]*funcInfo
-	sums  *summary.Result[resSummary]
-}
-
-// FactCount implements detect.FactCounter.
-func (c *carry) FactCount() int { return len(c.infos) }
-
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	out, _, _ := d.RunIncremental(ctx, nil, nil)
-	return out
-}
-
-// RunIncremental implements detect.Incremental: per-function fact
-// extraction is skipped for functions whose cached facts are still
-// valid (not dirty, same body object), the summary fixpoint warm-starts
-// from the previous round's SCC results, and only the cheap global
-// pairing phase runs over the whole program.
-func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
-	prev, _ := prior.(*carry)
-	var old map[string]*funcInfo
-	var warm *summary.Result[resSummary]
-	if prev != nil {
-		old, warm = prev.infos, prev.sums
-	}
 	names := ctx.Graph.Names()
-	infos, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
-		func(f *funcInfo) *mir.Body { return f.body },
-		func(name string) *funcInfo { return d.analyze(ctx, name) })
-	detect.CloseOverCallers(ctx.Graph, recompute)
-	sres := doublelock.SummarizeEvents(ctx, &doublelock.EventProblem[opKind, op, callSite]{
+	infos := make(map[string]*funcInfo, len(names))
+	for _, name := range names {
+		infos[name] = detect.Shared(ctx, "blocking.info", name, func() *funcInfo { return extract(ctx, name) })
+	}
+	sums := doublelock.SummarizeEvents(ctx, "blocking.summary", &doublelock.EventProblem[opKind, op, callSite]{
 		Facts: func(fn string) ([]*event, []callSite) { return infos[fn].own, infos[fn].calls },
 		ID:    func(o op) opKind { return o.Kind },
 		Step:  op.step,
 		Merge: op.merge,
 		Equal: op.equal,
-	}, warm, recompute)
-	sums := sres.Summaries
+	}).Summaries
 
 	var out []detect.Finding
 	reported := map[int]bool{}
@@ -276,11 +245,12 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 	d.onceReentry(ctx, names, infos, sums, emit)
 
 	detect.SortFindings(out)
-	return out, &carry{infos: infos, sums: sres}, reused
+	return out
 }
 
-// analyze collects the per-function blocking facts.
-func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
+// extract collects the per-function blocking facts, shared through the
+// Context as kind blocking.info.
+func extract(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
 	res := alias.For(ctx, name)
 	g := res.Locks().CFG
@@ -420,7 +390,7 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 		}
 		info.calls = append(info.calls, cs)
 	}
-	d.collectOrphans(ctx, info)
+	collectOrphans(ctx, info)
 	return info
 }
 
@@ -616,9 +586,9 @@ func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[
 // collectOrphans is the no-live-sender rule, intra-procedural over
 // visible channel constructions: if every alias of the sender half is
 // only ever defined and dropped — never sent on, stored, captured, or
-// passed on — the paired recv can never complete. Findings are cached
-// on the funcInfo so incremental rounds replay them without rescanning.
-func (d *Detector) collectOrphans(ctx *detect.Context, info *funcInfo) {
+// passed on — the paired recv can never complete. The findings are part
+// of the funcInfo, so a round that inherits it does not rescan the body.
+func collectOrphans(ctx *detect.Context, info *funcInfo) {
 	emit := func(f detect.Finding) { info.orphans = append(info.orphans, f) }
 	body := info.body
 	for _, ch := range info.chans {

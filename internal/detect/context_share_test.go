@@ -9,12 +9,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"rustprobe"
+	"rustprobe/internal/corpus"
 	"rustprobe/internal/detect"
 	"rustprobe/internal/detect/alias"
 	"rustprobe/internal/detect/dfree"
@@ -22,13 +24,16 @@ import (
 	"rustprobe/internal/detect/lockorder"
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/detect/uninit"
+	"rustprobe/internal/mir"
 )
 
 // TestContextSharesFunctionFacts: after a full Detect over the patterns
 // corpus, every shared fact was built exactly once per body, not once per
 // detector that asked, and the acquisition summary double-lock and lock
 // order read was computed once; repeat lookups return the same object;
-// lock order alone builds the double-lock facts; no detector resolves
+// lock order alone builds the double-lock facts, and on a Context that
+// inherits them builds nothing but a warm acquisition summary that
+// reuses every function's; no detector resolves
 // callees or builds CFGs on its own, no detector builds an event summary
 // or a namespace translation of its own, drop-bugs reads the uninit
 // dataflow instead of running its own, and the drop-glue, pointer and
@@ -36,7 +41,7 @@ import (
 func TestContextSharesFunctionFacts(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
-	defer detect.SetSharedBuildHook(func(kind string) {
+	defer detect.SetSharedBuildHook(func(kind, _ string) {
 		mu.Lock()
 		builds[kind]++
 		mu.Unlock()
@@ -56,7 +61,7 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 			t.Errorf("%s built %d times for %d bodies", kind, b, n)
 		}
 	}
-	for _, kind := range []string{"cfg", "doublelock.facts", "doublelock.acquisitions", "alias", "uninit.facts"} {
+	for _, kind := range []string{"cfg", "doublelock.facts", "doublelock.acquisitions", "alias", "uninit.facts", "race.info", "blocking.info", "interiormut.info"} {
 		if builds[kind] != n {
 			t.Errorf("%s built %d times, want once per body (%d)", kind, builds[kind], n)
 		}
@@ -95,15 +100,27 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 		t.Errorf("lock order built doublelock.facts %d times, want once per body (%d)", got, len(fctx.Bodies))
 	}
 
-	// A warm-started lock order computes its own summary from its carry
-	// and leaves the Context's cold one alone.
-	_, carry, _ := lockorder.New().RunIncremental(fctx, nil, nil)
-	before := builds["doublelock.acquisition-summary"]
-	if _, _, reused := lockorder.New().RunIncremental(fctx, carry, map[string]bool{}); reused != len(fctx.Bodies) {
-		t.Errorf("warm lock order reused %d functions' facts, want %d", reused, len(fctx.Bodies))
+	// A Context inheriting from that one with nothing dirty takes every
+	// fact lock order read: lock order on it builds none, and its
+	// acquisition summary warm-starts from the previous one, reusing every
+	// function's summary.
+	order := formatFindings(lockorder.New().Run(fctx))
+	next := detect.NewContextWithGraph(fctx.Program, fctx.Bodies, fctx.Graph)
+	if n := next.Inherit(fctx, nil); n < len(fctx.Bodies) {
+		t.Errorf("inherited %d facts, want at least one per body (%d)", n, len(fctx.Bodies))
 	}
-	if got := builds["doublelock.acquisition-summary"]; got != before || got != 1 {
-		t.Errorf("cold acquisition summary built %d times after a warm start (before it %d), want 1", got, before)
+	clear(builds)
+	if got := formatFindings(lockorder.New().Run(next)); got != order {
+		t.Errorf("lock order on the inheriting Context diverged:\n got: %s\nwant: %s", got, order)
+	}
+	if got := fmt.Sprint(builds); got != "map[doublelock.acquisition-summary:1]" {
+		t.Errorf("lock order on the inheriting Context built %s, want the acquisition summary alone", got)
+	}
+	prevSums, nextSums := doublelock.SummarizeAcquisitions(fctx).Summaries, doublelock.SummarizeAcquisitions(next).Summaries
+	for fn, s := range prevSums {
+		if reflect.ValueOf(nextSums[fn]).Pointer() != reflect.ValueOf(s).Pointer() {
+			t.Errorf("%s: the warm acquisition summary recomputed a clean function", fn)
+		}
 	}
 
 	// The counts above see only what goes through the Context: a detector
@@ -170,6 +187,128 @@ func TestContextSharesFunctionFacts(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBodyOnlyRoundBuildsFactsOnce: a body-only session round's Context
+// inherits every unchanged function's facts from the previous round, and
+// the dirty closure's view shares its per-function scope, so the round
+// builds each per-function fact at most once, and only for the bodies
+// it re-lowered.
+func TestBodyOnlyRoundBuildsFactsOnce(t *testing.T) {
+	files, err := corpus.Files(corpus.GroupAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := map[string]string{}
+	for _, f := range files {
+		tree[f.Path] = f.Content
+	}
+	s := rustprobe.NewSession()
+	first, err := s.Analyze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const file = "rust/ethereum/race_sealer.rs"
+	edited := strings.Replace(tree[file], "state.attempts + 1;", "state.attempts + 2;", 1)
+	if edited == tree[file] {
+		t.Fatal("the edit matched nothing")
+	}
+	tree[file] = edited
+
+	var mu sync.Mutex
+	builds := map[[2]string]int{}
+	restore := detect.SetSharedBuildHook(func(kind, fn string) {
+		mu.Lock()
+		builds[[2]string{kind, fn}]++
+		mu.Unlock()
+	})
+	up, err := s.Analyze(tree)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Stats.Full || up.Stats.GlobalFactsReused == 0 || up.Stats.RootsDetected >= up.Stats.FuncsTotal {
+		t.Fatalf("stats %+v, want an incremental round over a strict dirty closure that inherits facts", up.Stats)
+	}
+	relowered := map[string]bool{}
+	for name, b := range up.Result.Bodies {
+		if first.Result.Bodies[name] != b {
+			relowered[name] = true
+		}
+	}
+	for k, n := range builds {
+		kind, fn := k[0], k[1]
+		if fn == "" || kind == "dropflow" {
+			continue // Context scope: once per Context
+		}
+		if n > 1 {
+			t.Errorf("%s of %s built %d times in one round", kind, fn, n)
+		}
+		if !relowered[fn] {
+			t.Errorf("%s of %s built, but its body was kept and the fact inherited", kind, fn)
+		}
+	}
+	for _, kind := range []string{"race.info", "blocking.info", "interiormut.info", "doublelock.acquisitions", "cfg"} {
+		if builds[[2]string{kind, "push_work"}] != 1 {
+			t.Errorf("%s of the edited push_work built %d times, want 1", kind, builds[[2]string{kind, "push_work"}])
+		}
+	}
+}
+
+// TestViewSharesFunctionScope runs every detector at once over a
+// Context and over a callee-closed view of it, which share one
+// per-function scope. Each run must report what the same detector
+// reports on a Context of its own over the same bodies; under -race this
+// checks that both sides may fill the shared scope concurrently.
+func TestViewSharesFunctionScope(t *testing.T) {
+	ds := append(rustprobe.Detectors(), uaf.NewPrecise(), dfree.NewPrecise(), uninit.NewPrecise())
+	res, err := rustprobe.AnalyzeCorpus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := res.Context()
+	sub := map[string]*mir.Body{}
+	var add func(string)
+	add = func(fn string) {
+		if _, ok := sub[fn]; ok {
+			return
+		}
+		sub[fn] = whole.Bodies[fn]
+		for _, e := range whole.Graph.Callees[fn] {
+			add(e.Callee)
+		}
+	}
+	names := whole.Graph.Names()
+	for i := 0; i < len(names); i += 3 {
+		add(names[i])
+	}
+	if len(sub) == len(names) {
+		t.Fatal("the view covers the whole program")
+	}
+	view := whole.View(sub)
+	ctxs := []*detect.Context{whole, view}
+	want := make([]string, 2*len(ds))
+	for i, d := range ds {
+		want[2*i] = formatFindings(d.Run(detect.NewContext(res.Program, res.Bodies)))
+		want[2*i+1] = formatFindings(d.Run(detect.NewContext(res.Program, sub)))
+	}
+
+	got := make([]string, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = formatFindings(ds[i/2].Run(ctxs[i%2]))
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s on the %s diverged from a Context of its own:\n got: %s\nwant: %s",
+				ds[i/2].Name(), []string{"whole Context", "view"}[i%2], got[i], want[i])
+		}
 	}
 }
 

@@ -6,9 +6,11 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"rustprobe/internal/callgraph"
 	"rustprobe/internal/cfg"
@@ -17,6 +19,7 @@ import (
 	"rustprobe/internal/mir"
 	"rustprobe/internal/pointsto"
 	"rustprobe/internal/source"
+	"rustprobe/internal/summary"
 )
 
 // Kind classifies a finding.
@@ -74,44 +77,66 @@ func (f Finding) Format(fset *source.FileSet) string {
 }
 
 // Context carries everything a detector needs. Program, Bodies, Graph
-// and Fset are immutable after NewContext, and the per-function caches
-// are memos, so independent detectors may share one Context from
-// concurrent goroutines.
+// and Fset are immutable after NewContext, and the fact caches are
+// memos, so independent detectors may share one Context from concurrent
+// goroutines.
 //
-// The per-function facts several detectors start from (the CFG, points-to,
-// dropflow, the lock facts of package doublelock, the alias resolver, the
-// uninitialized-allocation dataflow of package uninit) are computed once
-// per Context through Shared and live as long as the Context. Every user
-// must treat a shared value as read-only.
+// Facts live in two scopes, and every user must treat a fact as
+// read-only. The per-function scope (Shared) holds the facts that read
+// only their own function's body, the resolved program and Callee: the
+// CFG, points-to, the lock facts of package doublelock, the alias
+// resolver, the uninitialized-allocation dataflow of package uninit and
+// the global detectors' per-function extractions. A restricted View
+// shares it with the Context it is cut from, and a session round's
+// Context inherits the unchanged functions' entries from the previous
+// round's (Inherit). The Context scope holds the whole-program values —
+// the bottom-up summaries (Summary) and dropflow's parameter summaries —
+// and the per-function values that read another function's value
+// (DropFlow); it belongs to one Context.
 type Context struct {
 	Program *hir.Program
 	Bodies  map[string]*mir.Body
 	Graph   *callgraph.Graph
 	Fset    *source.FileSet
 
-	shared memo[any] // Shared's values, keyed by kind and function
+	perFn  *fnMemo            // per-function scope; a View shares it
+	perCtx memo[factKey, any] // Context scope
+	sums   memo[string, any]  // Context scope: Summary's results by kind
+
+	// warm holds the previous round's summaries by kind (Inherit); each
+	// is dropped once Summary has warm-started from it. recompute is what
+	// a warm start recomputes: the functions not inherited and their
+	// transitive callers.
+	warmMu    sync.Mutex
+	warm      map[string]any
+	recompute map[string]bool
 }
+
+// factKey names one memoized fact: its kind and the function it
+// describes ("" for a whole-program value).
+type factKey struct{ kind, fn string }
 
 // memo computes each key's value at most once. Concurrent callers for
 // the same key wait for the one computation instead of repeating it;
 // callers for different keys never wait on each other. A computation
-// that panics caches nothing, so a later caller computes again.
-type memo[V any] struct {
+// that panics caches nothing, so a later caller computes again. A cell
+// is never written once done, so memos may share done cells.
+type memo[K comparable, V any] struct {
 	mu    sync.Mutex
-	cells map[string]*memoCell[V]
+	cells map[K]*memoCell[V]
 }
 
 type memoCell[V any] struct {
 	mu   sync.Mutex
-	done bool
+	done atomic.Bool // set after v
 	v    V
 }
 
 // get returns key's value, running compute if no earlier call finished.
-func (m *memo[V]) get(key string, compute func() V) V {
+func (m *memo[K, V]) get(key K, compute func() V) V {
 	m.mu.Lock()
 	if m.cells == nil {
-		m.cells = map[string]*memoCell[V]{}
+		m.cells = map[K]*memoCell[V]{}
 	}
 	c := m.cells[key]
 	if c == nil {
@@ -119,14 +144,57 @@ func (m *memo[V]) get(key string, compute func() V) V {
 		m.cells[key] = c
 	}
 	m.mu.Unlock()
+	return c.get(compute)
+}
 
+// get returns the cell's value, running compute if no earlier call
+// finished.
+func (c *memoCell[V]) get(compute func() V) V {
+	if c.done.Load() {
+		return c.v
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.done {
+	if !c.done.Load() {
 		c.v = compute()
-		c.done = true
+		c.done.Store(true)
 	}
 	return c.v
+}
+
+// fnMemo is the per-function scope: each function's facts as a row of
+// cells, one per kind, with memo's semantics. A stored row is never
+// written — adding a kind stores a longer copy — so a Context that
+// inherits a row shares it with the Context it came from and neither can
+// change what the other sees.
+type fnMemo struct {
+	mu   sync.Mutex
+	rows map[string][]kindCell
+}
+
+type kindCell struct {
+	kind string
+	cell *memoCell[any]
+}
+
+// get returns kind's value for fn, running compute if no earlier call
+// finished.
+func (m *fnMemo) get(kind, fn string, compute func() any) any {
+	m.mu.Lock()
+	row := m.rows[fn]
+	var c *memoCell[any]
+	for _, kc := range row {
+		if kc.kind == kind {
+			c = kc.cell
+			break
+		}
+	}
+	if c == nil {
+		c = &memoCell[any]{}
+		m.rows[fn] = append(row[:len(row):len(row)], kindCell{kind, c})
+	}
+	m.mu.Unlock()
+	return c.get(compute)
 }
 
 // NewContext builds a Context, precomputing the call graph.
@@ -144,24 +212,131 @@ func NewContextWithGraph(prog *hir.Program, bodies map[string]*mir.Body, g *call
 		Bodies:  bodies,
 		Graph:   g,
 		Fset:    prog.Fset,
+		perFn:   &fnMemo{rows: map[string][]kindCell{}},
 	}
 }
 
-// sharedBuilt, when set, observes every Shared computation by kind; the
-// package tests use it to count builds.
-var sharedBuilt func(kind string)
+// View returns a Context over bodies, a subset of c.Bodies closed under
+// call-graph callees, that shares c's per-function scope and has a
+// Context scope of its own. Callee resolves a call only along a graph
+// edge, and every edge of a member leads to a member, so a per-function
+// fact reads the same in the view as in c and is built once for both.
+func (c *Context) View(bodies map[string]*mir.Body) *Context {
+	v := NewContext(c.Program, bodies)
+	v.perFn = c.perFn
+	return v
+}
 
-// Shared returns (computing once per Context) the value of kind for
-// function fn. Packages that derive per-function facts from a Context
-// use it so that every detector asking for the same fact shares one
+// Inherit fills c, a Context no detector has used yet, from prev, the
+// Context of the previous round over the same program interface: c
+// takes prev's per-function facts of every function that is not in
+// dirty and whose body is the object prev held, and prev's summaries as
+// the warm starts of Summary. No other Context-scope value — DropFlow
+// among them — is taken, and c keeps no pointer to prev. It returns the
+// number of facts taken.
+//
+// The caller guarantees that nothing outside function bodies changed
+// between the rounds: a fact embeds call resolution, which a change to
+// the set of function names or to anything outside bodies can flip
+// without touching the caller's body.
+func (c *Context) Inherit(prev *Context, dirty map[string]bool) int {
+	keep := func(fn string) bool {
+		b, ok := c.Bodies[fn]
+		return ok && !dirty[fn] && prev.Bodies[fn] == b
+	}
+	notDone := func(kc kindCell) bool { return !kc.cell.done.Load() }
+	taken := 0
+	rows := make(map[string][]kindCell, len(c.Bodies))
+	prev.perFn.mu.Lock()
+	for fn, row := range prev.perFn.rows {
+		if !keep(fn) {
+			continue
+		}
+		if slices.ContainsFunc(row, notDone) {
+			// A computation that panicked left nothing to take.
+			row = slices.DeleteFunc(slices.Clone(row), notDone)
+		}
+		rows[fn] = row
+		taken += len(row)
+	}
+	prev.perFn.mu.Unlock()
+	c.perFn.mu.Lock()
+	c.perFn.rows = rows
+	c.perFn.mu.Unlock()
+
+	warm := map[string]any{}
+	prev.sums.mu.Lock()
+	for kind, cell := range prev.sums.cells {
+		if cell.done.Load() {
+			warm[kind] = cell.v
+		}
+	}
+	prev.sums.mu.Unlock()
+	var fresh []string
+	for _, fn := range c.Graph.Names() {
+		if !keep(fn) {
+			fresh = append(fresh, fn)
+		}
+	}
+	recompute := c.Graph.TransitiveCallers(fresh...)
+	for _, fn := range fresh {
+		recompute[fn] = true
+	}
+	c.warmMu.Lock()
+	c.warm, c.recompute = warm, recompute
+	c.warmMu.Unlock()
+	return taken
+}
+
+// sharedBuilt, when set, observes every memoized computation by kind and
+// function; the package tests use it to count builds.
+var sharedBuilt func(kind, fn string)
+
+func observe(kind, fn string) {
+	if sharedBuilt != nil {
+		sharedBuilt(kind, fn)
+	}
+}
+
+// Shared returns (computing once per Context, and at most once across a
+// Context, its views and the rounds that inherit it) the value of kind
+// for function fn. compute may read only fn's body, the resolved program
+// and Callee. Packages that derive per-function facts from a Context use
+// it so that every detector asking for the same fact shares one
 // computation; concurrent callers for the same key wait for it. The
 // value is shared by all callers and must be treated as immutable. kind
 // names the fact and must be unique to one value type.
 func Shared[V any](c *Context, kind, fn string, compute func() V) V {
-	return c.shared.get(kind+"\x00"+fn, func() any {
-		if sharedBuilt != nil {
-			sharedBuilt(kind)
-		}
+	return c.perFn.get(kind, fn, func() any {
+		observe(kind, fn)
+		return compute()
+	}).(V)
+}
+
+// Summary returns (computing once per Context) the bottom-up summary of
+// kind over c.Graph. On a Context that inherited the previous round's
+// summary of kind, the fixpoint warm-starts from it and recomputes only
+// the functions not inherited and their transitive callers, the closure
+// summary.ComputeFrom requires. kind names one problem and must be
+// unique to one summary type.
+func Summary[S any](c *Context, kind string, p *summary.Problem[S]) *summary.Result[S] {
+	return c.sums.get(kind, func() any {
+		observe(kind, "")
+		c.warmMu.Lock()
+		warm, _ := c.warm[kind].(*summary.Result[S])
+		c.warmMu.Unlock()
+		res := summary.ComputeFrom(c.Graph, p, warm, c.recompute)
+		c.warmMu.Lock()
+		delete(c.warm, kind)
+		c.warmMu.Unlock()
+		return res
+	}).(*summary.Result[S])
+}
+
+// perContext returns (computing once per Context) a Context-scope value.
+func perContext[V any](c *Context, kind, fn string, compute func() V) V {
+	return c.perCtx.get(factKey{kind, fn}, func() any {
+		observe(kind, fn)
 		return compute()
 	}).(V)
 }
@@ -191,16 +366,18 @@ func (c *Context) PointsTo(fn string) *pointsto.Result {
 // and the summaries it holds are shared across detectors and must be
 // treated as immutable.
 func (c *Context) DropFlowSummaries() map[string]*dropflow.FnSummary {
-	return Shared(c, "dropflow.summaries", "", func() map[string]*dropflow.FnSummary {
+	return perContext(c, "dropflow.summaries", "", func() map[string]*dropflow.FnSummary {
 		return dropflow.ComputeSummaries(c.Bodies, c.Graph)
 	})
 }
 
 // DropFlow returns (computing once) the path-sensitive drop-and-alias
 // walk for a function. Like PointsTo, concurrent callers share one walk;
-// the shared Result must be treated as immutable by all detectors.
+// the shared Result must be treated as immutable by all detectors. It
+// reads the callees' parameter summaries, so it lives in the Context
+// scope.
 func (c *Context) DropFlow(fn string) *dropflow.Result {
-	return Shared(c, "dropflow", fn, func() *dropflow.Result {
+	return perContext(c, "dropflow", fn, func() *dropflow.Result {
 		sums := c.DropFlowSummaries()
 		return dropflow.Analyze(c.Bodies[fn], dropflow.Options{Lookup: func(name string) (*dropflow.FnSummary, bool) {
 			s, ok := sums[name]
@@ -209,113 +386,17 @@ func (c *Context) DropFlow(fn string) *dropflow.Result {
 	})
 }
 
-// Callee returns the analyzed function a call resolves to: its
-// resolved definition when that has a body here, else its callee name
-// when that does, else "".
+// Callee returns the analyzed function a call resolves to, or "": the
+// call graph's rule (callgraph.Resolve), so every result is an edge of
+// c.Graph.
 func (c *Context) Callee(call mir.Call) string {
-	if call.Def != nil {
-		if _, ok := c.Bodies[call.Def.Qualified]; ok {
-			return call.Def.Qualified
-		}
-	}
-	if _, ok := c.Bodies[call.Callee]; ok {
-		return call.Callee
-	}
-	return ""
+	return callgraph.Resolve(call, c.Bodies)
 }
 
 // Detector is one analysis pass over a Context.
 type Detector interface {
 	Name() string
 	Run(*Context) []Finding
-}
-
-// Carry is a detector's opaque incremental fact cache, threaded between
-// rounds by the session. Carries hold per-function extraction results
-// keyed by body identity; they are process-local and never serialized.
-type Carry interface{}
-
-// Incremental is a detector whose whole-program pass splits into
-// per-function fact extraction (cacheable) and a cheap global pairing
-// phase.
-//
-// Implementing Incremental is what makes a detector global. A global
-// detector pairs facts across possibly unrelated functions (lock orders
-// across function pairs, races across spawn sites, one type's methods),
-// so a change anywhere can flip its findings: a session round always
-// runs it over the whole program, through its carry. Every other
-// detector is local: its findings are attributed to the analyzed root
-// and depend only on that root, its transitive callees and the resolved
-// program, so a session round re-runs it only over the dirty callgraph
-// closure and replays cached findings for every other root.
-//
-// RunIncremental re-extracts facts only for functions in dirty
-// (or whose cached body no longer matches), warm-starts any summary
-// fixpoints from the carry, and re-runs pairing over the full fact set.
-//
-// The contract is byte-identity: RunIncremental(ctx, carry, dirty) must
-// return exactly the findings Run(ctx) would, for any carry produced by
-// a prior round whose unchanged functions kept their body objects. A
-// nil carry (or nil dirty) degrades to a full extraction and seeds a
-// fresh carry. The int is the number of functions whose cached facts
-// were reused, for serving-layer stats.
-//
-// Callers must not thread a carry across a round that changed the set
-// of function names or anything outside function bodies: cached facts
-// embed call resolution, which such changes can flip without touching
-// the caller's body. The session enforces this by rebuilding from
-// scratch (dropping carries) on any interface or file-set change.
-type Incremental interface {
-	Detector
-	RunIncremental(ctx *Context, carry Carry, dirty map[string]bool) ([]Finding, Carry, int)
-}
-
-// FactCounter is the optional sizing interface a Carry may implement;
-// the session's exported-state manifest records the counts so operators
-// can see how much process-local cache a restart will cost.
-type FactCounter interface {
-	FactCount() int
-}
-
-// ReuseFacts is the per-function fact half of RunIncremental, shared by
-// the global detectors so the body-identity rule lives in one place.
-// For each function of ctx.Graph it keeps prev[name] when name is not
-// dirty and body(prev[name]) is the body object ctx.Bodies holds now;
-// otherwise it calls extract and adds name to recompute. reused counts
-// the kept entries. A nil prev extracts every function.
-func ReuseFacts[F any](ctx *Context, prev map[string]F, dirty map[string]bool, body func(F) *mir.Body, extract func(name string) F) (facts map[string]F, recompute map[string]bool, reused int) {
-	names := ctx.Graph.Names()
-	facts = make(map[string]F, len(names))
-	recompute = map[string]bool{}
-	for _, name := range names {
-		if old, ok := prev[name]; ok && !dirty[name] && body(old) == ctx.Bodies[name] {
-			facts[name] = old
-			reused++
-			continue
-		}
-		facts[name] = extract(name)
-		recompute[name] = true
-	}
-	return facts, recompute, reused
-}
-
-// CloseOverCallers expands a recompute set in place with the transitive
-// callers of its members — the closure summary.ComputeFrom requires
-// before a warm-started fixpoint may reuse an SCC: a clean function must
-// have no recomputed transitive callee, or its cached summary could be
-// stale. Fact extraction stays per-function; only the summary phase
-// widens to this closure.
-func CloseOverCallers(g *callgraph.Graph, recompute map[string]bool) {
-	if len(recompute) == 0 {
-		return
-	}
-	seeds := make([]string, 0, len(recompute))
-	for n := range recompute {
-		seeds = append(seeds, n)
-	}
-	for n := range g.TransitiveCallers(seeds...) {
-		recompute[n] = true
-	}
 }
 
 // SortFindings orders findings by position then kind for stable output.

@@ -7,6 +7,7 @@ import (
 	"rustprobe/internal/hir"
 	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
+	"rustprobe/internal/summary"
 )
 
 func TestFindingFormat(t *testing.T) {
@@ -82,8 +83,10 @@ func TestSeverityString(t *testing.T) {
 	}
 }
 
-// TestContextCallee: a call resolves to its definition when that has a
-// body, else to its callee name when that does, else to nothing.
+// TestContextCallee: a call resolves to its definition when the call
+// has one, else to its callee name, and only when that function has a
+// body here — the call graph's rule, so a definition without a body is
+// unresolved even when a body carries the callee name.
 func TestContextCallee(t *testing.T) {
 	prog := hir.NewProgram(source.NewFileSet())
 	ctx := NewContext(prog, map[string]*mir.Body{"S::get": {}, "helper": {}})
@@ -92,7 +95,7 @@ func TestContextCallee(t *testing.T) {
 		want string
 	}{
 		{mir.Call{Callee: "get", Def: &hir.FuncDef{Qualified: "S::get"}}, "S::get"},
-		{mir.Call{Callee: "helper", Def: &hir.FuncDef{Qualified: "T::helper"}}, "helper"},
+		{mir.Call{Callee: "helper", Def: &hir.FuncDef{Qualified: "T::helper"}}, ""},
 		{mir.Call{Callee: "helper"}, "helper"},
 		{mir.Call{Callee: "Vec::push"}, ""},
 	} {
@@ -102,26 +105,131 @@ func TestContextCallee(t *testing.T) {
 	}
 }
 
-// TestReuseFacts: a fact is kept only for a clean function whose body
-// object is unchanged; everything else is extracted and recomputed.
-func TestReuseFacts(t *testing.T) {
-	bodies := map[string]*mir.Body{"a": {}, "b": {}, "c": {}}
-	ctx := NewContext(hir.NewProgram(source.NewFileSet()), bodies)
-	self := func(b *mir.Body) *mir.Body { return b }
-	extract := func(name string) *mir.Body { return bodies[name] }
-
-	prev := map[string]*mir.Body{"a": bodies["a"], "b": {}, "c": bodies["c"]}
-	facts, recompute, reused := ReuseFacts(ctx, prev, map[string]bool{"c": true}, self, extract)
-	if reused != 1 || len(recompute) != 2 || !recompute["b"] || !recompute["c"] {
-		t.Errorf("reused %d, recompute %v; want 1 and {b c}", reused, recompute)
+// callBody is a body whose blocks call each callee by name in turn.
+func callBody(callees ...string) *mir.Body {
+	b := &mir.Body{Func: &hir.FuncDef{}}
+	b.NewLocal("", nil, false, source.Span{})
+	for i, c := range callees {
+		b.NewBlock().Term = mir.Call{Callee: c, Target: mir.BlockID(i + 1)}
 	}
-	for name, b := range bodies {
-		if facts[name] != b {
-			t.Errorf("facts[%s] is not the current body", name)
+	b.NewBlock().Term = mir.Return{}
+	return b
+}
+
+// facts returns c's computed per-function facts by kind and function.
+func facts(c *Context) map[factKey]any {
+	c.perFn.mu.Lock()
+	defer c.perFn.mu.Unlock()
+	out := map[factKey]any{}
+	for fn, row := range c.perFn.rows {
+		for _, kc := range row {
+			if kc.cell.done.Load() {
+				out[factKey{kc.kind, fn}] = kc.cell.v
+			}
+		}
+	}
+	return out
+}
+
+// TestReuseFacts is the inheritance rule: a Context takes the previous
+// round's per-function fact only for a function that is not dirty and
+// whose body is the object the previous round held. A dirty function, a
+// replaced body, a Context-scope value and DropFlow are never taken; a
+// summary warm-starts and recomputes exactly the functions not taken
+// and their transitive callers; and nothing the new Context computes,
+// panics included, reaches the previous one.
+func TestReuseFacts(t *testing.T) {
+	prog := hir.NewProgram(source.NewFileSet())
+	// a calls b, b calls c; d stands alone.
+	old := map[string]*mir.Body{"a": callBody("b"), "b": callBody("c"), "c": callBody(), "d": callBody()}
+	prev := NewContext(prog, old)
+	builds := map[factKey]int{}
+	defer SetSharedBuildHook(func(kind, fn string) { builds[factKey{kind, fn}]++ })()
+
+	transfers := map[string]int{}
+	prob := &summary.Problem[int]{
+		Bottom: func(string) int { return 0 },
+		Transfer: func(fn string, get summary.Lookup[int]) int {
+			transfers[fn]++
+			return len(fn)
+		},
+		Equal: func(a, b int) bool { return a == b },
+	}
+	fact := func(c *Context, fn string) *string { return Shared(c, "fact", fn, func() *string { return &fn }) }
+	wholeFact := func(c *Context) *int { return perContext(c, "whole", "", func() *int { return new(int) }) }
+	for _, fn := range prev.Graph.Names() {
+		fact(prev, fn)
+		prev.DropFlow(fn)
+	}
+	prevWhole, prevSum := wholeFact(prev), Summary(prev, "sum", prob)
+	prevCells := facts(prev)
+
+	// b is dirty, c got a new body object; a and d are unchanged.
+	bodies := map[string]*mir.Body{"a": old["a"], "b": old["b"], "c": callBody(), "d": old["d"]}
+	next := NewContext(prog, bodies)
+	if n := next.Inherit(prev, map[string]bool{"b": true}); n != 2 {
+		t.Errorf("Inherit took %d facts, want 2 (a's and d's)", n)
+	}
+	clear(builds)
+	clear(transfers)
+	for _, fn := range next.Graph.Names() {
+		if got := fact(next, fn); (got == prevCells[factKey{"fact", fn}]) != (fn == "a" || fn == "d") {
+			t.Errorf("fact of %s: inherited = %t", fn, got == prevCells[factKey{"fact", fn}])
+		}
+		next.DropFlow(fn)
+	}
+	if builds[factKey{"fact", "b"}] != 1 || builds[factKey{"fact", "c"}] != 1 || builds[factKey{"fact", "a"}] != 0 {
+		t.Errorf("fact builds = %v, want b and c only", builds)
+	}
+	for _, fn := range []string{"a", "b", "c", "d"} {
+		if builds[factKey{"dropflow", fn}] != 1 {
+			t.Errorf("DropFlow(%s) built %d times, want 1: it is never inherited", fn, builds[factKey{"dropflow", fn}])
+		}
+	}
+	if wholeFact(next) == prevWhole {
+		t.Error("a Context-scope value was inherited")
+	}
+	sum := Summary(next, "sum", prob)
+	if len(transfers) != 3 || transfers["d"] != 0 {
+		t.Errorf("warm summary transferred %v, want a, b and c (not inherited, or a caller of one)", transfers)
+	}
+	if sum == prevSum || sum.Summaries["d"] != prevSum.Summaries["d"] || len(next.warm) != 0 {
+		t.Errorf("summary: reused result %t, d = %d, warm starts left %d", sum == prevSum, sum.Summaries["d"], len(next.warm))
+	}
+
+	func() {
+		defer func() { recover() }()
+		Shared(next, "boom", "a", func() int { panic("boom") })
+	}()
+	after := facts(prev)
+	if len(after) != len(prevCells) {
+		t.Fatalf("the previous Context's facts went from %d to %d", len(prevCells), len(after))
+	}
+	for k, v := range prevCells {
+		if after[k] != v {
+			t.Errorf("the previous Context's %v changed", k)
 		}
 	}
 
-	if _, recompute, reused := ReuseFacts(ctx, nil, nil, self, extract); reused != 0 || len(recompute) != 3 {
-		t.Errorf("nil prev: reused %d, recompute %v; want 0 and all", reused, recompute)
+	// The computation that panicked left nothing for the next round.
+	third := NewContext(prog, bodies)
+	if n, want := third.Inherit(next, nil), len(facts(next)); n != want {
+		t.Errorf("the next round took %d facts, want the %d computed ones", n, want)
+	}
+	if _, ok := facts(third)[factKey{"boom", "a"}]; ok {
+		t.Error("a computation that panicked was inherited")
+	}
+
+	// Two Contexts share an inherited row but never write it: a kind
+	// either one adds lands in its own copy.
+	mine, theirs := NewContext(prog, old), NewContext(prog, old)
+	for _, kind := range []string{"k1", "k2", "k3"} {
+		Shared(mine, kind, "d", func() string { return kind })
+	}
+	theirs.Inherit(mine, nil)
+	Shared(mine, "mine", "d", func() string { return "mine" })
+	Shared(theirs, "theirs", "d", func() string { return "theirs" })
+	if got := facts(mine); got[factKey{"mine", "d"}] != "mine" || got[factKey{"theirs", "d"}] != nil {
+		t.Errorf("the row was written through another Context: %v", got)
 	}
 }

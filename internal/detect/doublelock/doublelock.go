@@ -90,7 +90,7 @@ func acquireIntrinsic(i mir.Intrinsic) (Mode, bool) {
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	var sums map[string]AcquisitionSummary
 	if !d.IntraOnly {
-		sums = SummarizeAcquisitions(ctx, nil, nil, nil).Summaries
+		sums = SummarizeAcquisitions(ctx).Summaries
 	}
 	var out []detect.Finding
 	for _, name := range ctx.Graph.Names() {
@@ -440,34 +440,24 @@ func Acquisitions(ctx *detect.Context, fn string) *AcquisitionFacts {
 	})
 }
 
-// SummarizeAcquisitions computes every function's acquisition summary
-// on the event summary (SummarizeEvents). With a nil warm it returns the
-// Context's one cold summary, built once from Acquisitions and shared by
-// the double-lock and lock-order detectors. A warm start (lock order's
-// carry across session rounds) computes its own from facts; warm and
-// recompute are SummarizeEvents'.
-func SummarizeAcquisitions(ctx *detect.Context, facts map[string]*AcquisitionFacts, warm *summary.Result[AcquisitionSummary], recompute map[string]bool) *summary.Result[AcquisitionSummary] {
-	summarize := func(facts func(fn string) *AcquisitionFacts) *summary.Result[AcquisitionSummary] {
-		return SummarizeEvents(ctx, &EventProblem[mir.BlockID, Acquisition, CallSite]{
-			Facts: func(fn string) ([]*Event[Acquisition], []CallSite) {
-				f := facts(fn)
-				return f.Own, f.Calls
-			},
-			ID: func(a Acquisition) mir.BlockID { return a.At },
-			// An inherited acquisition happens at the call, in the
-			// caller's body.
-			Step: func(a Acquisition, cs CallSite, _ func(string) string) Acquisition {
-				a.At = cs.At
-				return a
-			},
-		}, warm, recompute)
-	}
-	if warm == nil {
-		return detect.Shared(ctx, "doublelock.acquisition-summary", "", func() *summary.Result[AcquisitionSummary] {
-			return summarize(func(fn string) *AcquisitionFacts { return Acquisitions(ctx, fn) })
-		})
-	}
-	return summarize(func(fn string) *AcquisitionFacts { return facts[fn] })
+// SummarizeAcquisitions returns (computing once per Context) every
+// function's acquisition summary on the event summary (SummarizeEvents),
+// built from Acquisitions and shared by the double-lock and lock-order
+// detectors.
+func SummarizeAcquisitions(ctx *detect.Context) *summary.Result[AcquisitionSummary] {
+	return SummarizeEvents(ctx, "doublelock.acquisition-summary", &EventProblem[mir.BlockID, Acquisition, CallSite]{
+		Facts: func(fn string) ([]*Event[Acquisition], []CallSite) {
+			f := Acquisitions(ctx, fn)
+			return f.Own, f.Calls
+		},
+		ID: func(a Acquisition) mir.BlockID { return a.At },
+		// An inherited acquisition happens at the call, in the caller's
+		// body.
+		Step: func(a Acquisition, cs CallSite, _ func(string) string) Acquisition {
+			a.At = cs.At
+			return a
+		},
+	})
 }
 
 func (d *Detector) checkFunction(ctx *detect.Context, name string, sum AcquisitionSummary) []detect.Finding {

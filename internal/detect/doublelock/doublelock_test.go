@@ -519,7 +519,7 @@ fn pong(n: i32) { ping(n); }
 		"pong": {site("ping", map[string]Mode{"static Q": ModeRead})},
 	}
 	steps := 0
-	res := SummarizeEvents(ctx, &EventProblem[int, int, CallSite]{
+	res := SummarizeEvents(ctx, "test.summary", &EventProblem[int, int, CallSite]{
 		Facts: func(fn string) ([]*Event[int], []CallSite) { return own[fn], calls[fn] },
 		ID:    func(int) int { return 0 },
 		Step: func(d int, _ CallSite, _ func(string) string) int {
@@ -528,7 +528,7 @@ fn pong(n: i32) { ping(n); }
 		},
 		Merge: func(a, b int) int { return min(a, b) },
 		Equal: func(a, b int) bool { return a == b },
-	}, nil, nil)
+	})
 	if res.TruncatedSCCs != 0 {
 		t.Fatalf("%d SCCs hit the iteration cap", res.TruncatedSCCs)
 	}
@@ -589,7 +589,7 @@ impl Node {
     }
 }
 `)
-	res := SummarizeAcquisitions(ctx, nil, nil, nil)
+	res := SummarizeAcquisitions(ctx)
 	if res.TruncatedSCCs != 0 {
 		t.Fatalf("%d SCCs hit the iteration cap", res.TruncatedSCCs)
 	}

@@ -75,9 +75,10 @@ type EventProblem[I comparable, D any, S Site] struct {
 // summary.MaxPathDepth; its locks through TranslateLocks, with the
 // site's held locks added and the stronger mode winning. One event
 // reached along several paths keeps only the locks held on all of them,
-// each in the weaker of its modes. warm and recompute are
-// summary.ComputeFrom's warm start; a nil warm computes every function.
-func SummarizeEvents[I comparable, D any, S Site](ctx *detect.Context, p *EventProblem[I, D, S], warm *summary.Result[Events[I, D]], recompute map[string]bool) *summary.Result[Events[I, D]] {
+// each in the weaker of its modes. The summary is computed once per
+// Context under kind (detect.Summary), warm-started from the previous
+// session round's.
+func SummarizeEvents[I comparable, D any, S Site](ctx *detect.Context, kind string, p *EventProblem[I, D, S]) *summary.Result[Events[I, D]] {
 	add := func(s Events[I, D], e *Event[D]) {
 		k := EventKey[I]{Path: e.Path, Fn: e.Fn, Start: e.Span.Start, ID: p.ID(e.Data)}
 		prev, ok := s[k]
@@ -147,7 +148,7 @@ func SummarizeEvents[I comparable, D any, S Site](ctx *detect.Context, p *EventP
 			return s
 		},
 	}
-	return summary.ComputeFrom(ctx.Graph, prob, warm, recompute)
+	return detect.Summary(ctx, kind, prob)
 }
 
 // intersectLocks keeps the locks held in both maps, each in the weaker

@@ -33,12 +33,11 @@ func New() *Detector { return &Detector{} }
 // Name implements detect.Detector.
 func (*Detector) Name() string { return "interior-mutability" }
 
-// funcInfo is the cached per-function extraction: the &self-method
-// shape facts the global pairing needs, plus the two per-function
-// checks' findings computed unconditionally — the sharable() filter
-// (which depends on the round's impl set, not the body) is applied at
-// emission time so a cached entry never goes stale when only impls
-// change.
+// funcInfo is one function's extraction, shared through the Context as
+// kind interiormut.info: the &self-method shape facts the global pairing
+// needs, plus the two per-function checks' findings computed
+// unconditionally — the sharable() filter (which depends on the impl
+// set, not the body) is applied at emission time.
 type funcInfo struct {
 	body     *mir.Body
 	selfRef  bool // &self method with a known receiver type
@@ -48,36 +47,14 @@ type funcInfo struct {
 	perFn    []detect.Finding
 }
 
-// carry is the detector's cross-round state; see detect.Incremental.
-type carry struct {
-	infos map[string]*funcInfo
-}
-
-// FactCount implements detect.FactCounter.
-func (c *carry) FactCount() int { return len(c.infos) }
-
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	out, _, _ := d.RunIncremental(ctx, nil, nil)
-	return out
-}
-
-// RunIncremental implements detect.Incremental: the per-function checks
-// and escape/mutation facts are reused for clean functions (validated by
-// body identity); the impl audit and the cross-method pairing — both
-// cheap and global — re-run in full every round.
-func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
-	prev, _ := prior.(*carry)
-	var old map[string]*funcInfo
-	if prev != nil {
-		old = prev.infos
-	}
-	infos, _, reused := detect.ReuseFacts(ctx, old, dirty,
-		func(f *funcInfo) *mir.Body { return f.body },
-		func(name string) *funcInfo { return d.extract(ctx, name) })
+	names := ctx.Graph.Names()
+	infos := make(map[string]*funcInfo, len(names))
 	var out []detect.Finding
-	for _, name := range ctx.Graph.Names() {
-		info := infos[name]
+	for _, name := range names {
+		info := detect.Shared(ctx, "interiormut.info", name, func() *funcInfo { return extract(ctx, name) })
+		infos[name] = info
 		if info.selfRef && sharable(ctx, info.selfType) {
 			out = append(out, info.perFn...)
 		}
@@ -85,11 +62,11 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 	out = append(out, d.checkUnsafeImplWithRawFields(ctx)...)
 	out = append(out, d.checkEscapingRefWithInteriorMut(ctx, infos)...)
 	detect.SortFindings(out)
-	return out, &carry{infos: infos}, reused
+	return out
 }
 
-// extract computes one function's cached facts.
-func (d *Detector) extract(ctx *detect.Context, name string) *funcInfo {
+// extract computes one function's facts.
+func extract(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
 	info := &funcInfo{body: body}
 	fd := body.Func
@@ -100,8 +77,8 @@ func (d *Detector) extract(ctx *detect.Context, name string) *funcInfo {
 	info.selfType = fd.SelfType
 	info.escaper = returnsReference(fd.Ret)
 	info.mutator = mutatesSelfInterior(ctx, name)
-	info.perFn = append(info.perFn, d.checkCheckThenAct(ctx, name)...)
-	info.perFn = append(info.perFn, d.checkRawWrite(ctx, name)...)
+	info.perFn = append(info.perFn, checkCheckThenAct(ctx, name)...)
+	info.perFn = append(info.perFn, checkRawWrite(ctx, name)...)
 	return info
 }
 
@@ -264,7 +241,7 @@ func sharable(ctx *detect.Context, typeName string) bool {
 }
 
 // checkCheckThenAct finds load(self.X) → branch → store(self.X) chains.
-func (d *Detector) checkCheckThenAct(ctx *detect.Context, name string) []detect.Finding {
+func checkCheckThenAct(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
 	g := ctx.CFG(name)
 
@@ -382,7 +359,7 @@ func feedsBranch(body *mir.Body, g *cfg.Graph, start mir.LocalID, from mir.Block
 
 // checkRawWrite finds writes through pointers derived from &self without a
 // self-rooted lock guard in scope anywhere in the function.
-func (d *Detector) checkRawWrite(ctx *detect.Context, name string) []detect.Finding {
+func checkRawWrite(ctx *detect.Context, name string) []detect.Finding {
 	body := ctx.Bodies[name]
 	g := ctx.CFG(name)
 	pts := ctx.PointsTo(name)

@@ -14,9 +14,7 @@ import (
 
 	"rustprobe/internal/detect"
 	"rustprobe/internal/detect/doublelock"
-	"rustprobe/internal/mir"
 	"rustprobe/internal/source"
-	"rustprobe/internal/summary"
 )
 
 // Detector finds AB-BA lock order conflicts.
@@ -38,39 +36,11 @@ type acquisition struct {
 	span          source.Span
 }
 
-// carry is the detector's cross-round state; see detect.Incremental.
-type carry struct {
-	facts map[string]*doublelock.AcquisitionFacts
-	sums  *summary.Result[doublelock.AcquisitionSummary]
-}
-
-// FactCount implements detect.FactCounter.
-func (c *carry) FactCount() int { return len(c.facts) }
-
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	out, _, _ := d.RunIncremental(ctx, nil, nil)
-	return out
-}
-
-// RunIncremental implements detect.Incremental: the acquisition facts
-// are reused for clean functions (validated by body identity), the
-// acquisition summary warm-starts from the prior SCC fixpoint, and the
-// AB-BA index pairing — the cheap global phase — re-runs in full.
-func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
-	prev, _ := prior.(*carry)
-	var old map[string]*doublelock.AcquisitionFacts
-	var warm *summary.Result[doublelock.AcquisitionSummary]
-	if prev != nil {
-		old, warm = prev.facts, prev.sums
-	}
-	facts, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
-		func(f *doublelock.AcquisitionFacts) *mir.Body { return f.Body },
-		func(name string) *doublelock.AcquisitionFacts { return doublelock.Acquisitions(ctx, name) })
-	var sres *summary.Result[doublelock.AcquisitionSummary]
+	var sums map[string]doublelock.AcquisitionSummary
 	if !d.IntraOnly {
-		detect.CloseOverCallers(ctx.Graph, recompute)
-		sres = doublelock.SummarizeAcquisitions(ctx, facts, warm, recompute)
+		sums = doublelock.SummarizeAcquisitions(ctx).Summaries
 	}
 	var acqs []acquisition
 	add := func(fn string, e *doublelock.Event[doublelock.Acquisition], span source.Span) {
@@ -86,7 +56,7 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		}
 	}
 	for _, name := range ctx.Graph.Names() {
-		f := facts[name]
+		f := doublelock.Acquisitions(ctx, name)
 		for _, e := range f.Own {
 			if f.CFG.Reachable(e.Data.At) {
 				add(name, e, e.Span)
@@ -94,10 +64,8 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		}
 		// An acquisition inherited at a call site is attributed to the
 		// call.
-		if sres != nil {
-			for _, e := range f.Inherited(sres.Summaries[name]) {
-				add(name, e, f.CallSpan(e.Data.At))
-			}
+		for _, e := range f.Inherited(sums[name]) {
+			add(name, e, f.CallSpan(e.Data.At))
 		}
 	}
 
@@ -150,5 +118,5 @@ func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty
 		})
 	}
 	detect.SortFindings(out)
-	return out, &carry{facts: facts, sums: sres}, reused
+	return out
 }

@@ -10,7 +10,7 @@ import (
 // TestMemoComputesOncePerKey: concurrent callers for one key wait for a
 // single computation and all receive its value.
 func TestMemoComputesOncePerKey(t *testing.T) {
-	var m memo[*int]
+	var m memo[string, *int]
 	var calls atomic.Int32
 	const n = 16
 	got := make([]*int, n)
@@ -44,7 +44,7 @@ func TestMemoComputesOncePerKey(t *testing.T) {
 // TestMemoPanicCachesNothing: a computation that panics leaves no value
 // behind, so the next caller computes again instead of reading a nil.
 func TestMemoPanicCachesNothing(t *testing.T) {
-	var m memo[*int]
+	var m memo[string, *int]
 	func() {
 		defer func() {
 			if recover() == nil {

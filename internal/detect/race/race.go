@@ -86,11 +86,10 @@ type spawnSite struct {
 	span    source.Span
 }
 
-// funcInfo caches the per-function analyses shared by the summary
-// transfer (which the SCC fixpoint re-runs) and the pairing phase.
+// funcInfo is one function's intra-procedural facts, shared through the
+// Context (kind race.info) by the summary transfer (which the SCC
+// fixpoint re-runs) and the pairing phase.
 type funcInfo struct {
-	name   string
-	body   *mir.Body
 	g      *cfg.Graph
 	res    *alias.Resolver
 	own    []*Access
@@ -98,66 +97,42 @@ type funcInfo struct {
 	spawns []spawnSite
 }
 
-// carry is the detector's cached cross-round state: per-function facts
-// keyed by body identity plus the last summary fixpoint for the SCC warm
-// start. See detect.Incremental for the reuse contract.
-type carry struct {
-	infos map[string]*funcInfo
-	sums  *summary.Result[accSummary]
-}
-
-// FactCount implements detect.FactCounter.
-func (c *carry) FactCount() int { return len(c.infos) }
-
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	out, _, _ := d.RunIncremental(ctx, nil, nil)
-	return out
-}
-
-// RunIncremental implements detect.Incremental: per-function fact
-// extraction is skipped for clean functions whose cached facts were
-// derived from the exact body object in ctx.Bodies, and the summary
-// fixpoint warm-starts from the prior round. The pairing phase always
-// re-runs in full — it is the cheap, global part.
-func (d *Detector) RunIncremental(ctx *detect.Context, prior detect.Carry, dirty map[string]bool) ([]detect.Finding, detect.Carry, int) {
-	prev, _ := prior.(*carry)
-	var old map[string]*funcInfo
-	var warm *summary.Result[accSummary]
-	if prev != nil {
-		old, warm = prev.infos, prev.sums
-	}
-	infos, recompute, reused := detect.ReuseFacts(ctx, old, dirty,
-		func(f *funcInfo) *mir.Body { return f.body },
-		func(name string) *funcInfo { return d.analyze(ctx, name) })
-	detect.CloseOverCallers(ctx.Graph, recompute)
-	sums := doublelock.SummarizeEvents(ctx, &doublelock.EventProblem[accessID, access, doublelock.CallSite]{
-		Facts: func(fn string) ([]*Access, []doublelock.CallSite) { return infos[fn].own, infos[fn].calls },
-		ID:    func(a access) accessID { return accessID{write: a.Write, at: a.At} },
+	sums := doublelock.SummarizeEvents(ctx, "race.summary", &doublelock.EventProblem[accessID, access, doublelock.CallSite]{
+		Facts: func(fn string) ([]*Access, []doublelock.CallSite) {
+			info := infoOf(ctx, fn)
+			return info.own, info.calls
+		},
+		ID: func(a access) accessID { return accessID{write: a.Write, at: a.At} },
 		// An inherited access happens at the call, in the caller's body.
 		Step: func(a access, cs doublelock.CallSite, _ func(string) string) access {
 			a.At = cs.At
 			return a
 		},
-	}, warm, recompute)
+	})
 
 	var out []detect.Finding
 	seen := map[pairKey]bool{}
 	for _, name := range ctx.Graph.Names() {
-		out = append(out, d.pair(ctx, infos, sums.Summaries, name, seen)...)
+		out = append(out, pair(ctx, sums.Summaries, name, seen)...)
 	}
 	detect.SortFindings(out)
-	return out, &carry{infos: infos, sums: sums}, reused
+	return out
 }
 
-// analyze collects the intra-procedural facts of one function: its own
-// accesses with locksets, its resolved call sites, and its spawn sites.
-func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
+// infoOf returns (computing once per Context) the intra-procedural facts
+// of one function: its own accesses with locksets, its resolved call
+// sites, and its spawn sites.
+func infoOf(ctx *detect.Context, name string) *funcInfo {
+	return detect.Shared(ctx, "race.info", name, func() *funcInfo { return extract(ctx, name) })
+}
+
+func extract(ctx *detect.Context, name string) *funcInfo {
 	body := ctx.Bodies[name]
 	res := alias.For(ctx, name)
 	g := res.Locks().CFG
-	info := &funcInfo{name: name, body: body, g: g, res: res}
-
+	info := &funcInfo{g: g, res: res}
 	closureOf := mir.ClosureLocals(body)
 
 	record := func(pl mir.Place, write, interior bool, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
@@ -175,11 +150,6 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			Data: access{Write: write, Interior: interior, At: blk},
 		})
 	}
-	readOperand := func(op mir.Operand, sp source.Span, blk mir.BlockID, held map[string]doublelock.Mode) {
-		if pl, ok := mir.OperandPlace(op); ok {
-			record(pl, false, false, sp, blk, held)
-		}
-	}
 
 	for _, blk := range body.Blocks {
 		if !g.Reachable(blk.ID) {
@@ -192,22 +162,10 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			}
 			held := res.HeldAt(blk.ID, i)
 			record(as.Place, true, false, as.Span, blk.ID, held)
-			switch rv := as.Rvalue.(type) {
-			case mir.Use:
-				readOperand(rv.X, as.Span, blk.ID, held)
-			case mir.Cast:
-				readOperand(rv.X, as.Span, blk.ID, held)
-			case mir.BinaryOp:
-				readOperand(rv.L, as.Span, blk.ID, held)
-				readOperand(rv.R, as.Span, blk.ID, held)
-			case mir.UnaryOp:
-				readOperand(rv.X, as.Span, blk.ID, held)
-			case mir.Aggregate:
-				for _, op := range rv.Ops {
-					readOperand(op, as.Span, blk.ID, held)
-				}
-			case mir.Discriminant:
-				record(rv.Place, false, false, as.Span, blk.ID, held)
+			read := func(pl mir.Place) { record(pl, false, false, as.Span, blk.ID, held) }
+			mir.ForEachOperandPlace(as.Rvalue, read)
+			if rv, ok := as.Rvalue.(mir.Discriminant); ok {
+				read(rv.Place)
 			}
 		}
 		c, ok := blk.Term.(mir.Call)
@@ -238,7 +196,9 @@ func (d *Detector) analyze(ctx *detect.Context, name string) *funcInfo {
 			// through, so recording it would flag correctly-guarded code.
 		default:
 			for _, a := range c.Args {
-				readOperand(a, c.Span, blk.ID, held)
+				if pl, ok := mir.OperandPlace(a); ok {
+					record(pl, false, false, c.Span, blk.ID, held)
+				}
 			}
 		}
 		callee := ctx.Callee(c)
@@ -308,8 +268,8 @@ type spawnCtx struct {
 }
 
 // pair reports conflicting access pairs for one spawning function.
-func (d *Detector) pair(ctx *detect.Context, infos map[string]*funcInfo, sums map[string]accSummary, name string, seen map[pairKey]bool) []detect.Finding {
-	info := infos[name]
+func pair(ctx *detect.Context, sums map[string]accSummary, name string, seen map[pairKey]bool) []detect.Finding {
+	info := infoOf(ctx, name)
 	if len(info.spawns) == 0 {
 		return nil
 	}

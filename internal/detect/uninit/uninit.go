@@ -85,26 +85,8 @@ func (d *Detector) check(ctx *detect.Context, name string) []detect.Finding {
 			if !ok {
 				continue
 			}
-			state := res.StateAt(blk.ID, i)
-			check := checkRead(state, as.Span, blk.ID, i)
 			// Only rvalue-side reads: the assigned place is a write.
-			switch rv := as.Rvalue.(type) {
-			case mir.Use:
-				if pl, ok := mir.OperandPlace(rv.X); ok {
-					check(pl)
-				}
-			case mir.BinaryOp:
-				if pl, ok := mir.OperandPlace(rv.L); ok {
-					check(pl)
-				}
-				if pl, ok := mir.OperandPlace(rv.R); ok {
-					check(pl)
-				}
-			case mir.UnaryOp:
-				if pl, ok := mir.OperandPlace(rv.X); ok {
-					check(pl)
-				}
-			}
+			mir.ForEachOperandPlace(as.Rvalue, checkRead(res.StateAt(blk.ID, i), as.Span, blk.ID, i))
 		}
 		// ptr::read from uninitialized memory is also an uninit read.
 		if c, ok := blk.Term.(mir.Call); ok && c.Intrinsic == mir.IntrinsicPtrRead {

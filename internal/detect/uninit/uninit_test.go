@@ -85,3 +85,19 @@ unsafe fn f(c: bool) -> u8 {
 		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
 	}
 }
+
+// TestCastAndTupleReadsFlagged: a read through the pointer is a read in
+// any rvalue, a cast operand or an aggregate field as much as a plain
+// use.
+func TestCastAndTupleReadsFlagged(t *testing.T) {
+	for name, read := range map[string]string{
+		"cast":  "let v = *buf as u32;",
+		"tuple": "let v = (*buf, 1u8);",
+	} {
+		src := "unsafe fn f() {\n    let buf = alloc(16) as *mut u8;\n    " + read + "\n}\n"
+		findings := analyze(t, src)
+		if len(findings) != 1 || findings[0].Kind != detect.KindUninitRead {
+			t.Errorf("%s read: findings = %+v, want one uninitialized read", name, findings)
+		}
+	}
+}

@@ -66,14 +66,6 @@ type State struct {
 	FnPos      map[string]string    `json:"fn_pos"`     // qualified fn -> decl position fingerprint
 	Findings   []Finding            `json:"findings"`   // merged, sorted; replayed when nothing changed
 	Local      map[string][]Finding `json:"local_findings"`
-
-	// GlobalFacts is a manifest of the exporting session's global-
-	// detector fact caches: detector name -> number of per-function
-	// entries carried at export time. It is observability only — the
-	// caches themselves hold pointers into live MIR and are never
-	// serialized, so a restored session's first round re-extracts every
-	// fact and reseeds its carries from scratch.
-	GlobalFacts map[string]int `json:"global_facts,omitempty"`
 }
 
 // Decode parses a serialized State and validates it against the

@@ -107,10 +107,10 @@ type Stats struct {
 	StateSaves          uint64 `json:"state_saves"`
 	StateSavesCoalesced uint64 `json:"state_saves_coalesced"`
 
-	// GlobalFactsReused sums, over all rounds, the per-function fact
-	// extractions the global detectors skipped by reusing carried
-	// caches; GraphPatchedRounds counts rounds whose call graph was
-	// patched from the previous round instead of rebuilt.
+	// GlobalFactsReused sums, over all rounds, the per-function facts
+	// rounds inherited from the previous round instead of rebuilding;
+	// GraphPatchedRounds counts rounds whose call graph was patched from
+	// the previous round instead of rebuilt.
 	GlobalFactsReused  uint64 `json:"global_facts_reused"`
 	GraphPatchedRounds uint64 `json:"graph_patched_rounds"`
 }

@@ -62,49 +62,14 @@ type Result[S any] struct {
 // Iteration order is deterministic: SCCs in condensation order, members
 // in sorted name order.
 func Compute[S any](g *callgraph.Graph, p *Problem[S]) *Result[S] {
-	maxIter := p.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	res := &Result[S]{Summaries: map[string]S{}, Truncated: map[string]bool{}}
-	get := func(callee string) (S, bool) {
-		s, ok := res.Summaries[callee]
-		return s, ok
-	}
-	for _, scc := range g.SCCs() {
-		for _, fn := range scc.Members {
-			res.Summaries[fn] = p.Bottom(fn)
-		}
-		if !scc.Recursive {
-			fn := scc.Members[0]
-			res.Summaries[fn] = p.Transfer(fn, get)
-			continue
-		}
-		converged := false
-		for iter := 0; iter < maxIter && !converged; iter++ {
-			converged = true
-			for _, fn := range scc.Members {
-				next := p.Transfer(fn, get)
-				if !p.Equal(res.Summaries[fn], next) {
-					converged = false
-				}
-				res.Summaries[fn] = next
-			}
-		}
-		if !converged {
-			res.TruncatedSCCs++
-			for _, fn := range scc.Members {
-				res.Truncated[fn] = true
-			}
-		}
-	}
-	return res
+	return ComputeFrom(g, p, nil, nil)
 }
 
 // ComputeFrom is Compute with a warm start for incremental re-analysis:
 // functions outside recompute copy their summaries (and truncation marks)
 // from prev instead of re-running Transfer; recomputed functions read the
-// copied callee summaries through the usual lookup.
+// copied callee summaries through the usual lookup. A nil prev reuses
+// nothing.
 //
 // Soundness is the caller's contract: a function may be reused only if
 // its body and the summaries of all its transitive callees are unchanged
@@ -113,9 +78,6 @@ func Compute[S any](g *callgraph.Graph, p *Problem[S]) *Result[S] {
 // dirty callee, or it would itself be a transitive caller of the change.
 // Functions missing from prev are recomputed regardless.
 func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], recompute map[string]bool) *Result[S] {
-	if prev == nil {
-		return Compute(g, p)
-	}
 	maxIter := p.MaxIter
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
@@ -128,12 +90,10 @@ func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], reco
 	for _, scc := range g.SCCs() {
 		// An SCC is reusable only as a unit: a recursive component's
 		// fixpoint entangles all members.
-		reuse := true
-		for _, fn := range scc.Members {
-			if _, ok := prev.Summaries[fn]; !ok || recompute[fn] {
-				reuse = false
-				break
-			}
+		reuse := prev != nil
+		for i := 0; reuse && i < len(scc.Members); i++ {
+			_, ok := prev.Summaries[scc.Members[i]]
+			reuse = ok && !recompute[scc.Members[i]]
 		}
 		if reuse {
 			for _, fn := range scc.Members {

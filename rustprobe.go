@@ -64,7 +64,7 @@ import (
 // the engine folds it (with the detector registry) into the persistent
 // store's entry version, so old entries self-invalidate instead of being
 // served.
-const AnalyzerVersion = "12"
+const AnalyzerVersion = "13"
 
 // StateVersion ties persisted incremental-analysis state
 // (incrstate.State) to the analyzer + detector set that produced it.
@@ -128,11 +128,9 @@ type Result struct {
 	// paper's §7 results stay reproducible.
 	Precise bool
 
-	// graph, when set before the first Context() call, supplies a
-	// pre-built call graph (the session's incrementally patched one)
-	// instead of building from scratch. It must describe exactly Bodies.
-	graph *callgraph.Graph
-
+	// ctx, when set before the first Context() call, is the session's
+	// Context around its patched call graph, holding the facts it
+	// inherited from the previous round; otherwise Context builds one.
 	ctxOnce sync.Once
 	ctx     *detect.Context
 }
@@ -405,13 +403,11 @@ func AnalyzeCorpus(group string) (*Result, error) {
 
 // Context returns (building lazily) the shared detector context. The
 // context is built exactly once and is safe to hand to concurrent
-// detector runs. A session-supplied patched call graph is used when
-// present; otherwise the graph is built from scratch.
+// detector runs. A session round's prebuilt Context is used when
+// present; otherwise the call graph is built from scratch.
 func (r *Result) Context() *detect.Context {
 	r.ctxOnce.Do(func() {
-		if r.graph != nil {
-			r.ctx = detect.NewContextWithGraph(r.Program, r.Bodies, r.graph)
-		} else {
+		if r.ctx == nil {
 			r.ctx = detect.NewContext(r.Program, r.Bodies)
 		}
 	})
@@ -423,11 +419,27 @@ func (r *Result) Context() *detect.Context {
 // is not part of the default suite; select it by name in Detect.
 func Detectors() []Detector { return detectorRegistry(false) }
 
+// globalDetectors names the registry's global detectors. A global
+// detector pairs facts across possibly unrelated functions (lock orders
+// across function pairs, blocking across spawn sites and channel ends,
+// races across spawn sites, one type's methods), so a change anywhere
+// can flip its findings: a session round always runs it over the whole
+// program, on facts the round's Context inherited for every unchanged
+// function. Every other detector is local: its findings are attributed
+// to the analyzed root and depend only on that root, its transitive
+// callees and the resolved program, so a session round re-runs it only
+// over the dirty callgraph closure and replays cached findings for every
+// other root.
+var globalDetectors = map[string]bool{
+	lockorder.New().Name():   true,
+	blocking.New().Name():    true,
+	interiormut.New().Name(): true,
+	race.New().Name():        true,
+}
+
 // detectorRegistry builds the static suite; precise selects the
 // path-sensitive (dropflow-refuting) variants of the memory detectors.
-// The lock and concurrency detectors have no precise variant. A detector
-// is global iff it implements detect.Incremental; every other one is
-// local (see detect.Incremental for what that means to a session).
+// The lock and concurrency detectors have no precise variant.
 func detectorRegistry(precise bool) []Detector {
 	return []Detector{
 		&uaf.Detector{Precise: precise},
@@ -504,18 +516,11 @@ var testDetectors []Detector
 
 // detectRound is one run of the detector suite over a Result. A full
 // round treats every function as dirty; an incremental round names the
-// functions whose MIR changed since the round that produced carries.
+// functions whose MIR changed since the previous round.
 type detectRound struct {
 	names   []string // detector selection; empty means the static suite
 	full    bool     // every function is dirty; changed is ignored
 	changed []string // incremental rounds: functions whose MIR changed
-
-	// carries holds the global detectors' fact caches by detector name.
-	// Non-nil gives every global detector a carry slot: it runs
-	// RunIncremental (a missing entry extracts from scratch) and the
-	// round returns the next carries. Nil runs the global detectors with
-	// Run and carries nothing.
-	carries map[string]detect.Carry
 }
 
 // detectOutcome is what one round computed.
@@ -528,20 +533,18 @@ type detectOutcome struct {
 	// outside it keeps its previous local findings.
 	recomputed map[string]bool
 
-	carries map[string]detect.Carry // next round's fact caches; nil without slots
-	reused  int                     // per-function global facts reused from carries
-	times   map[string]time.Duration
+	times map[string]time.Duration
 }
 
 // detect is the one detector runner behind Detect, DetectCtx and every
 // Session round. Each selected detector runs on its own goroutine with a
 // recover that turns a panic into a *PanicError, and ctx is checked
-// before each launch. Local detectors run over the dirty closure's own
-// context when that closure is a strict subset of Bodies (otherwise over
-// r.Context(), so a full round builds one call graph); global detectors
+// before each launch. Local detectors run over a view of r.Context()
+// restricted to the dirty closure when that closure is a strict subset
+// of Bodies (otherwise over r.Context() itself); the view shares the
+// per-function facts, so each is built once per round. Global detectors
 // always see the whole program. The outcome, including its timings, is
-// non-nil even when an error is returned, and the caller decides whether
-// to install its carries.
+// non-nil even when an error is returned.
 func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, error) {
 	want := map[string]bool{}
 	for _, n := range rd.names {
@@ -556,10 +559,8 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 	out := &detectOutcome{times: make(map[string]time.Duration, len(ds))}
 	rctx := r.Context() // build once, before the fan-out
 	lctx := rctx
-	var dirty map[string]bool
 	if !rd.full {
-		var seeds []string
-		seeds, out.recomputed = r.dirtyClosure(rctx.Graph, rd.changed)
+		out.recomputed = r.dirtyClosure(rctx.Graph, rd.changed)
 		if len(out.recomputed) < len(r.Bodies) {
 			restricted := make(map[string]*mir.Body, len(out.recomputed))
 			for n := range out.recomputed {
@@ -567,21 +568,11 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 					restricted[n] = b
 				}
 			}
-			lctx = detect.NewContext(r.Program, restricted)
-		}
-		// The dirty set handed to the global detectors is the re-lowered
-		// body set (the seeds, closures included): facts of any other
-		// function derive from an unchanged body object. The detectors
-		// widen their summary recomputation to the caller closure.
-		dirty = make(map[string]bool, len(seeds))
-		for _, n := range seeds {
-			dirty[n] = true
+			lctx = rctx.View(restricted)
 		}
 	}
 
 	results := make([][]Finding, len(ds))
-	carries := make([]detect.Carry, len(ds))
-	reused := make([]int, len(ds))
 	elapsed := make([]time.Duration, len(ds))
 	ran := make([]bool, len(ds))
 	var (
@@ -610,34 +601,24 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 				}
 			}()
 			t := time.Now()
-			inc, global := d.(detect.Incremental)
-			switch {
-			case !global:
-				results[i] = d.Run(lctx)
-			case rd.carries != nil:
-				results[i], carries[i], reused[i] = inc.RunIncremental(rctx, rd.carries[d.Name()], dirty)
-			default:
+			if globalDetectors[d.Name()] {
 				results[i] = d.Run(rctx)
+			} else {
+				results[i] = d.Run(lctx)
 			}
 			elapsed[i] = time.Since(t)
 		}(i, d)
 	}
 	wg.Wait()
 
-	if rd.carries != nil {
-		out.carries = make(map[string]detect.Carry, len(rd.carries))
-	}
 	for i, d := range ds {
 		if !ran[i] {
 			continue
 		}
 		out.times[d.Name()] += elapsed[i]
 		out.findings = append(out.findings, results[i]...)
-		if _, global := d.(detect.Incremental); !global {
+		if !globalDetectors[d.Name()] {
 			out.local = append(out.local, results[i]...)
-		} else if out.carries != nil {
-			out.carries[d.Name()] = carries[i]
-			out.reused += reused[i]
 		}
 	}
 	if firstPanic != nil {
@@ -648,23 +629,23 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 
 // dirtyClosure computes an incremental round's recompute set from the
 // functions whose MIR changed: the changed functions' bodies (closures
-// included; these are the seeds), their transitive callers (whose
-// summaries can observe the change), and the transitive callees of all of
-// those (so every summary or body lookup a local detector makes stays
-// in-set), closed over closure families (a closure body changes exactly
-// when its owner's body text does).
-func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) (seeds []string, closure map[string]bool) {
+// included), their transitive callers (whose summaries can observe the
+// change), and the transitive callees of all of those (so every summary
+// or body lookup a local detector makes stays in-set), closed over
+// closure families (a closure body changes exactly when its owner's body
+// text does).
+func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) map[string]bool {
 	changed := make(map[string]bool, len(changedFns))
 	for _, q := range changedFns {
 		changed[q] = true
 	}
+	var seeds []string
 	for bname := range r.Bodies {
 		if changed[closureBase(bname)] {
 			seeds = append(seeds, bname)
 		}
 	}
-	sort.Strings(seeds)
-	closure = g.TransitiveCallers(seeds...)
+	closure := g.TransitiveCallers(seeds...)
 	for _, bname := range seeds {
 		closure[bname] = true
 	}
@@ -693,7 +674,7 @@ func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) (seeds []
 			add(e.Callee)
 		}
 	}
-	return seeds, closure
+	return closure
 }
 
 // ScanUnsafe runs the §4 unsafe-usage scanner over the parsed crates.

@@ -36,9 +36,10 @@ import (
 //     can observe the change), and the transitive callees of those (so
 //     every summary lookup stays in-set) — reusing cached findings for
 //     all other roots,
-//   - always re-runs the global detectors (lock-order, data-race,
-//     interior-mutability), whose findings pair facts across unrelated
-//     functions.
+//   - always re-runs the global detectors (lock-order, blocking,
+//     data-race, interior-mutability), whose findings pair facts across
+//     unrelated functions, on the per-function facts the round's Context
+//     inherits from the previous round for every unchanged function.
 //
 // Any structural change falls back to a full build: a file added or
 // removed, a file's interface hash changing (anything outside function
@@ -69,7 +70,7 @@ type Session struct {
 type prevRound struct {
 	// restored is the persisted state a Restore'd record stands for; nil
 	// on a live record. A restored record has no FileSet, ASTs, MIR or
-	// carries, so the round after it runs the frontend in full and diffs
+	// facts, so the round after it runs the frontend in full and diffs
 	// the whole tree against the snapshot's hash planes.
 	restored *incrstate.State
 
@@ -77,19 +78,14 @@ type prevRound struct {
 	// A round re-resolves only the roots it recomputed.
 	localRes map[string][]incrstate.Finding
 
-	// The rest is set on a live record only.
+	// The rest is set on a live record only. res's Context holds the
+	// round's facts, which the next live round inherits.
 	fset  *source.FileSet
 	arts  map[string]*fileArtifact // per-file ASTs and hash planes
 	src   map[string]string        // the round's sources
 	res   *Result
 	local map[string][]Finding
 	last  *Update
-
-	// carries holds each incremental global detector's opaque fact
-	// cache (per-function extractions plus summary fixpoints), keyed by
-	// detector name. Process-local: a restored record has none, and the
-	// round after it reseeds them.
-	carries map[string]detect.Carry
 }
 
 // Update is one Session.Analyze round: the full analysis view, the
@@ -128,11 +124,11 @@ type UpdateStats struct {
 	ChangedFns     int `json:"changed_fns"`
 	FuncsTotal     int `json:"funcs_total"`
 
-	// GlobalFactsReused counts per-function fact extractions the global
-	// detectors (lock-order, blocking, interior-mutability, data-race)
-	// skipped this round by reusing their carried caches, summed across
-	// detectors. GraphPatched marks a round whose call graph was patched
-	// from the previous round's instead of rebuilt from scratch.
+	// GlobalFactsReused counts the per-function facts (one per kind and
+	// function: CFG, lock facts, the global detectors' extractions, ...)
+	// the round's Context took from the previous round's instead of
+	// building them. GraphPatched marks a round whose call graph was
+	// patched from the previous round's instead of rebuilt from scratch.
 	GlobalFactsReused int  `json:"global_facts_reused,omitempty"`
 	GraphPatched      bool `json:"graph_patched,omitempty"`
 }
@@ -219,9 +215,10 @@ type draft struct {
 	full    string
 	changed []string
 
-	reparsed int  // files parsed this round
-	lowered  int  // bodies lowered this round; every other one was reused
-	patched  bool // res's call graph was patched from the previous round's
+	reparsed  int  // files parsed this round
+	lowered   int  // bodies lowered this round; every other one was reused
+	patched   bool // res's call graph was patched from the previous round's
+	inherited int  // per-function facts res's Context took from the previous round
 }
 
 // round runs one AnalyzeCtx round: a frontend that reuses what the
@@ -242,7 +239,7 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 		if d == nil && err == nil {
 			// Nothing to do: replay the last round's view.
 			up := &Update{Result: p.res, Findings: p.last.Findings, Resolved: p.last.Resolved}
-			up.Stats = (&draft{res: p.res}).stats(len(files), false, &detectOutcome{}, len(p.last.Findings))
+			up.Stats = (&draft{res: p.res}).stats(len(files), false, 0, len(p.last.Findings))
 			return snapshotUpdate(up), nil
 		}
 	}
@@ -252,12 +249,8 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	d.res.Precise = s.precise
 
 	// Local detectors run over the dirty callgraph closure; the global
-	// detectors run incrementally over the carried fact caches, or
-	// extract from scratch and seed them when there are none to carry.
-	rd := detectRound{full: d.full != "", changed: d.changed, carries: map[string]detect.Carry{}}
-	if !rd.full && p.carries != nil {
-		rd.carries = p.carries
-	}
+	// detectors run over the whole program.
+	rd := detectRound{full: d.full != "", changed: d.changed}
 	out, err := d.res.detect(ctx, rd)
 	if err != nil {
 		return nil, err
@@ -296,7 +289,7 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	}
 
 	up := &Update{Result: d.res, Findings: merged, Resolved: sortFindingsByPosition(d.fset, merged)}
-	up.Stats = d.stats(len(files), p != nil && p.restored != nil, out, reused)
+	up.Stats = d.stats(len(files), p != nil && p.restored != nil, len(out.recomputed), reused)
 	s.prev = &prevRound{
 		localRes: localRes,
 		fset:     d.fset,
@@ -305,13 +298,12 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 		res:      d.res,
 		local:    local,
 		last:     up,
-		carries:  out.carries,
 	}
 	return snapshotUpdate(up), nil
 }
 
 // stats is the one constructor of a round's UpdateStats.
-func (d *draft) stats(files int, restored bool, out *detectOutcome, findingsReused int) UpdateStats {
+func (d *draft) stats(files int, restored bool, rootsDetected, findingsReused int) UpdateStats {
 	st := UpdateStats{
 		Full:              d.full != "",
 		FullReason:        d.full,
@@ -320,11 +312,11 @@ func (d *draft) stats(files int, restored bool, out *detectOutcome, findingsReus
 		FilesReparsed:     d.reparsed,
 		FuncsLowered:      d.lowered,
 		BodiesReused:      len(d.res.Bodies) - d.lowered,
-		RootsDetected:     len(out.recomputed),
+		RootsDetected:     rootsDetected,
 		FindingsReused:    findingsReused,
 		ChangedFns:        len(d.changed),
 		FuncsTotal:        len(d.res.Bodies),
-		GlobalFactsReused: out.reused,
+		GlobalFactsReused: d.inherited,
 		GraphPatched:      d.patched,
 	}
 	if st.Full {
@@ -481,20 +473,24 @@ func liveFrontend(p *prevRound, files map[string]string) (*draft, error) {
 	for bname := range lowered {
 		relowered[bname] = true
 	}
-	graph := callgraph.Patch(p.res.Context().Graph, bodies, relowered)
+	prev := p.res.Context()
+	graph := callgraph.Patch(prev.Graph, bodies, relowered)
 	if graphCrossCheckEnabled() {
 		if want := callgraph.Build(bodies).Fingerprint(); graph.Fingerprint() != want {
 			panic(fmt.Sprintf("rustprobe: patched call graph diverged from rebuild (patched %x, rebuilt %x)",
 				graph.Fingerprint(), want))
 		}
 	}
-	res.graph = graph
+	// The interfaces are equal, so every fact of a function whose body
+	// object the round kept is still valid: take it rather than rebuild.
+	res.ctx = detect.NewContextWithGraph(prog, bodies, graph)
+	inherited := res.ctx.Inherit(prev, relowered)
 
 	fns := make([]string, 0, len(changedFns))
 	for q := range changedFns {
 		fns = append(fns, q)
 	}
-	return &draft{fset: p.fset, arts: arts, res: res, changed: fns, reparsed: len(fresh), lowered: len(lowered), patched: true}, nil
+	return &draft{fset: p.fset, arts: arts, res: res, changed: fns, reparsed: len(fresh), lowered: len(lowered), patched: true, inherited: inherited}, nil
 }
 
 // changedFuncs is the session's one dirty rule, shared by live and
@@ -594,16 +590,6 @@ func (s *Session) ExportState() *incrstate.State {
 		Local:    p.localRes,
 	}
 	st.Files, st.Interfaces, st.FnBodies, st.FnPos = statePlanes(p.arts)
-	// Manifest only: the fact caches hold pointers into live MIR and
-	// cannot survive the process; record their sizes for observability.
-	for name, c := range p.carries {
-		if fc, ok := c.(detect.FactCounter); ok {
-			if st.GlobalFacts == nil {
-				st.GlobalFacts = map[string]int{}
-			}
-			st.GlobalFacts[name] = fc.FactCount()
-		}
-	}
 	return st
 }
 

@@ -123,14 +123,9 @@ func exportHistory(seed int64, steps int) []map[string]string {
 	return history
 }
 
-// encodeComparable is a state's encoding without GlobalFacts, the one
-// field that depends on how the fact caches were seeded rather than on
-// the tree.
-func encodeComparable(t *testing.T, st *incrstate.State) []byte {
+func mustEncode(t *testing.T, st *incrstate.State) []byte {
 	t.Helper()
-	cp := *st
-	cp.GlobalFacts = nil
-	b, err := incrstate.Encode(&cp)
+	b, err := incrstate.Encode(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +134,8 @@ func encodeComparable(t *testing.T, st *incrstate.State) []byte {
 
 // TestExportStateMatchesFullRound is the export oracle: at every round
 // of a mutation history, a live session's ExportState must equal that of
-// a fresh session's full round over the same files, field by field
-// except GlobalFacts, and encode to the same bytes. The live session
+// a fresh session's full round over the same files, field by field, and
+// encode to the same bytes. The live session
 // assembles its snapshot from hashes and resolved findings kept since
 // the round that computed them, so this pins that the kept values never
 // go stale. It also pins live/restored parity: restoring the previous
@@ -172,15 +167,12 @@ func TestExportStateMatchesFullRound(t *testing.T) {
 			gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
 			for i := 0; i < gv.NumField(); i++ {
 				name := gv.Type().Field(i).Name
-				if name == "GlobalFacts" {
-					continue
-				}
 				if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
 					t.Fatalf("seed %d round %d (full=%t %s): ExportState.%s diverges from a full round\n got: %v\nwant: %v",
 						seed, round, up.Stats.Full, up.Stats.FullReason, name, gv.Field(i).Interface(), wv.Field(i).Interface())
 				}
 			}
-			if !bytes.Equal(encodeComparable(t, got), encodeComparable(t, want)) {
+			if !bytes.Equal(mustEncode(t, got), mustEncode(t, want)) {
 				t.Fatalf("seed %d round %d: encoded snapshot diverges from a full round's", seed, round)
 			}
 
@@ -280,12 +272,12 @@ func TestExportStateIsImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.ExportState()
-	before := encodeState(t, s)
+	before := mustEncode(t, s.ExportState())
 	for i := range up.Resolved {
 		up.Resolved[i].Message = "mutated"
 		up.Resolved[i].Notes = append(up.Resolved[i].Notes, "extra")
 	}
-	if after := encodeState(t, s); !bytes.Equal(before, after) {
+	if after := mustEncode(t, s.ExportState()); !bytes.Equal(before, after) {
 		t.Fatal("mutating Update.Resolved changed the session's snapshot")
 	}
 	for _, files := range history[1:] {

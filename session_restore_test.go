@@ -1,6 +1,7 @@
 package rustprobe
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -107,6 +108,45 @@ func TestSessionRestoreBodyDiff(t *testing.T) {
 	}
 	if !equalStrings(sessionStrings(up2), fullDetect(t, again)) {
 		t.Fatal("post-restore incremental round diverges from full analysis")
+	}
+}
+
+// TestSessionRestoreSnapshotWithGlobalFacts: snapshots once carried a
+// global_facts manifest of the detectors' fact caches. A snapshot that
+// still carries one decodes, restores and diffs like any other: the
+// round after it runs the dirty closure, inherits no facts (a restored
+// round has none) and matches a from-scratch analysis.
+func TestSessionRestoreSnapshotWithGlobalFacts(t *testing.T) {
+	base := restoreBase()
+	var raw map[string]any
+	if err := json.Unmarshal(mustEncode(t, exportThrough(t, base)), &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["global_facts"] = map[string]int{"race": 4, "blocking": 4}
+	data, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := incrstate.Decode(data, StateVersion())
+	if st == nil {
+		t.Fatal("a snapshot with global_facts did not decode")
+	}
+
+	edited := clone(base)
+	edited["util.rs"] = strings.Replace(base["util.rs"], "x + 1", "x + 2", 1)
+	s := NewSession()
+	if err := s.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	up, err := s.Analyze(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Stats.Full || !up.Stats.Restored || up.Stats.GlobalFactsReused != 0 {
+		t.Fatalf("restored round stats %+v, want an incremental restored round inheriting nothing", up.Stats)
+	}
+	if got, want := sessionStrings(up), fullDetect(t, edited); !equalStrings(got, want) {
+		t.Fatalf("restored round diverges from full analysis\n got: %v\nwant: %v", got, want)
 	}
 }
 
