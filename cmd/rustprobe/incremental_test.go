@@ -253,8 +253,9 @@ func TestRunIncrementalLegacyStateWithoutFnPos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Strip the fn_pos key, keeping everything else (incl. the version)
-	// intact — the shape a pre-fn_pos binary would have written.
+	// Strip every file record's fn_pos key, keeping everything else
+	// (incl. the version) intact — the shape a pre-fn_pos binary would
+	// have written.
 	data, err := os.ReadFile(statePath)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +264,9 @@ func TestRunIncrementalLegacyStateWithoutFnPos(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	delete(raw, "fn_pos")
+	for _, rec := range raw["files"].(map[string]any) {
+		delete(rec.(map[string]any), "fn_pos")
+	}
 	stripped, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)

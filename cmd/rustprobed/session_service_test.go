@@ -723,10 +723,7 @@ func TestSessionRestartPersistence(t *testing.T) {
 	t.Run("stale-version snapshot degrades to full round", func(t *testing.T) {
 		dir := t.TempDir()
 		st := openStore(dir)
-		stale := &incrstate.State{
-			Version: "0:ancient", Files: map[string]string{}, Interfaces: map[string]string{},
-			FnBodies: map[string]string{}, FnPos: map[string]string{},
-		}
+		stale := &incrstate.State{Version: "0:ancient", Files: map[string]*incrstate.Sealed[incrstate.File]{}}
 		payload, err := incrstate.Encode(stale)
 		if err != nil {
 			t.Fatal(err)

@@ -4,8 +4,9 @@
 package callgraph
 
 import (
-	"fmt"
-	"hash/fnv"
+	"maps"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
@@ -23,7 +24,7 @@ type Edge struct {
 // Graph is the program call graph. Build and Patch always return a fresh
 // graph, and nothing modifies a graph after they return: its maps, edge
 // slices, and the names and SCCs it computes once may be shared by
-// concurrent readers.
+// concurrent readers, and by the graphs Patch derives from it.
 type Graph struct {
 	Bodies map[string]*mir.Body
 	// Callees maps a function to its outgoing edges in block order.
@@ -103,85 +104,155 @@ func (g *Graph) invertCallers() {
 	}
 }
 
-// Patch builds the graph for bodies by reusing prev's per-caller edge
-// lists wherever they are provably still correct, rescanning only:
+// Patch returns the graph of bodies, given prev, the graph of an
+// earlier body set, and changed, which names every body added or
+// replaced since prev (bodies that vanished need not be named). It
+// copies prev's maps and rescans only:
 //
-//   - functions in changed (re-lowered bodies: new call terminators);
-//   - functions whose previously unresolved callee names now have a
+//   - the functions in changed (new call terminators);
+//   - the functions whose previously unresolved callee names now have a
 //     body (a resolution that flips without the caller changing);
-//   - functions absent from prev.
+//   - the callers of bodies that vanished (their edges must go).
 //
-// Cached edges to bodies that vanished are dropped. The result is
-// byte-equivalent to Build(bodies) — the debug cross-check in the
-// session compares fingerprints to enforce exactly that.
+// Only the Callers lists of those functions' old and new callees are
+// rewritten. When the set of body names is unchanged, the new graph
+// takes prev's Names(), and also prev's SCCs() if every rescanned
+// function calls the same callees in the same order. The result equals
+// Build(bodies) — the session's debug cross-check compares them with
+// Diff on every patched round — and prev is not modified.
 func Patch(prev *Graph, bodies map[string]*mir.Body, changed map[string]bool) *Graph {
 	if prev == nil {
 		return Build(bodies)
 	}
 	g := &Graph{
 		Bodies:     bodies,
-		Callees:    map[string][]Edge{},
-		Callers:    map[string][]Edge{},
-		Unresolved: map[string][]string{},
+		Callees:    maps.Clone(prev.Callees),
+		Callers:    maps.Clone(prev.Callers),
+		Unresolved: maps.Clone(prev.Unresolved),
 	}
-	for name, body := range bodies {
-		if changed[name] || prev.Bodies[name] != body {
-			g.scan(name, body)
+
+	rescan := map[string]bool{}
+	added := map[string]bool{}
+	for name := range changed {
+		if _, ok := bodies[name]; !ok {
 			continue
 		}
-		rescan := false
-		for _, u := range prev.Unresolved[name] {
-			if _, exists := bodies[u]; exists {
-				rescan = true
-				break
-			}
+		rescan[name] = true
+		if _, had := prev.Bodies[name]; !had {
+			added[name] = true
 		}
-		if rescan {
-			g.scan(name, body)
-			continue
-		}
-		if u := prev.Unresolved[name]; len(u) > 0 {
-			g.Unresolved[name] = u
-		}
-		cached := prev.Callees[name]
-		keep := cached
-		for i, e := range cached {
-			if _, exists := bodies[e.Callee]; !exists {
-				// Rare: copy-on-write only when an edge must go.
-				keep = make([]Edge, 0, len(cached)-1)
-				keep = append(keep, cached[:i]...)
-				for _, e2 := range cached[i+1:] {
-					if _, exists := bodies[e2.Callee]; exists {
-						keep = append(keep, e2)
-					} else {
-						g.Unresolved[name] = append(g.Unresolved[name], e2.Callee)
+	}
+	var removed []string
+	if len(prev.Bodies)+len(added) != len(bodies) {
+		for name := range prev.Bodies {
+			if _, ok := bodies[name]; !ok {
+				removed = append(removed, name)
+				for _, e := range prev.Callers[name] {
+					if _, ok := bodies[e.Caller]; ok {
+						rescan[e.Caller] = true
 					}
 				}
-				g.Unresolved[name] = append(g.Unresolved[name], e.Callee)
-				break
 			}
 		}
-		if len(keep) > 0 {
-			g.Callees[name] = keep
+	}
+	if len(added) > 0 {
+		for name, us := range prev.Unresolved {
+			if slices.ContainsFunc(us, func(u string) bool { return added[u] }) {
+				if _, ok := bodies[name]; ok {
+					rescan[name] = true
+				}
+			}
 		}
 	}
-	g.invertCallers()
+
+	// Rescan, collecting every callee whose Callers list may change: the
+	// old and new callees of rescanned and vanished functions.
+	touched := map[string]bool{}
+	sameEdges := true
+	for name := range rescan {
+		old := prev.Callees[name]
+		for _, e := range old {
+			touched[e.Callee] = true
+		}
+		delete(g.Callees, name)
+		delete(g.Unresolved, name)
+		g.scan(name, bodies[name])
+		now := g.Callees[name]
+		for _, e := range now {
+			touched[e.Callee] = true
+		}
+		sameEdges = sameEdges && slices.EqualFunc(old, now, func(a, b Edge) bool { return a.Callee == b.Callee })
+	}
+	for _, name := range removed {
+		for _, e := range prev.Callees[name] {
+			touched[e.Callee] = true
+		}
+		delete(g.Callees, name)
+		delete(g.Unresolved, name)
+		delete(g.Callers, name)
+	}
+
+	// Rewrite the touched Callers lists: keep the edges of callers that
+	// were neither rescanned nor removed, add the rescanned callers' new
+	// edges, and order by caller name as Build does (a caller's own edges
+	// stay in block order).
+	gone := func(caller string) bool {
+		_, ok := bodies[caller]
+		return rescan[caller] || !ok
+	}
+	for callee := range touched {
+		if _, ok := bodies[callee]; !ok {
+			delete(g.Callers, callee)
+			continue
+		}
+		var in []Edge
+		for _, e := range prev.Callers[callee] {
+			if !gone(e.Caller) {
+				in = append(in, e)
+			}
+		}
+		for name := range rescan {
+			for _, e := range g.Callees[name] {
+				if e.Callee == callee {
+					in = append(in, e)
+				}
+			}
+		}
+		sort.SliceStable(in, func(i, j int) bool { return in[i].Caller < in[j].Caller })
+		if len(in) > 0 {
+			g.Callers[callee] = in
+		} else {
+			delete(g.Callers, callee)
+		}
+	}
+
+	if len(added) == 0 && len(removed) == 0 {
+		g.namesOnce.Do(func() { g.names = prev.Names() })
+		if sameEdges {
+			g.sccsOnce.Do(func() { g.sccs = prev.SCCs() })
+		}
+	}
 	return g
 }
 
-// Fingerprint renders the graph's resolved structure as a stable hash:
-// sorted callers, edges in block order with call spans. Two graphs over
-// the same bodies fingerprint equal iff their edge sets match — the
-// byte-equality oracle for Patch against Build.
-func (g *Graph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	for _, name := range g.Names() {
-		fmt.Fprintf(h, "%s\n", name)
-		for _, e := range g.Callees[name] {
-			fmt.Fprintf(h, "  %s>%s@%d:%d\n", e.Caller, e.Callee, e.Block, e.Site.Span.Start)
-		}
+// Diff describes the first way g differs from want — Callees, Callers,
+// Unresolved, Names() or SCCs() — or returns "" when they agree. The
+// session's debug cross-check compares every patched graph with a Build
+// of the same bodies by it.
+func Diff(g, want *Graph) string {
+	switch {
+	case !reflect.DeepEqual(g.Callees, want.Callees):
+		return "Callees differ"
+	case !reflect.DeepEqual(g.Callers, want.Callers):
+		return "Callers differ"
+	case !reflect.DeepEqual(g.Unresolved, want.Unresolved):
+		return "Unresolved differs"
+	case !slices.Equal(g.Names(), want.Names()):
+		return "Names differ"
+	case !reflect.DeepEqual(g.SCCs(), want.SCCs()):
+		return "SCCs differ"
 	}
-	return h.Sum64()
+	return ""
 }
 
 // Names returns all function names in sorted order. It is computed once

@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"strings"
 	"testing"
 
 	"rustprobe/internal/hir"
@@ -208,8 +209,8 @@ func TestTransitiveCallers(t *testing.T) {
 
 func TestPatchNilPrevIsBuild(t *testing.T) {
 	bodies := lowerBodies(t, chainSrc)
-	if Patch(nil, bodies, nil).Fingerprint() != Build(bodies).Fingerprint() {
-		t.Fatal("Patch(nil, ...) must degrade to Build")
+	if d := Diff(Patch(nil, bodies, nil), Build(bodies)); d != "" {
+		t.Fatalf("Patch(nil, ...) must degrade to Build: %s", d)
 	}
 }
 
@@ -240,8 +241,8 @@ fn d() { c(); }
 	bodies["b"] = lowerBodies(t, v2)["b"]
 
 	g := Patch(prev, bodies, map[string]bool{"b": true})
-	if g.Fingerprint() != Build(bodies).Fingerprint() {
-		t.Fatal("patched graph diverged from rebuild after a body edit")
+	if d := Diff(g, Build(bodies)); d != "" {
+		t.Fatalf("patched graph diverged from rebuild after a body edit: %s", d)
 	}
 	if len(g.Callees["b"]) != 2 {
 		t.Errorf("b's rescanned callees: %+v", g.Callees["b"])
@@ -272,8 +273,8 @@ fn other() { caller(); }
 	bodies["missing"] = lowerBodies(t, `fn missing() {}`)["missing"]
 
 	g := Patch(prev, bodies, map[string]bool{"missing": true})
-	if g.Fingerprint() != Build(bodies).Fingerprint() {
-		t.Fatal("patched graph diverged from rebuild after resolution flip")
+	if d := Diff(g, Build(bodies)); d != "" {
+		t.Fatalf("patched graph diverged from rebuild after resolution flip: %s", d)
 	}
 	if len(g.Callees["caller"]) != 1 || g.Callees["caller"][0].Callee != "missing" {
 		t.Errorf("caller's edge to the new body missing: %+v", g.Callees["caller"])
@@ -299,8 +300,8 @@ fn c() {}
 		}
 	}
 	g1 := Patch(prev, smaller, nil)
-	if g1.Fingerprint() != Build(smaller).Fingerprint() {
-		t.Fatal("patched graph diverged from rebuild after callee removal")
+	if d := Diff(g1, Build(smaller)); d != "" {
+		t.Fatalf("patched graph diverged from rebuild after callee removal: %s", d)
 	}
 	if len(g1.Callees["a"]) != 1 || g1.Callees["a"][0].Callee != "c" {
 		t.Errorf("a's edges after removal: %+v", g1.Callees["a"])
@@ -313,8 +314,8 @@ fn c() {}
 	}
 	restored["b"] = lowerBodies(t, `fn b() {}`)["b"]
 	g2 := Patch(g1, restored, map[string]bool{"b": true})
-	if g2.Fingerprint() != Build(restored).Fingerprint() {
-		t.Fatal("patched graph diverged from rebuild after callee re-add")
+	if d := Diff(g2, Build(restored)); d != "" {
+		t.Fatalf("patched graph diverged from rebuild after callee re-add: %s", d)
 	}
 	if len(g2.Callees["a"]) != 2 {
 		t.Errorf("a's edges after re-add: %+v", g2.Callees["a"])
@@ -346,5 +347,111 @@ func TestResolveDefWithoutBody(t *testing.T) {
 	bodies["T::helper"] = &mir.Body{}
 	if got := Resolve(call, bodies); got != "T::helper" {
 		t.Errorf("with a body for the definition, Resolve = %q, want T::helper", got)
+	}
+}
+
+// patchEdit lowers v1 and v2, swaps v2's bodies for every name in
+// changed (dropping those v2 lacks) into v1's body map, and returns
+// v1's graph with the patched and rebuilt graphs of the result.
+func patchEdit(t *testing.T, v1, v2 string, changed ...string) (prev, patched, built *Graph) {
+	t.Helper()
+	prevBodies := lowerBodies(t, v1)
+	prev = Build(prevBodies)
+	prev.SCCs()
+	next := lowerBodies(t, v2)
+	bodies := map[string]*mir.Body{}
+	for name, body := range prevBodies {
+		bodies[name] = body
+	}
+	set := map[string]bool{}
+	for _, name := range changed {
+		if b, ok := next[name]; ok {
+			bodies[name] = b
+			set[name] = true
+		} else {
+			delete(bodies, name)
+		}
+	}
+	patched, built = Patch(prev, bodies, set), Build(bodies)
+	if d := Diff(patched, built); d != "" {
+		t.Fatalf("patched graph diverges from Build: %s", d)
+	}
+	return prev, patched, built
+}
+
+// TestPatchReusesSCCsWhenCalleesUnchanged: a body edit that keeps the
+// body's callee sequence hands the previous condensation and name list
+// to the patched graph: the same backing arrays, not recomputed copies.
+func TestPatchReusesSCCsWhenCalleesUnchanged(t *testing.T) {
+	prev, g, _ := patchEdit(t, `
+fn a() { b(); }
+fn b() { let x = 1; c(); }
+fn c() { a(); }
+fn d() { c(); }
+`, `
+fn b() { let y = 2; let z = y; c(); }
+`, "b")
+	if &g.SCCs()[0] != &prev.SCCs()[0] {
+		t.Error("SCCs were recomputed although no callee sequence changed")
+	}
+	if &g.Names()[0] != &prev.Names()[0] {
+		t.Error("Names were recomputed although the body set is unchanged")
+	}
+	if &g.Callers["a"][0] != &prev.Callers["a"][0] {
+		t.Error("an untouched Callers list was rewritten")
+	}
+}
+
+// TestPatchRecomputesSCCsOnNewCycle: an added edge that closes a cycle
+// must not reuse the previous condensation.
+func TestPatchRecomputesSCCsOnNewCycle(t *testing.T) {
+	prev, g, built := patchEdit(t, `
+fn a() { b(); }
+fn b() { c(); }
+fn c() {}
+`, `
+fn c() { a(); }
+`, "c")
+	if &g.SCCs()[0] == &prev.SCCs()[0] {
+		t.Fatal("SCCs reused across an edit that closed a cycle")
+	}
+	if len(built.SCCs()) != 1 || !built.SCCs()[0].Recursive {
+		t.Fatalf("Build's SCCs %+v, want one recursive component", built.SCCs())
+	}
+}
+
+// TestPatchClosureAddedAndRemoved: an edit that adds a closure body, and
+// one that removes it again, changes the body set: names and SCCs are
+// recomputed, and the vanished closure's edges leave every Callers list.
+func TestPatchClosureAddedAndRemoved(t *testing.T) {
+	const plain = `
+fn helper() {}
+fn run() { helper(); }
+`
+	const closure = `
+fn helper() {}
+fn run() { let f = || helper(); f(); }
+`
+	closureBody := func(g *Graph) string {
+		for _, n := range g.Names() {
+			if strings.HasPrefix(n, "run::closure#") {
+				return n
+			}
+		}
+		return ""
+	}
+	prev, g, _ := patchEdit(t, plain, closure, "run", "run::closure#0")
+	if closureBody(g) == "" || closureBody(prev) != "" {
+		t.Fatalf("closure body not added: %v", g.Names())
+	}
+	if &g.SCCs()[0] == &prev.SCCs()[0] || len(g.Names()) == len(prev.Names()) {
+		t.Fatal("names or SCCs reused across a body-set change")
+	}
+	prev, g, _ = patchEdit(t, closure, plain, "run", closureBody(Build(lowerBodies(t, closure))))
+	if closureBody(g) != "" || len(g.Callers["helper"]) != 1 || g.Callers["helper"][0].Caller != "run" {
+		t.Fatalf("closure body not removed: names %v, helper's callers %+v", g.Names(), g.Callers["helper"])
+	}
+	if &g.SCCs()[0] == &prev.SCCs()[0] {
+		t.Fatal("SCCs reused across a body-set change")
 	}
 }

@@ -127,7 +127,9 @@ func TestPersistStateFlushesOnClose(t *testing.T) {
 		}
 	}
 	state := func(k, r int) *incrstate.State {
-		return &incrstate.State{Version: "v", Files: map[string]string{fmt.Sprintf("k%d.rs", k): fmt.Sprint(r)}}
+		return &incrstate.State{Version: "v", Files: map[string]*incrstate.Sealed[incrstate.File]{
+			fmt.Sprintf("k%d.rs", k): incrstate.Seal(incrstate.File{Content: fmt.Sprint(r)}),
+		}}
 	}
 	for r := 0; r < rounds; r++ {
 		for k := 0; k < keys; k++ {

@@ -32,6 +32,11 @@ type Program struct {
 	// whether the impl was declared unsafe (e.g. `unsafe impl Sync`).
 	Impls []*ImplDef
 
+	// Redefined lists, in declaration order, every struct declaration
+	// that replaced an earlier one of the same name in Structs.
+	// Resolution reports each as a warning.
+	Redefined []Redefinition
+
 	// Crates retains the parsed sources for AST-level passes (the §4
 	// unsafety scanner walks these).
 	Crates []*ast.Crate
@@ -103,6 +108,12 @@ type ImplDef struct {
 	Unsafety  bool
 	Span      source.Span
 	Syntax    *ast.ImplItem
+}
+
+// Redefinition is a struct declared again under a name Prev already
+// declared: Def replaced Prev in Structs.
+type Redefinition struct {
+	Prev, Def *ast.StructItem
 }
 
 // FuncDef is a function or method with resolved signature.

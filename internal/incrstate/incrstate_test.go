@@ -11,16 +11,23 @@ import (
 
 func sampleState() *State {
 	return &State{
-		Version:    "v1:test",
-		Files:      map[string]string{"a.rs": ContentHash("fn main() {}")},
-		Interfaces: map[string]string{"a.rs": "ih"},
-		FnBodies:   map[string]string{"main": "bh"},
-		FnPos:      map[string]string{"main": "a.rs:0:1:1"},
+		Version: "v1:test",
+		Files: map[string]*Sealed[File]{
+			"a.rs": Seal(File{
+				Content: ContentHash("fn main() {}"), Interface: "ih",
+				FnBodies: map[string]string{"main": "bh"}, FnPos: map[string]string{"main": "a.rs:0:1:1"},
+			}),
+			// Decoded, not sealed: encoded afresh.
+			"b <&>.rs": {V: File{Content: "c", Interface: "i", FnBodies: map[string]string{}, FnPos: map[string]string{}}},
+		},
 		Findings: []Finding{{
 			Kind: "use_after_free", Severity: "warning", Function: "main",
-			File: "a.rs", Line: 3, Column: 5, Message: "m", Notes: []string{"n"},
+			File: "a.rs", Line: 3, Column: 5, Message: "m <x>", Notes: []string{"n"},
 		}},
-		Local: map[string][]Finding{"main": {{Kind: "use_after_free", Function: "main", File: "a.rs", Line: 3, Column: 5}}},
+		Local: map[string]*Sealed[[]Finding]{
+			"main":  Seal([]Finding{{Kind: "use_after_free", Function: "main", File: "a.rs", Line: 3, Column: 5}}),
+			"other": {V: []Finding{{Kind: "race", Function: "other", File: "b <&>.rs", Line: 1, Column: 1}}},
+		},
 	}
 }
 
@@ -66,32 +73,53 @@ func TestLoadRejectsCorruptAndMissing(t *testing.T) {
 }
 
 // The version-field regression this package exists to pin: a state file
-// written before fn_pos existed (correct version string, no fn_pos key)
-// must be discarded so the caller runs a full round — replaying its
+// whose file records predate fn_pos (correct version string, no fn_pos
+// key) must be discarded so the caller runs a full round — replaying its
 // findings after a body edit could report stale positions.
 func TestDecodeRejectsLegacyStateWithoutFnPos(t *testing.T) {
-	st := sampleState()
-	st.FnPos = nil
-	raw, err := json.Marshal(struct {
-		Version    string               `json:"version"`
-		Files      map[string]string    `json:"files"`
-		Interfaces map[string]string    `json:"interfaces"`
-		FnBodies   map[string]string    `json:"fn_bodies"`
-		Findings   []Finding            `json:"findings"`
-		Local      map[string][]Finding `json:"local_findings"`
-	}{st.Version, st.Files, st.Interfaces, st.FnBodies, st.Findings, st.Local})
+	data, err := Encode(sampleState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Decode(raw, "v1:test"); got != nil {
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	delete(raw["files"].(map[string]any)["a.rs"].(map[string]any), "fn_pos")
+	legacy, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Decode(legacy, "v1:test"); got != nil {
 		t.Fatalf("Decode accepted a legacy fn_pos-less state: %+v", got)
 	}
 	path := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got := Load(path, "v1:test"); got != nil {
 		t.Fatal("Load accepted a legacy fn_pos-less state file")
+	}
+}
+
+// TestDecodeRejectsPreviousLayout: a payload in the flat layout of
+// earlier releases (one hash map per plane) is discarded, even under
+// the expected version string.
+func TestDecodeRejectsPreviousLayout(t *testing.T) {
+	flat, err := json.Marshal(map[string]any{
+		"version":        "v1:test",
+		"files":          map[string]string{"a.rs": "h"},
+		"interfaces":     map[string]string{"a.rs": "ih"},
+		"fn_bodies":      map[string]string{"main": "bh"},
+		"fn_pos":         map[string]string{"main": "a.rs:0:1:1"},
+		"findings":       []Finding{},
+		"local_findings": map[string][]Finding{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Decode(flat, "v1:test"); got != nil {
+		t.Fatalf("Decode accepted the previous layout: %+v", got)
 	}
 }
 
@@ -109,11 +137,75 @@ func TestEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestEncodeIsJSONMarshal: Encode's hand-assembled bytes are exactly
+// json.Marshal's, sealed and unsealed values, nil maps and escaped
+// names alike, and a decoded state re-encodes to the same bytes.
+func TestEncodeIsJSONMarshal(t *testing.T) {
+	for name, st := range map[string]*State{
+		"sample": sampleState(),
+		"empty":  {Version: "v"},
+		"nil entries": {Version: "v", Files: map[string]*Sealed[File]{"a.rs": nil},
+			Local: map[string]*Sealed[[]Finding]{"f": Seal([]Finding(nil))}},
+	} {
+		got, err := Encode(st)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatalf("%s: json.Marshal: %v", name, err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: Encode\n%s\nwant json.Marshal's\n%s", name, got, want)
+		}
+	}
+
+	data, err := Encode(sampleState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := Decode(data, "v1:test")
+	if dec == nil {
+		t.Fatal("Decode rejected bytes Encode produced")
+	}
+	if dec.Files["a.rs"].V.FnPos["main"] != "a.rs:0:1:1" || dec.Local["main"].V[0].Line != 3 || dec.Findings[0].Notes[0] != "n" {
+		t.Fatalf("decoded state lost values: %+v", dec)
+	}
+	again, err := Encode(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatalf("decode round-trip re-encodes differently:\n%s\nwant\n%s", again, data)
+	}
+}
+
+// TestSaveUsesEncode: the CLI's state file is the store payload's codec,
+// byte for byte.
+func TestSaveUsesEncode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	st := sampleState()
+	if err := Save(path, st); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(saved) != string(want) {
+		t.Fatalf("Save wrote\n%s\nwant Encode's\n%s", saved, want)
+	}
+}
+
 func TestUnchangedFrom(t *testing.T) {
 	files := map[string]string{"a.rs": "fn main() {}", "b.rs": "fn f() {}"}
-	st := &State{Files: map[string]string{}}
+	st := &State{Files: map[string]*Sealed[File]{}}
 	for name, src := range files {
-		st.Files[name] = ContentHash(src)
+		st.Files[name] = Seal(File{Content: ContentHash(src)})
 	}
 	if !st.UnchangedFrom(files) {
 		t.Fatal("identical tree reported as changed")

@@ -29,17 +29,16 @@ func Program(prog *hir.Program, diags *source.Diagnostics) map[string]*mir.Body 
 	return out
 }
 
-// ProgramFiltered lowers only the functions keep selects (closures ride
-// with their owner). Incremental sessions use it to re-lower just the
-// functions whose source changed, merging the result with bodies reused
-// from the previous round.
-func ProgramFiltered(prog *hir.Program, diags *source.Diagnostics, keep func(qualified string) bool) map[string]*mir.Body {
+// Funcs lowers the named functions, in the order given, skipping names
+// without a body (closures ride with their owner). Incremental sessions
+// use it to re-lower just the functions whose source changed, merging
+// the result with bodies reused from the previous round.
+func Funcs(prog *hir.Program, diags *source.Diagnostics, names []string) map[string]*mir.Body {
 	out := map[string]*mir.Body{}
-	for _, fd := range prog.SortedFuncs() {
-		if fd.Syntax == nil || fd.Syntax.Body == nil || !keep(fd.Qualified) {
-			continue
+	for _, q := range names {
+		if fd := prog.Funcs[q]; fd != nil && fd.Syntax != nil && fd.Syntax.Body != nil {
+			lowerInto(prog, diags, fd, out)
 		}
-		lowerInto(prog, diags, fd, out)
 	}
 	return out
 }

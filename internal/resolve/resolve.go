@@ -15,14 +15,23 @@ import (
 
 // Resolver converts crates into a Program.
 type Resolver struct {
-	prog  *hir.Program
-	diags *source.Diagnostics
+	prog *hir.Program
 }
 
 // Crates resolves the given crates into a Program, reporting duplicate
 // definitions through diags.
 func Crates(fset *source.FileSet, diags *source.Diagnostics, crates ...*ast.Crate) *hir.Program {
-	r := &Resolver{prog: hir.NewProgram(fset), diags: diags}
+	prog := collect(fset, crates)
+	reportRedefinitions(prog, diags)
+	return prog
+}
+
+// collect registers the crates' declarations into a fresh Program. When
+// a name is declared more than once, the last declaration wins, except
+// that a function without a body never replaces one with a body, and an
+// enum variant belongs to the first enum that declares it.
+func collect(fset *source.FileSet, crates []*ast.Crate) *hir.Program {
+	r := &Resolver{prog: hir.NewProgram(fset)}
 	r.prog.Crates = crates
 	// Pass 1: collect nominal types so signatures can reference them.
 	for _, c := range crates {
@@ -33,6 +42,13 @@ func Crates(fset *source.FileSet, diags *source.Diagnostics, crates ...*ast.Crat
 		r.collectValues(c.Items, "", "", false)
 	}
 	return r.prog
+}
+
+// reportRedefinitions warns once per entry of prog.Redefined, in order.
+func reportRedefinitions(prog *hir.Program, diags *source.Diagnostics) {
+	for _, rd := range prog.Redefined {
+		diags.Warningf(rd.Def.Sp, "struct %s redefined (previous at %s)", rd.Def.Name, prog.Fset.Position(rd.Prev.Sp.Start))
+	}
 }
 
 func (r *Resolver) collectTypes(items []ast.Item) {
@@ -51,7 +67,7 @@ func (r *Resolver) collectTypes(items []ast.Item) {
 				sd.Order = append(sd.Order, f.Name)
 			}
 			if prev, dup := r.prog.Structs[it.Name]; dup {
-				r.diags.Warningf(it.Sp, "struct %s redefined (previous at %s)", it.Name, r.prog.Fset.Position(prev.Span.Start))
+				r.prog.Redefined = append(r.prog.Redefined, hir.Redefinition{Prev: prev.Syntax, Def: it})
 			}
 			r.prog.Structs[it.Name] = sd
 		case *ast.EnumItem:

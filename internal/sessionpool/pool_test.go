@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -372,6 +373,61 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		}
 	})
 
+	t.Run("previous layout payload", func(t *testing.T) {
+		// The snapshot a release before the per-file layout wrote: the
+		// same hashes and findings as flat per-plane maps, under that
+		// release's version string. It is discarded like any stale
+		// snapshot: one full round, counted as such, and no error.
+		dir := t.TempDir()
+		s1, err := store.Open(dir, "test-v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := rustprobe.NewSession()
+		if _, err := sess.Analyze(files); err != nil {
+			t.Fatal(err)
+		}
+		st := sess.ExportState()
+		flat := map[string]any{
+			"version":        strings.TrimSuffix(rustprobe.StateVersion(), ":"+incrstate.Layout),
+			"findings":       st.Findings,
+			"local_findings": map[string][]incrstate.Finding{},
+		}
+		planes := map[string]map[string]string{"files": {}, "interfaces": {}, "fn_bodies": {}, "fn_pos": {}}
+		for name, f := range st.Files {
+			planes["files"][name], planes["interfaces"][name] = f.V.Content, f.V.Interface
+			maps.Copy(planes["fn_bodies"], f.V.FnBodies)
+			maps.Copy(planes["fn_pos"], f.V.FnPos)
+		}
+		for plane, m := range planes {
+			flat[plane] = m
+		}
+		for root, fs := range st.Local {
+			flat["local_findings"].(map[string][]incrstate.Finding)[root] = fs.V
+		}
+		payload, err := json.Marshal(flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Put(SessionKey("repo"), payload); err != nil {
+			t.Fatal(err)
+		}
+		p := New(storeEngine(t, s1), Config{})
+		res, err := p.Push(ctx, "repo", files)
+		if err != nil {
+			t.Fatalf("push over a previous-layout snapshot failed: %v", err)
+		}
+		if !res.Stats.Full {
+			t.Fatalf("previous-layout snapshot should force a full round: %+v", res.Stats)
+		}
+		if got, want := mustJSON(t, res.Findings), mustJSON(t, oracleFindings(t, files)); got != want {
+			t.Fatal("full round over a previous-layout snapshot diverges")
+		}
+		if st := p.Stats(); st.Restores != 0 || st.FullRounds != 1 {
+			t.Fatalf("stats %+v, want no restore and one full round", st)
+		}
+	})
+
 	t.Run("stale version payload", func(t *testing.T) {
 		dir := t.TempDir()
 		s1, err := store.Open(dir, "test-v1")
@@ -380,10 +436,7 @@ func TestPoolCorruptAndStaleStoreState(t *testing.T) {
 		}
 		// A checksum-valid store entry whose incrstate payload names an
 		// old analyzer version: decodes fail, push falls back to full.
-		stale := &incrstate.State{
-			Version: "0:ancient", Files: map[string]string{}, Interfaces: map[string]string{},
-			FnBodies: map[string]string{}, FnPos: map[string]string{},
-		}
+		stale := &incrstate.State{Version: "0:ancient", Files: map[string]*incrstate.Sealed[incrstate.File]{}}
 		payload, err := incrstate.Encode(stale)
 		if err != nil {
 			t.Fatal(err)

@@ -67,13 +67,14 @@ import (
 const AnalyzerVersion = "13"
 
 // StateVersion ties persisted incremental-analysis state
-// (incrstate.State) to the analyzer + detector set that produced it.
-// The CLI's .rustprobe-state.json and the daemon's store-backed session
-// snapshots both carry this string; replaying findings across a version
-// change would resurrect results the current detectors might not
-// produce, so loaders discard mismatching state and run full.
+// (incrstate.State) to the analyzer + detector set that produced it and
+// to the codec's layout. The CLI's .rustprobe-state.json and the
+// daemon's store-backed session snapshots both carry this string;
+// replaying findings across a version change would resurrect results
+// the current detectors might not produce, so loaders discard
+// mismatching state and run full.
 func StateVersion() string {
-	return AnalyzerVersion + ":" + strings.Join(DetectorNames(), ",")
+	return AnalyzerVersion + ":" + strings.Join(DetectorNames(), ",") + ":" + incrstate.Layout
 }
 
 // SyntaxError reports that submitted sources failed to lex, parse, or
@@ -192,19 +193,18 @@ func analyzeArtifacts(fset *source.FileSet, diags *source.Diagnostics, files map
 // interfaceHash digests the source with every function body blanked
 // out, so it is stable across body-only edits.
 //
-// fnBodies and fnPos are set by bindFuncs after link: for every function
-// the resolved program registered from this file, keyed by qualified
-// name, its body hash and its declaration-position fingerprint. They
-// are the file's share of incrstate.State's FnBodies and FnPos, and are
-// never written again once set.
+// rec is set by bindFuncs (or rebindFuncs) after link: the file's
+// record in incrstate.State — both hashes plus, for every function the
+// resolved program registered from this file, keyed by qualified name,
+// its body hash and its declaration-position fingerprint — sealed, so
+// its JSON is encoded once. It is never written again once set.
 type fileArtifact struct {
 	name          string
 	file          *source.File
 	crate         *ast.Crate
 	contentHash   string
 	interfaceHash string
-	fnBodies      map[string]string
-	fnPos         map[string]string
+	rec           *incrstate.Sealed[incrstate.File]
 }
 
 // parseArtifact runs the per-file frontend over a registered file.
@@ -218,9 +218,54 @@ func hashArtifact(a *fileArtifact) {
 	a.interfaceHash = interfaceHash(a.file, collectFnItems(a.crate))
 }
 
-// bindFuncs sets fnBodies and fnPos of each of arts from the functions
-// prog registered from its file. Only the registered definition of a
-// qualified name counts, so every name lands in exactly one file.
+// bindFuncs sets rec of each of arts from the functions prog registered
+// from its file. Only the registered definition of a qualified name
+// counts, so every name lands in exactly one file.
+func bindFuncs(prog *hir.Program, arts []*fileArtifact) {
+	recs := make(map[*source.File]*incrstate.File, len(arts))
+	for _, a := range arts {
+		recs[a.file] = newFileRecord(a, 0)
+	}
+	for q, fd := range prog.Funcs {
+		if fd.Syntax == nil {
+			continue
+		}
+		if r := recs[prog.Fset.FileFor(fd.Syntax.Span().Start)]; r != nil {
+			bindFunc(prog.Fset, r, q, fd)
+		}
+		// else: registered from a file this round did not parse
+	}
+	for _, a := range arts {
+		a.rec = incrstate.Seal(*recs[a.file])
+	}
+}
+
+// rebindFuncs sets a.rec for a body-only revision of old's file: prog
+// registers the same names from it as it did from old, each now from
+// a's declaration. A name prog no longer registers from a's file is
+// left out, which the caller's key-set comparison reports as a
+// structural change.
+func rebindFuncs(prog *hir.Program, a, old *fileArtifact) {
+	r := newFileRecord(a, len(old.rec.V.FnPos))
+	for q := range old.rec.V.FnPos {
+		if fd := prog.Funcs[q]; fd != nil && fd.Syntax != nil && prog.Fset.FileFor(fd.Syntax.Span().Start) == a.file {
+			bindFunc(prog.Fset, r, q, fd)
+		}
+	}
+	a.rec = incrstate.Seal(*r)
+}
+
+func newFileRecord(a *fileArtifact, fns int) *incrstate.File {
+	return &incrstate.File{
+		Content:   a.contentHash,
+		Interface: a.interfaceHash,
+		FnBodies:  make(map[string]string, fns),
+		FnPos:     make(map[string]string, fns),
+	}
+}
+
+// bindFunc records fd, registered as q, in r: its declaration-position
+// fingerprint and, when it has a body, its body hash.
 //
 // The position fingerprint is the file, byte offset, line and column of
 // the declaration start. Between two rounds with equal interface hashes,
@@ -229,27 +274,11 @@ func hashArtifact(a *fileArtifact) {
 // precondition for replaying its cached findings verbatim. The offset
 // alone would not be enough: a same-length edit above the function can
 // move newlines without moving bytes, shifting its line numbers.
-func bindFuncs(prog *hir.Program, arts []*fileArtifact) {
-	byFile := make(map[*source.File]*fileArtifact, len(arts))
-	for _, a := range arts {
-		byFile[a.file] = a
-		a.fnBodies = map[string]string{}
-		a.fnPos = map[string]string{}
-	}
-	for q, fd := range prog.Funcs {
-		if fd.Syntax == nil {
-			continue
-		}
-		start := fd.Syntax.Span().Start
-		a := byFile[prog.Fset.FileFor(start)]
-		if a == nil {
-			continue // registered from a file this round did not parse
-		}
-		pos := a.file.Position(start - a.file.Base)
-		a.fnPos[q] = fmt.Sprintf("%s:%d:%d:%d", pos.File, pos.Offset, pos.Line, pos.Column)
-		if fd.Syntax.Body != nil {
-			a.fnBodies[q] = hashBytes([]byte(prog.Fset.SpanText(fd.Syntax.Body.Span())))
-		}
+func bindFunc(fset *source.FileSet, r *incrstate.File, q string, fd *hir.FuncDef) {
+	pos := fset.Position(fd.Syntax.Span().Start)
+	r.FnPos[q] = fmt.Sprintf("%s:%d:%d:%d", pos.File, pos.Offset, pos.Line, pos.Column)
+	if fd.Syntax.Body != nil {
+		r.FnBodies[q] = hashBytes([]byte(fset.SpanText(fd.Syntax.Body.Span())))
 	}
 }
 
@@ -633,26 +662,16 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 // change), and the transitive callees of all of those (so every summary
 // or body lookup a local detector makes stays in-set), closed over
 // closure families (a closure body changes exactly when its owner's body
-// text does).
+// text does). A family is found in the graph's sorted Names().
 func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) map[string]bool {
-	changed := make(map[string]bool, len(changedFns))
-	for _, q := range changedFns {
-		changed[q] = true
-	}
+	names := g.Names()
 	var seeds []string
-	for bname := range r.Bodies {
-		if changed[closureBase(bname)] {
-			seeds = append(seeds, bname)
-		}
+	for _, q := range changedFns {
+		seeds = appendFamily(seeds, r.Bodies, names, q)
 	}
 	closure := g.TransitiveCallers(seeds...)
 	for _, bname := range seeds {
 		closure[bname] = true
-	}
-	family := map[string][]string{}
-	for bname := range r.Bodies {
-		b := closureBase(bname)
-		family[b] = append(family[b], bname)
 	}
 	var work []string
 	for n := range closure {
@@ -664,10 +683,12 @@ func (r *Result) dirtyClosure(g *callgraph.Graph, changedFns []string) map[strin
 			work = append(work, n)
 		}
 	}
+	var family []string
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, m := range family[closureBase(n)] {
+		family = appendFamily(family[:0], r.Bodies, names, closureBase(n))
+		for _, m := range family {
 			add(m)
 		}
 		for _, e := range g.Callees[n] {

@@ -12,6 +12,7 @@ import (
 	"rustprobe/internal/ast"
 	"rustprobe/internal/callgraph"
 	"rustprobe/internal/detect"
+	"rustprobe/internal/hir"
 	"rustprobe/internal/incrstate"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/mir"
@@ -74,9 +75,10 @@ type prevRound struct {
 	// the whole tree against the snapshot's hash planes.
 	restored *incrstate.State
 
-	// localRes is each root's local findings resolved to file:line:col.
-	// A round re-resolves only the roots it recomputed.
-	localRes map[string][]incrstate.Finding
+	// localRes is each root's local findings resolved to file:line:col,
+	// sealed for the snapshot. A round re-resolves and re-seals only the
+	// roots it recomputed.
+	localRes map[string]*incrstate.Sealed[[]incrstate.Finding]
 
 	// The rest is set on a live record only. res's Context holds the
 	// round's facts, which the next live round inherits.
@@ -261,7 +263,7 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	merged := out.findings
 	reused := 0
 	local := map[string][]Finding{}
-	localRes := map[string][]incrstate.Finding{}
+	localRes := map[string]*incrstate.Sealed[[]incrstate.Finding]{}
 	if !rd.full {
 		prevLocal := p.local
 		if p.restored != nil {
@@ -285,7 +287,7 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	}
 	for fn, fs := range groupByFunction(out.local) {
 		local[fn] = append(local[fn], fs...)
-		localRes[fn] = ResolveFindings(d.fset, local[fn])
+		localRes[fn] = incrstate.Seal(ResolveFindings(d.fset, local[fn]))
 	}
 
 	up := &Update{Result: d.res, Findings: merged, Resolved: sortFindingsByPosition(d.fset, merged)}
@@ -346,13 +348,18 @@ func restoredFrontend(st *incrstate.State, files map[string]string) (*draft, err
 	if err != nil {
 		return nil, err
 	}
-	contents, ifaces, fnBodies, fnPos := statePlanes(d.arts)
-	changed, ok := changedFuncs(st.FnBodies, st.FnPos, fnBodies, fnPos)
-	if !ok || !sameKeys(st.Files, contents) || !maps.Equal(st.Interfaces, ifaces) {
+	if !sameKeys(st.Files, d.arts) {
 		d.full = "restored state structure changed"
 		return d, nil
 	}
-	d.changed = changed
+	for name, a := range d.arts {
+		changed, ok := diffFile(&st.Files[name].V, a)
+		if !ok {
+			d.full = "restored state structure changed"
+			return d, nil
+		}
+		d.changed = append(d.changed, changed...)
+	}
 	return d, nil
 }
 
@@ -411,12 +418,79 @@ func liveFrontend(p *prevRound, files map[string]string) (*draft, error) {
 		}
 	}
 
-	// Link phase: resolve over reused + fresh ASTs in the same sorted
-	// order a full build uses.
+	// Link phase: rebind the fresh files' declarations into a copy of
+	// the previous round's program. Equal interfaces register the same
+	// qualified names from the same files, so the reused artifacts'
+	// function hashes stay valid and only the changed files need
+	// diffing.
 	arts := maps.Clone(p.arts)
-	for _, a := range fresh {
+	revs := make([]resolve.Revision, len(fresh))
+	for i, a := range fresh {
 		arts[a.name] = a
+		revs[i] = resolve.Revision{Old: p.arts[a.name].crate, New: a.crate}
 	}
+	prog := resolve.Rebind(p.res.Program, diags, revs)
+	changedFns := map[string]bool{}
+	for _, a := range fresh {
+		old := p.arts[a.name]
+		rebindFuncs(prog, a, old)
+		fns, ok := diffFile(&old.rec.V, a)
+		if !ok {
+			return fullFrontend(files, "interface changed: "+a.name)
+		}
+		for _, q := range fns {
+			changedFns[q] = true
+		}
+	}
+	fns := make([]string, 0, len(changedFns))
+	for q := range changedFns {
+		fns = append(fns, q)
+	}
+	sort.Strings(fns)
+
+	// Re-lower exactly the changed functions (closures ride along); every
+	// other body is reused from the previous round.
+	lowered := lower.Funcs(prog, diags, fns)
+	if diags.HasErrors() {
+		return nil, &SyntaxError{Diags: diags.String()}
+	}
+	prev := p.res.Context()
+	bodies := maps.Clone(p.res.Bodies)
+	for _, q := range fns {
+		for _, bname := range appendFamily(nil, bodies, prev.Graph.Names(), q) {
+			delete(bodies, bname)
+		}
+	}
+	relowered := make(map[string]bool, len(lowered))
+	for bname, b := range lowered {
+		bodies[bname] = b
+		relowered[bname] = true
+	}
+	res := &Result{Program: prog, Bodies: bodies, Fset: p.fset, Diags: diags}
+
+	// Patch the previous round's call graph instead of rebuilding: only
+	// re-lowered bodies are rescanned for edges (plus callers whose
+	// unresolved callee names gained a body or whose callees vanished).
+	graph := callgraph.Patch(prev.Graph, bodies, relowered)
+	if graphCrossCheckEnabled() {
+		crossCheck(arts, prog, diags, graph)
+	}
+	// The interfaces are equal, so every fact of a function whose body
+	// object the round kept is still valid: take it rather than rebuild.
+	res.ctx = detect.NewContextWithGraph(prog, bodies, graph)
+	inherited := res.ctx.Inherit(prev, relowered)
+
+	return &draft{fset: p.fset, arts: arts, res: res, changed: fns, reparsed: len(fresh), lowered: len(lowered), patched: true, inherited: inherited}, nil
+}
+
+// crossCheck is the debug oracle of a live round (graphCrossCheckEnabled):
+// everything the round reused must equal a from-scratch build over the
+// same artifacts. The rebound program must equal resolve.Crates — every
+// table, the Syntax pointers, the Impls order — and render the same
+// diagnostics, and the patched graph must equal callgraph.Build. A
+// mismatch panics: silently continuing would poison every downstream
+// detector.
+func crossCheck(arts map[string]*fileArtifact, prog *hir.Program, diags *source.Diagnostics, graph *callgraph.Graph) {
 	names := make([]string, 0, len(arts))
 	for n := range arts {
 		names = append(names, n)
@@ -426,71 +500,27 @@ func liveFrontend(p *prevRound, files map[string]string) (*draft, error) {
 	for i, n := range names {
 		crates[i] = arts[n].crate
 	}
-	prog := resolve.Crates(p.fset, diags, crates...)
-	if diags.HasErrors() {
-		return nil, &SyntaxError{Diags: diags.String()}
+	wantDiags := source.NewDiagnostics(prog.Fset)
+	if d := resolve.Diff(prog, resolve.Crates(prog.Fset, wantDiags, crates...)); d != "" {
+		panic("rustprobe: rebound program diverged from a fresh resolve: " + d)
 	}
-	// Equal interfaces register the same qualified names from the same
-	// files, so the reused artifacts' function hashes stay valid and
-	// only the changed files need diffing.
-	bindFuncs(prog, fresh)
-	changedFns := map[string]bool{}
-	for _, a := range fresh {
-		old := p.arts[a.name]
-		fns, ok := changedFuncs(old.fnBodies, old.fnPos, a.fnBodies, a.fnPos)
-		if !ok {
-			return fullFrontend(files, "interface changed: "+a.name)
-		}
-		for _, q := range fns {
-			changedFns[q] = true
-		}
+	if got, want := diags.String(), wantDiags.String(); got != want {
+		panic(fmt.Sprintf("rustprobe: rebound diagnostics diverged from a fresh resolve:\n%s\nwant\n%s", got, want))
 	}
+	if d := callgraph.Diff(graph, callgraph.Build(graph.Bodies)); d != "" {
+		panic("rustprobe: patched call graph diverged from rebuild: " + d)
+	}
+}
 
-	// Re-lower exactly the changed functions (closures ride along); every
-	// other body is reused from the previous round.
-	lowered := lower.ProgramFiltered(prog, diags, func(q string) bool { return changedFns[q] })
-	if diags.HasErrors() {
-		return nil, &SyntaxError{Diags: diags.String()}
+// diffFile compares a file's new artifact with its previous record: ok
+// is false when its interface or the set of functions registered from
+// it changed, a structural change; otherwise changed lists the
+// functions whose body hash or declaration position differs.
+func diffFile(old *incrstate.File, a *fileArtifact) (changed []string, ok bool) {
+	if old.Interface != a.interfaceHash {
+		return nil, false
 	}
-	bodies := make(map[string]*mir.Body, len(p.res.Bodies))
-	for bname, b := range p.res.Bodies {
-		if !changedFns[closureBase(bname)] {
-			bodies[bname] = b
-		}
-	}
-	for bname, b := range lowered {
-		bodies[bname] = b
-	}
-	res := &Result{Program: prog, Bodies: bodies, Fset: p.fset, Diags: diags}
-
-	// Patch the previous round's call graph instead of rebuilding:
-	// only re-lowered bodies are rescanned for edges (plus callers whose
-	// unresolved callee names could have flipped, which body-only edits
-	// cannot cause). The from-scratch rebuild remains the correctness
-	// anchor — structural changes take the full path above, and the
-	// debug cross-check compares fingerprints on every patched round.
-	relowered := make(map[string]bool, len(lowered))
-	for bname := range lowered {
-		relowered[bname] = true
-	}
-	prev := p.res.Context()
-	graph := callgraph.Patch(prev.Graph, bodies, relowered)
-	if graphCrossCheckEnabled() {
-		if want := callgraph.Build(bodies).Fingerprint(); graph.Fingerprint() != want {
-			panic(fmt.Sprintf("rustprobe: patched call graph diverged from rebuild (patched %x, rebuilt %x)",
-				graph.Fingerprint(), want))
-		}
-	}
-	// The interfaces are equal, so every fact of a function whose body
-	// object the round kept is still valid: take it rather than rebuild.
-	res.ctx = detect.NewContextWithGraph(prog, bodies, graph)
-	inherited := res.ctx.Inherit(prev, relowered)
-
-	fns := make([]string, 0, len(changedFns))
-	for q := range changedFns {
-		fns = append(fns, q)
-	}
-	return &draft{fset: p.fset, arts: arts, res: res, changed: fns, reparsed: len(fresh), lowered: len(lowered), patched: true, inherited: inherited}, nil
+	return changedFuncs(old.FnBodies, old.FnPos, a.rec.V.FnBodies, a.rec.V.FnPos)
 }
 
 // changedFuncs is the session's one dirty rule, shared by live and
@@ -513,7 +543,7 @@ func changedFuncs(oldBodies, oldPos, newBodies, newPos map[string]string) (chang
 }
 
 // sameKeys reports whether two maps have identical key sets.
-func sameKeys(a, b map[string]string) bool {
+func sameKeys[A, B any](a map[string]A, b map[string]B) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -558,25 +588,35 @@ func (s *Session) Restore(st *incrstate.State) error {
 	if s.prev != nil && s.prev.restored == nil {
 		return fmt.Errorf("rustprobe: Restore: session has already analyzed")
 	}
-	if st.FnPos == nil {
-		// Legacy pre-fn_pos state cannot prove positions didn't shift.
-		return fmt.Errorf("rustprobe: Restore: state has no declaration-position fingerprints")
+	for _, f := range st.Files {
+		if f == nil || f.V.FnPos == nil {
+			// Legacy pre-fn_pos state cannot prove positions didn't shift.
+			return fmt.Errorf("rustprobe: Restore: state has no declaration-position fingerprints")
+		}
 	}
-	s.prev = &prevRound{restored: st, localRes: st.Local}
+	// Seal the findings, which decoding left unsealed, so every later
+	// snapshot that replays them appends their encoding.
+	localRes := make(map[string]*incrstate.Sealed[[]incrstate.Finding], len(st.Local))
+	for root, fs := range st.Local {
+		localRes[root] = incrstate.Seal(fs.V)
+	}
+	s.prev = &prevRound{restored: st, localRes: localRes}
 	return nil
 }
 
 // ExportState snapshots the session's last successful round in the
-// persistable incrstate form: content/interface/body/position hashes
-// plus the merged and per-root findings, fully resolved to file:line:col
-// so a later process can replay them without this FileSet. Returns nil
-// if the session has no successful round to export.
+// persistable incrstate form: each file's record (content, interface,
+// body and position hashes) plus the merged and per-root findings,
+// fully resolved to file:line:col so a later process can replay them
+// without this FileSet. Returns nil if the session has no successful
+// round to export.
 //
-// Nothing is hashed or resolved here: each file's hashes were computed
-// when it was parsed and each finding when its round resolved it, so a
-// snapshot costs map assembly only. The State shares those resolved
-// findings with the session, which never writes them again; callers
-// must treat it as read-only.
+// Nothing is hashed, resolved or encoded here: each file's record was
+// sealed when it was parsed and bound and each root's findings when its
+// round resolved them, so a snapshot costs map assembly only and its
+// encoding re-encodes only the merged findings. The State shares those
+// values with the session, which never writes them again; callers must
+// treat it as read-only.
 func (s *Session) ExportState() *incrstate.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -586,36 +626,14 @@ func (s *Session) ExportState() *incrstate.State {
 	}
 	st := &incrstate.State{
 		Version:  StateVersion(),
+		Files:    make(map[string]*incrstate.Sealed[incrstate.File], len(p.arts)),
 		Findings: p.last.Resolved,
 		Local:    p.localRes,
 	}
-	st.Files, st.Interfaces, st.FnBodies, st.FnPos = statePlanes(p.arts)
+	for name, a := range p.arts {
+		st.Files[name] = a.rec
+	}
 	return st
-}
-
-// statePlanes assembles the hash planes of incrstate.State from the
-// artifacts' precomputed hashes: content and interface hash per file,
-// body hash and declaration-position fingerprint per function.
-func statePlanes(arts map[string]*fileArtifact) (files, ifaces, fnBodies, fnPos map[string]string) {
-	n := 0
-	for _, a := range arts {
-		n += len(a.fnPos)
-	}
-	files = make(map[string]string, len(arts))
-	ifaces = make(map[string]string, len(arts))
-	fnBodies = make(map[string]string, n)
-	fnPos = make(map[string]string, n)
-	for name, a := range arts {
-		files[name] = a.contentHash
-		ifaces[name] = a.interfaceHash
-		for q, h := range a.fnBodies {
-			fnBodies[q] = h
-		}
-		for q, p := range a.fnPos {
-			fnPos[q] = p
-		}
-	}
-	return files, ifaces, fnBodies, fnPos
 }
 
 // findingsFromResolved rebuilds per-root detector findings from their
@@ -623,15 +641,15 @@ func statePlanes(arts map[string]*fileArtifact) (files, ifaces, fnBodies, fnPos 
 // registration of the same (byte-identical, per the content-hash
 // precondition) file so position resolution and sorting work exactly as
 // for fresh findings.
-func findingsFromResolved(fset *source.FileSet, local map[string][]incrstate.Finding) map[string][]Finding {
+func findingsFromResolved(fset *source.FileSet, local map[string]*incrstate.Sealed[[]incrstate.Finding]) map[string][]Finding {
 	byName := map[string]*source.File{}
 	for _, f := range fset.Files() {
 		byName[f.Name] = f
 	}
 	out := make(map[string][]Finding, len(local))
 	for root, rfs := range local {
-		fs := make([]Finding, 0, len(rfs))
-		for _, rf := range rfs {
+		fs := make([]Finding, 0, len(rfs.V))
+		for _, rf := range rfs.V {
 			var span source.Span
 			if f := byName[rf.File]; f != nil {
 				off := f.Base + f.OffsetOf(rf.Line, rf.Column)
@@ -692,6 +710,21 @@ func closureBase(name string) string {
 		return name[:i]
 	}
 	return name
+}
+
+// appendFamily appends the bodies of base's closure family — base's own
+// body, if it has one, then its closures' — given names, the sorted
+// names of bodies, where the closures are the run under base's closure
+// prefix.
+func appendFamily(out []string, bodies map[string]*mir.Body, names []string, base string) []string {
+	if _, ok := bodies[base]; ok {
+		out = append(out, base)
+	}
+	prefix := base + "::closure#"
+	for i := sort.SearchStrings(names, prefix); i < len(names) && strings.HasPrefix(names[i], prefix); i++ {
+		out = append(out, names[i])
+	}
+	return out
 }
 
 // sortFindingsByPosition orders findings by their resolved position in

@@ -132,6 +132,17 @@ func mustEncode(t *testing.T, st *incrstate.State) []byte {
 	return b
 }
 
+// throughCodec returns st as a later process reads it: encoded, then
+// decoded under this build's StateVersion.
+func throughCodec(t *testing.T, st *incrstate.State) *incrstate.State {
+	t.Helper()
+	dec := incrstate.Decode(mustEncode(t, st), StateVersion())
+	if dec == nil {
+		t.Fatal("an exported snapshot did not decode")
+	}
+	return dec
+}
+
 // TestExportStateMatchesFullRound is the export oracle: at every round
 // of a mutation history, a live session's ExportState must equal that of
 // a fresh session's full round over the same files, field by field, and
@@ -181,7 +192,7 @@ func TestExportStateMatchesFullRound(t *testing.T) {
 			// gives the same findings as the live round.
 			if round > 0 {
 				rs := NewSession()
-				if err := rs.Restore(prev); err != nil {
+				if err := rs.Restore(throughCodec(t, prev)); err != nil {
 					t.Fatal(err)
 				}
 				rup, err := rs.Analyze(files)
@@ -208,7 +219,8 @@ func TestExportStateMatchesFullRound(t *testing.T) {
 
 // TestStaleSnapshotRestoreMatchesStateless: a snapshot may be rounds
 // older than the tree it is restored against (write-behind persistence
-// can lose the newest rounds to a crash). Restoring round k's snapshot
+// can lose the newest rounds to a crash). Snapshots go through the
+// codec, as a restarted process reads them. Restoring round k's snapshot
 // and analyzing round k+n must still give exactly the stateless
 // AnalyzeFiles+Detect findings: every function whose body or position
 // differs from the snapshot is dirty, and structural drift runs full.
@@ -226,7 +238,7 @@ func TestStaleSnapshotRestoreMatchesStateless(t *testing.T) {
 			if _, err := live.Analyze(files); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, k, err)
 			}
-			snaps[k] = live.ExportState()
+			snaps[k] = throughCodec(t, live.ExportState())
 		}
 		for k := range history {
 			for _, n := range []int{1, 3, 5} {

@@ -2,6 +2,7 @@ package rustprobe
 
 import (
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 
@@ -230,7 +231,13 @@ func TestSessionRestoreErrors(t *testing.T) {
 		t.Fatal("Restore(nil) succeeded")
 	}
 	legacy := *st
-	legacy.FnPos = nil
+	legacy.Files = maps.Clone(st.Files)
+	for name, f := range legacy.Files {
+		rec := f.V
+		rec.FnPos = nil
+		legacy.Files[name] = &incrstate.Sealed[incrstate.File]{V: rec}
+		break
+	}
 	if err := s.Restore(&legacy); err == nil {
 		t.Fatal("Restore accepted a legacy fn_pos-less state")
 	}
@@ -293,8 +300,13 @@ func TestExportStateShape(t *testing.T) {
 	if st.Version != StateVersion() {
 		t.Fatalf("exported version %q, want %q", st.Version, StateVersion())
 	}
-	if len(st.Files) != len(base) || len(st.FnPos) == 0 || len(st.FnBodies) == 0 {
-		t.Fatalf("exported state incomplete: %d files, %d fn_pos, %d fn_bodies", len(st.Files), len(st.FnPos), len(st.FnBodies))
+	fnPos, fnBodies := 0, 0
+	for _, f := range st.Files {
+		fnPos += len(f.V.FnPos)
+		fnBodies += len(f.V.FnBodies)
+	}
+	if len(st.Files) != len(base) || fnPos == 0 || fnBodies == 0 {
+		t.Fatalf("exported state incomplete: %d files, %d fn_pos, %d fn_bodies", len(st.Files), fnPos, fnBodies)
 	}
 	if !st.UnchangedFrom(base) {
 		t.Fatal("exported content hashes do not match the exported tree")

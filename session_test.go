@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"rustprobe/internal/gen"
@@ -432,6 +433,40 @@ func TestSessionOrdersRevisedSpansLikeAFullBuild(t *testing.T) {
 		}
 		if got, want := sessionStrings(up), fullDetect(t, files); !equalStrings(got, want) {
 			t.Fatalf("%s: session orders spans unlike a full build\n got: %v\nwant: %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestSessionRedefinitionDiagnostics: a live round rebinds only the
+// edited file's declarations, yet must report every "struct redefined"
+// warning a full round reports, with the earlier declaration's position
+// as it now reads — here moved by the edit itself.
+func TestSessionRedefinitionDiagnostics(t *testing.T) {
+	files := map[string]string{
+		"a.rs": "fn fa(x: i32) -> i32 {\n    x + 1\n}\nstruct Shared { a: i32 }\n",
+		"b.rs": "fn fb(x: i32) -> i32 {\n    x + 2\n}\nstruct Shared { b: i32 }\nstruct Other;\nstruct Shared { c: i32 }\n",
+	}
+	s := NewSession()
+	if _, err := s.Analyze(files); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		name := []string{"a.rs", "b.rs"}[round%2]
+		files[name] = strings.Replace(files[name], "\n    x", "\n\n    x", 1)
+		up, err := s.Analyze(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.Stats.Full || up.Stats.FilesReparsed != 1 {
+			t.Fatalf("round %d: want a body-only round over %s, got %+v", round, name, up.Stats)
+		}
+		full, err := AnalyzeFiles(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := up.Result.Diags.String(), full.Diags.String()
+		if got != want || strings.Count(want, "redefined") != 2 {
+			t.Fatalf("round %d (edited %s): diagnostics\n%s\nwant a full round's\n%s", round, name, got, want)
 		}
 	}
 }
