@@ -15,7 +15,9 @@ package rustprobe_test
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +31,8 @@ import (
 	"rustprobe/internal/detect/race"
 	"rustprobe/internal/detect/uaf"
 	"rustprobe/internal/engine"
+	"rustprobe/internal/gen"
+	"rustprobe/internal/incrstate"
 	"rustprobe/internal/lower"
 	"rustprobe/internal/report"
 	"rustprobe/internal/rtsim"
@@ -433,4 +437,116 @@ func BenchmarkEngineCached(b *testing.B) {
 			b.Fatal("expected a cache hit")
 		}
 	}
+}
+
+// --- incremental sessions ---------------------------------------------------
+
+// bodyOnlyTwin is a gen program and its buggy/clean twin, both without
+// the generated header line: it names the variant, so with it a twin
+// swap would edit text outside function bodies.
+type bodyOnlyTwin struct {
+	path      string
+	main, alt string
+	swapped   bool
+}
+
+func (p *bodyOnlyTwin) src() string {
+	if p.swapped {
+		return p.alt
+	}
+	return p.main
+}
+
+// declaredName matches the identifier each top-level item declares.
+var declaredName = regexp.MustCompile(`(?m)^\s*(?:(?:pub|unsafe|async|const)\s+)*(?:fn|struct|trait|enum|impl)\s+([A-Za-z_][A-Za-z0-9_]*)`)
+
+// bodyOnlyTree returns a tree of the patterns and apps corpus groups
+// plus up to n gen programs whose declared names are disjoint from each
+// other and from the corpus (a tree is one program, so shared names
+// would resolve across files), and the programs it holds.
+func bodyOnlyTree(b *testing.B, seed int64, n int) (map[string]string, []*bodyOnlyTwin) {
+	b.Helper()
+	tree := map[string]string{}
+	taken := map[string]bool{}
+	for _, g := range []corpus.Group{corpus.GroupPatterns, corpus.GroupApps} {
+		files, err := corpus.Files(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range files {
+			tree[f.Path] = f.Content
+			for _, m := range declaredName.FindAllStringSubmatch(f.Content, -1) {
+				taken[m[1]] = true
+			}
+		}
+	}
+	strip := func(s string) string {
+		if i := strings.Index(s, "\n"); i >= 0 && strings.HasPrefix(s, "// generated:") {
+			return s[i+1:]
+		}
+		return s
+	}
+	var progs []*bodyOnlyTwin
+	for sub := int64(0); sub < 400 && len(progs) < n; sub++ {
+		main := gen.Generate(seed*1000 + sub)
+		twin := gen.New(main.Seed, main.Kind, !main.Buggy)
+		names := declaredName.FindAllStringSubmatch(main.Source+"\n"+twin.Source, -1)
+		if slices.ContainsFunc(names, func(m []string) bool { return taken[m[1]] }) {
+			continue
+		}
+		for _, m := range names {
+			taken[m[1]] = true
+		}
+		p := &bodyOnlyTwin{path: fmt.Sprintf("gen/g%02d.rs", len(progs)), main: strip(main.Source), alt: strip(twin.Source)}
+		tree[p.path] = p.main
+		progs = append(progs, p)
+	}
+	return tree, progs
+}
+
+// BenchmarkSessionBodyOnlyPush times one warm session push that swaps a
+// gen program for its twin, plus the snapshot a daemon persists after
+// it (ExportState and Encode). Only programs whose swap edits nothing
+// outside function bodies rotate, so every timed round is incremental
+// but the full round the session makes when it compacts its FileSet
+// (full/op counts them).
+func BenchmarkSessionBodyOnlyPush(b *testing.B) {
+	tree, all := bodyOnlyTree(b, 1, 24)
+	s := rustprobe.NewSession()
+	if _, err := s.Analyze(tree); err != nil {
+		b.Fatal(err)
+	}
+	push := func(p *bodyOnlyTwin) *rustprobe.Update {
+		p.swapped = !p.swapped
+		tree[p.path] = p.src()
+		up, err := s.Analyze(tree)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := incrstate.Encode(s.ExportState()); err != nil {
+			b.Fatal(err)
+		}
+		return up
+	}
+	// Swap each program there and back once: a swap that edits an
+	// interface makes a full round, so that program does not rotate.
+	var progs []*bodyOnlyTwin
+	for _, p := range all {
+		there, back := push(p), push(p)
+		if !there.Stats.Full && !back.Stats.Full {
+			progs = append(progs, p)
+		}
+	}
+	if len(progs) < 2 {
+		b.Fatalf("only %d of %d gen programs have body-only twins", len(progs), len(all))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	full := 0
+	for i := 0; i < b.N; i++ {
+		if up := push(progs[i%len(progs)]); up.Stats.Full {
+			full++
+		}
+	}
+	b.ReportMetric(float64(full)/float64(b.N), "full/op")
 }

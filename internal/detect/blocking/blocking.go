@@ -24,6 +24,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -207,20 +208,24 @@ type funcInfo struct {
 	orphans []detect.Finding
 }
 
-// Run implements detect.Detector.
+// Run implements detect.Detector. Each function's share of the pairing
+// rules is its index (DerivedAll kind blocking.index); Run pairs the
+// indexes in Graph.Names() order, rule by rule, so the first report of
+// a span is the one a rule earlier in the order makes.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	names := ctx.Graph.Names()
-	infos := make(map[string]*funcInfo, len(names))
-	for _, name := range names {
-		infos[name] = detect.Shared(ctx, "blocking.info", name, func() *funcInfo { return extract(ctx, name) })
-	}
 	sums := doublelock.SummarizeEvents(ctx, "blocking.summary", &doublelock.EventProblem[opKind, op, callSite]{
-		Facts: func(fn string) ([]*event, []callSite) { return infos[fn].own, infos[fn].calls },
+		Facts: func(fn string) ([]*event, []callSite) {
+			info := infoOf(ctx, fn)
+			return info.own, info.calls
+		},
 		ID:    func(o op) opKind { return o.Kind },
 		Step:  op.step,
 		Merge: op.merge,
 		Equal: op.equal,
-	}).Summaries
+	})
+	idxs := detect.DerivedAll(ctx, "blocking.index", sums, func(fn string) (*index, []string) {
+		return indexOf(ctx, fn, sums.Summaries)
+	})
 
 	var out []detect.Finding
 	reported := map[int]bool{}
@@ -231,21 +236,175 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 		reported[f.Span.Start] = true
 		out = append(out, f)
 	}
+	emitAll := func(findings func(*index) []detect.Finding) {
+		for _, x := range idxs {
+			for _, f := range findings(x) {
+				emit(f)
+			}
+		}
+	}
 
 	// Orphaned receives first: "the sender is gone" is the more precise
 	// diagnosis for a recv site than any lock-cycle pairing.
-	for _, name := range names {
-		for _, f := range infos[name].orphans {
-			emit(f)
-		}
-	}
-	d.channelCycles(ctx, names, infos, sums, emit)
-	d.allEndsWaiting(ctx, names, infos, sums, emit)
-	d.lostSignals(ctx, names, infos, sums, emit)
-	d.onceReentry(ctx, names, infos, sums, emit)
+	emitAll(func(x *index) []detect.Finding { return x.orphans })
+	channelCycles(ctx, idxs, emit)
+	emitAll(func(x *index) []detect.Finding { return x.allEnds })
+	lostSignals(ctx, idxs, emit)
+	emitAll(func(x *index) []detect.Finding { return x.reentries })
+	emitAll(func(x *index) []detect.Finding { return x.paramReentries })
 
 	detect.SortFindings(out)
 	return out
+}
+
+// infoOf returns (computing once per Context) the blocking facts of
+// function fn, or nil when fn has no body.
+func infoOf(ctx *detect.Context, fn string) *funcInfo {
+	if _, ok := ctx.Bodies[fn]; !ok {
+		return nil
+	}
+	return detect.Shared(ctx, "blocking.info", fn, func() *funcInfo { return extract(ctx, fn) })
+}
+
+// index is one function's share of the pairing rules, derived from its
+// summary: its events sorted and qualified once, and the findings of the
+// rules that read only the function and the closures it spawns or hands
+// to call_once.
+type index struct {
+	orphans []detect.Finding // the no-live-sender rule's, from funcInfo
+
+	sends []qsend // every send event
+	recvs []qrecv // the recv events that hold a lock
+
+	// The lost-signal rule's notifies and waits: the body's own, then
+	// the ones its summary carries from callees with the condvar
+	// resolved at this level.
+	notifies, propagatedNotifies []qnotify
+	waits, propagatedWaits       []qwait
+
+	allEnds                   []detect.Finding
+	reentries, paramReentries []detect.Finding
+}
+
+// qsend is a send event with its channel and held locks qualified.
+type qsend struct {
+	chanPath string
+	owner    string // impl type of the summary's function
+	fn       string
+	span     source.Span
+	locks    map[string]bool
+	local    bool
+}
+
+// qrecv is a recv event that holds locks, with its channel qualified.
+type qrecv struct {
+	ev    *event
+	qchan string
+	owner string
+	locks []qlock // sorted by qualified id
+}
+
+// qlock is a held lock's qualified id and the recv's own spelling of it.
+type qlock struct{ qualified, spelling string }
+
+type qnotify struct {
+	q          string // qualified condvar
+	fn         string
+	span       source.Span
+	guaranteed bool
+}
+
+// qwait is a wait reported against holder, the function whose index
+// holds it, performed by waiter.
+type qwait struct {
+	q      string // qualified condvar
+	holder string
+	waiter string
+	cv     string
+	span   source.Span
+}
+
+// indexOf builds function name's index from its summary and those of
+// the closures its rules read, which it returns as the index's deps.
+func indexOf(ctx *detect.Context, name string, sums map[string]resSummary) (*index, []string) {
+	info := infoOf(ctx, name)
+	x := index{orphans: info.orphans}
+	owner := implTypeOf(name)
+	// unresolved reports a condvar handed in from outside (parameter or
+	// closure capture): it is judged at a caller that can name it.
+	unresolved := func(cv string) bool {
+		root := alias.Root(cv)
+		return root != "self" && (info.params[root] || info.captures[root])
+	}
+	for _, n := range info.notifies {
+		x.notifies = append(x.notifies, qnotify{q: qualify(name, n.cv), fn: name, span: n.span, guaranteed: n.guaranteed})
+	}
+	for _, w := range info.waits {
+		if !unresolved(w.cv) {
+			x.waits = append(x.waits, qwait{q: qualify(name, w.cv), holder: name, waiter: name, cv: w.cv, span: w.span})
+		}
+	}
+	for _, e := range sortedEvents(ctx.Fset, sums[name]) {
+		switch e.Data.Kind {
+		case opSend:
+			qs := qsend{
+				chanPath: qualify(name, e.Path),
+				owner:    owner,
+				fn:       e.Fn,
+				span:     e.Span,
+				local:    e.Data.LocalProv,
+			}
+			if len(e.Locks) > 0 {
+				qs.locks = make(map[string]bool, len(e.Locks))
+			}
+			for id := range e.Locks {
+				qs.locks[qualify(name, id)] = true
+			}
+			x.sends = append(x.sends, qs)
+		case opRecv:
+			if len(e.Locks) == 0 {
+				continue
+			}
+			r := qrecv{ev: e, qchan: qualify(name, e.Path), owner: owner}
+			for id := range e.Locks {
+				r.locks = append(r.locks, qlock{qualify(name, id), id})
+			}
+			sort.Slice(r.locks, func(i, j int) bool {
+				if r.locks[i].qualified != r.locks[j].qualified {
+					return r.locks[i].qualified < r.locks[j].qualified
+				}
+				return r.locks[i].spelling < r.locks[j].spelling
+			})
+			x.recvs = append(x.recvs, r)
+		case opNotify:
+			// A notify on a condvar parameter is a notify on whatever the
+			// caller passed in.
+			if e.Fn != name && !unresolved(e.Path) {
+				x.propagatedNotifies = append(x.propagatedNotifies, qnotify{q: qualify(name, e.Path), fn: e.Fn, span: e.Span, guaranteed: e.Data.Guaranteed})
+			}
+		case opWait:
+			// The identity never resolved: escape = silence.
+			if e.Fn != name && !unresolved(e.Path) {
+				x.propagatedWaits = append(x.propagatedWaits, qwait{q: qualify(name, e.Path), holder: name, waiter: e.Fn, cv: e.Path, span: e.Span})
+			}
+		}
+	}
+	var deps []string
+	x.allEnds = allEndsWaiting(ctx, name, info, sums, &deps)
+	x.reentries, x.paramReentries = onceReentry(ctx, name, info, sums, &deps)
+	if x.empty() {
+		return noIndex, deps
+	}
+	kept := x // only a non-empty index leaves the stack
+	return &kept, deps
+}
+
+// noIndex is the index of every function with no share in the rules.
+var noIndex = &index{}
+
+func (x *index) empty() bool {
+	return len(x.orphans)+len(x.sends)+len(x.recvs)+len(x.notifies)+len(x.propagatedNotifies)+
+		len(x.waits)+len(x.propagatedWaits)+len(x.allEnds)+len(x.reentries)+len(x.paramReentries) == 0
 }
 
 // extract collects the per-function blocking facts, shared through the
@@ -501,83 +660,43 @@ func sortedEvents(fset *source.FileSet, s resSummary) []*event {
 // channelCycles is the hold-and-wait rule: a recv that blocks while
 // holding a lock some send needs first is a two-thread wait cycle —
 // the receiver waits for the message, the sender waits for the lock.
-func (d *Detector) channelCycles(ctx *detect.Context, names []string, infos map[string]*funcInfo, sums map[string]resSummary, emit func(detect.Finding)) {
-	type qsend struct {
-		chanPath string
-		owner    string
-		fn       string
-		span     source.Span
-		locks    map[string]bool
-		local    bool
-	}
-	var qsends []qsend
-	for _, name := range names {
-		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
-			if e.Data.Kind != opSend {
-				continue
-			}
-			qs := qsend{
-				chanPath: qualify(name, e.Path),
-				owner:    implTypeOf(name),
-				fn:       e.Fn,
-				span:     e.Span,
-				locks:    map[string]bool{},
-				local:    e.Data.LocalProv,
-			}
-			for id := range e.Locks {
-				qs.locks[qualify(name, id)] = true
-			}
-			qsends = append(qsends, qs)
-		}
-	}
-
-	for _, name := range names {
-		owner := implTypeOf(name)
-		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
-			if e.Data.Kind != opRecv || len(e.Locks) == 0 {
-				continue
-			}
-			qchan := qualify(name, e.Path)
-			// qualified lock id → the recv's own spelling of it
-			qlocks := map[string]string{}
-			for id := range e.Locks {
-				qlocks[qualify(name, id)] = id
-			}
-			for _, s := range qsends {
-				if s.fn == e.Fn {
-					continue
-				}
-				// The endpoints must plausibly be the same channel:
-				// identical resource id, or two channel fields of the
-				// same type (a pipe pair like to_paint/from_paint).
-				if s.chanPath != qchan &&
-					(owner == "" || s.owner != owner || e.Data.LocalProv || s.local) {
-					continue
-				}
-				common := ""
-				for ql := range qlocks {
-					if s.locks[ql] {
-						common = ql
-						break
+func channelCycles(ctx *detect.Context, idxs []*index, emit func(detect.Finding)) {
+	for _, x := range idxs {
+		for _, r := range x.recvs {
+			e := r.ev
+		pairing:
+			for _, y := range idxs {
+				for _, s := range y.sends {
+					if s.fn == e.Fn {
+						continue
 					}
+					// The endpoints must plausibly be the same channel:
+					// identical resource id, or two channel fields of the
+					// same type (a pipe pair like to_paint/from_paint).
+					if s.chanPath != r.qchan &&
+						(r.owner == "" || s.owner != r.owner || e.Data.LocalProv || s.local) {
+						continue
+					}
+					i := slices.IndexFunc(r.locks, func(l qlock) bool { return s.locks[l.qualified] })
+					if i < 0 {
+						continue
+					}
+					common := r.locks[i]
+					emit(detect.Finding{
+						Kind:     detect.KindBlocking,
+						Severity: detect.SeverityError,
+						Function: e.Fn,
+						Span:     e.Span,
+						Message: fmt.Sprintf("blocking recv() on %q while holding %q, which %s must acquire before it can send",
+							e.Path, common.spelling, s.fn),
+						Notes: []string{
+							fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), doublelock.LocksString(e.Locks)),
+							fmt.Sprintf("sender: %s sends on %q at %s only after acquiring %q", s.fn, s.chanPath, ctx.Fset.Position(s.span.Start), common.qualified),
+							"hold-and-wait cycle: with these two threads interleaved, neither the message nor the lock can ever be released",
+						},
+					})
+					break pairing
 				}
-				if common == "" {
-					continue
-				}
-				emit(detect.Finding{
-					Kind:     detect.KindBlocking,
-					Severity: detect.SeverityError,
-					Function: e.Fn,
-					Span:     e.Span,
-					Message: fmt.Sprintf("blocking recv() on %q while holding %q, which %s must acquire before it can send",
-						e.Path, qlocks[common], s.fn),
-					Notes: []string{
-						fmt.Sprintf("receiver: recv at %s holding %s", ctx.Fset.Position(e.Span.Start), doublelock.LocksString(e.Locks)),
-						fmt.Sprintf("sender: %s sends on %q at %s only after acquiring %q", s.fn, s.chanPath, ctx.Fset.Position(s.span.Start), common),
-						"hold-and-wait cycle: with these two threads interleaved, neither the message nor the lock can ever be released",
-					},
-				})
-				break
 			}
 		}
 	}
@@ -811,113 +930,75 @@ func forEachRvaluePlace(rv mir.Rvalue, f func(mir.Place)) {
 // propagated pass over summary wait events whose parameter-rooted
 // condvar a caller resolved to a concrete identity (the DESIGN.md
 // caveat this detector used to skip).
-func (d *Detector) lostSignals(ctx *detect.Context, names []string, infos map[string]*funcInfo, sums map[string]resSummary, emit func(detect.Finding)) {
-	type qnotify struct {
-		fn         string
-		span       source.Span
-		guaranteed bool
-	}
-	notifyIdx := map[string][]qnotify{}
-	for _, name := range names {
-		for _, n := range infos[name].notifies {
-			q := qualify(name, n.cv)
-			notifyIdx[q] = append(notifyIdx[q], qnotify{fn: name, span: n.span, guaranteed: n.guaranteed})
-		}
-	}
-	// Notifies that reached a caller's summary through translation count
-	// at the caller's identity too: a notify on a condvar parameter is
-	// a notify on whatever the caller passed in. Strictly additive over
-	// the direct entries (own events are skipped — already indexed).
-	for _, name := range names {
-		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
-			if e.Data.Kind != opNotify || e.Fn == name {
-				continue
+func lostSignals(ctx *detect.Context, idxs []*index, emit func(detect.Finding)) {
+	report := func(w qwait) {
+		// A notify that reached a caller's summary through translation
+		// counts at the caller's identity too, after every direct one.
+		var conditional *qnotify
+		for _, propagated := range []bool{false, true} {
+			for _, x := range idxs {
+				ns := x.notifies
+				if propagated {
+					ns = x.propagatedNotifies
+				}
+				for i, n := range ns {
+					if n.q != w.q || n.fn == w.holder || n.fn == w.waiter {
+						continue
+					}
+					if n.guaranteed {
+						return // rescued
+					}
+					if conditional == nil {
+						conditional = &ns[i]
+					}
+				}
 			}
-			root := alias.Root(e.Path)
-			info := infos[name]
-			if root != "self" && (info.params[root] || info.captures[root]) {
-				continue // still unresolved at this level
-			}
-			q := qualify(name, e.Path)
-			notifyIdx[q] = append(notifyIdx[q], qnotify{fn: e.Fn, span: e.Span, guaranteed: e.Data.Guaranteed})
-		}
-	}
-	report := func(name, waiter, cv string, span source.Span) {
-		q := qualify(name, cv)
-		rescued := false
-		var conditional []qnotify
-		for _, n := range notifyIdx[q] {
-			if n.fn == name || n.fn == waiter {
-				continue
-			}
-			if n.guaranteed {
-				rescued = true
-				break
-			}
-			conditional = append(conditional, n)
-		}
-		if rescued {
-			return
 		}
 		notes := []string{
-			fmt.Sprintf("wait at %s blocks until %q is notified", ctx.Fset.Position(span.Start), q),
+			fmt.Sprintf("wait at %s blocks until %q is notified", ctx.Fset.Position(w.span.Start), w.q),
 		}
-		if len(conditional) > 0 {
-			n := conditional[0]
+		if n := conditional; n != nil {
 			notes = append(notes, fmt.Sprintf("the only notify, in %s at %s, is behind a condition and can be skipped — the classic lost-signal shape", n.fn, ctx.Fset.Position(n.span.Start)))
 		} else {
-			notes = append(notes, fmt.Sprintf("no other function ever calls notify_one/notify_all on %q", q))
+			notes = append(notes, fmt.Sprintf("no other function ever calls notify_one/notify_all on %q", w.q))
 		}
 		emit(detect.Finding{
 			Kind:     detect.KindBlocking,
 			Severity: detect.SeverityError,
-			Function: waiter,
-			Span:     span,
-			Message:  fmt.Sprintf("Condvar::wait on %q can block forever: no other function unconditionally notifies it", cv),
+			Function: w.waiter,
+			Span:     w.span,
+			Message:  fmt.Sprintf("Condvar::wait on %q can block forever: no other function unconditionally notifies it", w.cv),
 			Notes:    notes,
 		})
 	}
-	for _, name := range names {
-		info := infos[name]
-		for _, w := range info.waits {
-			root := alias.Root(w.cv)
-			// A condvar handed in from outside (parameter or closure
-			// capture) is judged at the caller that can name it — the
-			// propagated pass below — and stays silent if no caller can.
-			if root != "self" && (info.params[root] || info.captures[root]) {
-				continue
-			}
-			report(name, name, w.cv, w.span)
+	for _, x := range idxs {
+		for _, w := range x.waits {
+			report(w)
 		}
 	}
-	for _, name := range names {
-		info := infos[name]
-		for _, e := range sortedEvents(ctx.Fset, sums[name]) {
-			if e.Data.Kind != opWait || e.Fn == name {
-				continue
-			}
-			root := alias.Root(e.Path)
-			if root != "self" && (info.params[root] || info.captures[root]) {
-				continue // the identity never resolved: escape = silence
-			}
-			report(name, e.Fn, e.Path, e.Span)
+	for _, x := range idxs {
+		for _, w := range x.propagatedWaits {
+			report(w)
 		}
 	}
 }
 
-// onceReentry is the self-deadlock rule for Once: call_once blocks until
-// the winning initializer finishes, so an initializer that reaches
-// call_once on its own cell (directly or through helpers) waits on
-// itself. The second pass closes the closure-through-parameter gap: a
-// call_once whose initializer arrived as a parameter is resolved at
-// each caller that passes a locally-defined closure binding in.
-func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[string]*funcInfo, sums map[string]resSummary, emit func(detect.Finding)) {
+// onceReentry is the self-deadlock rule for Once over function name's
+// call_once sites: call_once blocks until the winning initializer
+// finishes, so an initializer that reaches call_once on its own cell
+// (directly or through helpers) waits on itself. The second pass closes
+// the closure-through-parameter gap: a call_once whose initializer
+// arrived as a parameter is resolved at each caller that passes a
+// locally-defined closure binding in. It appends every closure whose
+// summary it reads to deps.
+func onceReentry(ctx *detect.Context, name string, info *funcInfo, sums map[string]resSummary, deps *[]string) (reentries, paramReentries []detect.Finding) {
 	// reentrant finds the opOnce event inside closureName's summary that
 	// names the same cell as sitePath, with capture roots rewritten into
 	// info's (the closure-defining function's) namespace.
-	reentrant := func(info *funcInfo, closureName, sitePath string) *event {
+	reentrant := func(closureName, sitePath string) *event {
+		*deps = append(*deps, closureName)
 		site := summary.NormalizePath(sitePath)
-		closureInfo := infos[closureName]
+		closureInfo := infoOf(ctx, closureName)
 		for _, e := range sortedEvents(ctx.Fset, sums[closureName]) {
 			if e.Data.Kind != opOnce {
 				continue
@@ -935,229 +1016,226 @@ func (d *Detector) onceReentry(ctx *detect.Context, names []string, infos map[st
 		}
 		return nil
 	}
-	for _, name := range names {
-		info := infos[name]
-		for _, oc := range info.onces {
-			if oc.closure == "" {
+	for _, oc := range info.onces {
+		if oc.closure == "" {
+			continue
+		}
+		e := reentrant(oc.closure, oc.once)
+		if e == nil {
+			continue
+		}
+		via := ""
+		if e.Fn != oc.closure {
+			via = fmt.Sprintf(" through %s", e.Fn)
+		}
+		reentries = append(reentries, detect.Finding{
+			Kind:     detect.KindBlocking,
+			Severity: detect.SeverityError,
+			Function: name,
+			Span:     oc.span,
+			Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from its initializer%s", oc.once, via),
+			Notes: []string{
+				fmt.Sprintf("the initializer reaches call_once on the same cell in %s at %s", e.Fn, ctx.Fset.Position(e.Span.Start)),
+				"call_once blocks until the in-flight initializer completes, so the inner call waits on its own caller forever",
+			},
+		})
+	}
+	// Closure-through-parameter pass: the helper runs call_once on a
+	// cell and an initializer it both received; the caller knows which
+	// closure it passed and what the cell parameter names on its side.
+	for _, cs := range info.calls {
+		calleeInfo := infoOf(ctx, cs.Callee)
+		if calleeInfo == nil {
+			continue
+		}
+		params := mir.ParamNames(ctx.Bodies[cs.Callee])
+		for _, oc := range calleeInfo.onces {
+			if oc.closure != "" || oc.closureParam < 0 || oc.closureParam >= len(cs.argClosures) {
 				continue
 			}
-			e := reentrant(info, oc.closure, oc.once)
+			cn := cs.argClosures[oc.closureParam]
+			if cn == "" {
+				continue
+			}
+			oncePath := summary.TranslateRoot(oc.once, params, cs.ArgPaths)
+			if oncePath == "" || summary.Depth(oncePath) > summary.MaxPathDepth {
+				continue
+			}
+			e := reentrant(cn, oncePath)
 			if e == nil {
 				continue
 			}
-			via := ""
-			if e.Fn != oc.closure {
-				via = fmt.Sprintf(" through %s", e.Fn)
-			}
-			emit(detect.Finding{
+			paramReentries = append(paramReentries, detect.Finding{
 				Kind:     detect.KindBlocking,
 				Severity: detect.SeverityError,
 				Function: name,
-				Span:     oc.span,
-				Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from its initializer%s", oc.once, via),
+				Span:     cs.span,
+				Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from the initializer passed through %s", oncePath, cs.Callee),
 				Notes: []string{
-					fmt.Sprintf("the initializer reaches call_once on the same cell in %s at %s", e.Fn, ctx.Fset.Position(e.Span.Start)),
+					fmt.Sprintf("%s runs the closure under call_once on %q at %s", cs.Callee, oc.once, ctx.Fset.Position(oc.span.Start)),
+					fmt.Sprintf("the closure reaches call_once on the same cell in %s at %s", e.Fn, ctx.Fset.Position(e.Span.Start)),
 					"call_once blocks until the in-flight initializer completes, so the inner call waits on its own caller forever",
 				},
 			})
 		}
 	}
-	// Closure-through-parameter pass: the helper runs call_once on a
-	// cell and an initializer it both received; the caller knows which
-	// closure it passed and what the cell parameter names on its side.
-	for _, name := range names {
-		info := infos[name]
-		for _, cs := range info.calls {
-			calleeInfo := infos[cs.Callee]
-			if calleeInfo == nil {
-				continue
-			}
-			params := mir.ParamNames(ctx.Bodies[cs.Callee])
-			for _, oc := range calleeInfo.onces {
-				if oc.closure != "" || oc.closureParam < 0 || oc.closureParam >= len(cs.argClosures) {
-					continue
-				}
-				cn := cs.argClosures[oc.closureParam]
-				if cn == "" {
-					continue
-				}
-				oncePath := summary.TranslateRoot(oc.once, params, cs.ArgPaths)
-				if oncePath == "" || summary.Depth(oncePath) > summary.MaxPathDepth {
-					continue
-				}
-				e := reentrant(info, cn, oncePath)
-				if e == nil {
-					continue
-				}
-				emit(detect.Finding{
-					Kind:     detect.KindBlocking,
-					Severity: detect.SeverityError,
-					Function: name,
-					Span:     cs.span,
-					Message:  fmt.Sprintf("Once::call_once on %q re-enters call_once on the same Once from the initializer passed through %s", oncePath, cs.Callee),
-					Notes: []string{
-						fmt.Sprintf("%s runs the closure under call_once on %q at %s", cs.Callee, oc.once, ctx.Fset.Position(oc.span.Start)),
-						fmt.Sprintf("the closure reaches call_once on the same cell in %s at %s", e.Fn, ctx.Fset.Position(e.Span.Start)),
-						"call_once blocks until the in-flight initializer completes, so the inner call waits on its own caller forever",
-					},
-				})
-			}
-		}
-	}
+	return reentries, paramReentries
 }
 
 // allEndsWaiting is the every-thread-blocked rule from the study's
-// channel-deadlock taxonomy: two spawned workers each perform a
-// guaranteed recv first, and the only sends that could wake either are
-// stuck behind the other worker's recv. Channel identities come from
-// the spawner's visible constructions; worker-side params resolve
-// through the same summary translation the lock rules use.
-func (d *Detector) allEndsWaiting(ctx *detect.Context, names []string, infos map[string]*funcInfo, sums map[string]resSummary, emit func(detect.Finding)) {
-	for _, name := range names {
-		info := infos[name]
-		if len(info.spawns) < 2 || len(info.chans) == 0 {
-			continue
+// channel-deadlock taxonomy over the threads function name spawns: two
+// spawned workers each perform a guaranteed recv first, and the only
+// sends that could wake either are stuck behind the other worker's
+// recv. Channel identities come from the spawner's visible
+// constructions; worker-side params resolve through the same summary
+// translation the lock rules use. It appends the spawned closures to
+// deps.
+func allEndsWaiting(ctx *detect.Context, name string, info *funcInfo, sums map[string]resSummary, deps *[]string) []detect.Finding {
+	if len(info.spawns) < 2 || len(info.chans) == 0 {
+		return nil
+	}
+	// chanOf resolves a path in the spawner's namespace (or a capture
+	// name shared with a spawned closure) to a visible channel and
+	// which half it is.
+	chanOf := func(path string) (idx int, recvHalf bool, ok bool) {
+		root := alias.Root(path)
+		if path != root {
+			return 0, false, false // projections: not a plain endpoint
 		}
-		// chanOf resolves a path in the spawner's namespace (or a capture
-		// name shared with a spawned closure) to a visible channel and
-		// which half it is.
-		chanOf := func(path string) (idx int, recvHalf bool, ok bool) {
-			root := alias.Root(path)
-			if path != root {
-				return 0, false, false // projections: not a plain endpoint
-			}
-			l, has := info.res.Local(root)
-			if !has {
-				return 0, false, false
-			}
-			for i, ch := range info.chans {
-				if ch.receivers[l] {
-					return i, true, true
-				}
-				if ch.senders[l] {
-					return i, false, true
-				}
-			}
+		l, has := info.res.Local(root)
+		if !has {
 			return 0, false, false
 		}
-		// Channels whose endpoints leave the contexts we can enumerate
-		// (unresolved calls, non-spawn closures, stores) are unanalyzable.
-		tainted := d.escapedChannels(ctx, info)
-
-		type ctxRecv struct {
-			chanIdx int
-			ev      *event
-			spawn   int
-		}
-		type ctxSend struct {
-			chanIdx int
-			after   map[int]bool
-			spawn   int // -1 for the spawner's own context
-		}
-		var recvs []ctxRecv
-		var sends []ctxSend
-		collect := func(spawnIdx int, sum resSummary, capInfo *funcInfo) {
-			for _, e := range sortedEvents(ctx.Fset, sum) {
-				if e.Data.Kind != opRecv && e.Data.Kind != opSend {
-					continue
-				}
-				// In a spawned context, only capture-rooted paths name
-				// the spawner's channels; closure-local channels are a
-				// different resource even under a colliding name.
-				if capInfo != nil && !capInfo.captures[alias.Root(e.Path)] {
-					continue
-				}
-				ci, recvHalf, ok := chanOf(e.Path)
-				if !ok || tainted[ci] {
-					continue
-				}
-				if e.Data.Kind == opRecv {
-					if recvHalf && spawnIdx >= 0 && e.Data.Guaranteed {
-						recvs = append(recvs, ctxRecv{chanIdx: ci, ev: e, spawn: spawnIdx})
-					}
-					continue
-				}
-				if recvHalf {
-					continue
-				}
-				after := map[int]bool{}
-				for a := range e.Data.After {
-					if capInfo != nil && !capInfo.captures[alias.Root(a)] {
-						continue
-					}
-					if ai, aRecv, ok := chanOf(a); ok && aRecv {
-						after[ai] = true
-					}
-				}
-				sends = append(sends, ctxSend{chanIdx: ci, after: after, spawn: spawnIdx})
+		for i, ch := range info.chans {
+			if ch.receivers[l] {
+				return i, true, true
+			}
+			if ch.senders[l] {
+				return i, false, true
 			}
 		}
-		for si, sp := range info.spawns {
-			collect(si, sums[sp.closure], infos[sp.closure])
-		}
-		collect(-1, sums[name], nil)
+		return 0, false, false
+	}
+	// Channels whose endpoints leave the contexts we can enumerate
+	// (unresolved calls, non-spawn closures, stores) are unanalyzable.
+	tainted := escapedChannels(ctx, info)
 
-		// A send can wake channel c unless it is stuck behind one of the
-		// two deadlocked recvs.
-		for i := 0; i < len(recvs); i++ {
-			for j := i + 1; j < len(recvs); j++ {
-				ri, rj := recvs[i], recvs[j]
-				if ri.spawn == rj.spawn || ri.chanIdx == rj.chanIdx {
-					continue
-				}
-				crossIJ := false // a send on ri's channel in rj's context behind rj's recv
-				crossJI := false
-				rescued := false
-				for _, s := range sends {
-					switch s.chanIdx {
-					case ri.chanIdx:
-						if s.spawn == rj.spawn && s.after[rj.chanIdx] {
-							crossIJ = true
-						} else if s.spawn != ri.spawn || !s.after[ri.chanIdx] {
-							rescued = true
-						}
-					case rj.chanIdx:
-						if s.spawn == ri.spawn && s.after[ri.chanIdx] {
-							crossJI = true
-						} else if s.spawn != rj.spawn || !s.after[rj.chanIdx] {
-							rescued = true
-						}
-					}
-					if rescued {
-						break
-					}
-				}
-				if rescued || !crossIJ || !crossJI {
-					continue
-				}
-				first, second := ri, rj
-				if ctx.Fset.Compare(second.ev.Span.Start, first.ev.Span.Start) < 0 {
-					first, second = second, first
-				}
-				emit(detect.Finding{
-					Kind:     detect.KindBlocking,
-					Severity: detect.SeverityError,
-					Function: first.ev.Fn,
-					Span:     first.ev.Span,
-					Message: fmt.Sprintf("all ends waiting: recv() in %s and recv() in %s each block until the other sends, and every send is behind the other recv",
-						first.ev.Fn, second.ev.Fn),
-					Notes: []string{
-						fmt.Sprintf("%s blocks on recv at %s; its reply is sent only after %s's recv at %s completes",
-							first.ev.Fn, ctx.Fset.Position(first.ev.Span.Start), second.ev.Fn, ctx.Fset.Position(second.ev.Span.Start)),
-						fmt.Sprintf("both threads are spawned by %s with the channel halves cross-wired; no third sender exists", name),
-						"every thread pulls before it pushes, so no message is ever in flight — the study's all-ends-waiting channel deadlock",
-					},
-				})
+	type ctxRecv struct {
+		chanIdx int
+		ev      *event
+		spawn   int
+	}
+	type ctxSend struct {
+		chanIdx int
+		after   map[int]bool
+		spawn   int // -1 for the spawner's own context
+	}
+	var recvs []ctxRecv
+	var sends []ctxSend
+	collect := func(spawnIdx int, sum resSummary, capInfo *funcInfo) {
+		for _, e := range sortedEvents(ctx.Fset, sum) {
+			if e.Data.Kind != opRecv && e.Data.Kind != opSend {
+				continue
 			}
+			// In a spawned context, only capture-rooted paths name
+			// the spawner's channels; closure-local channels are a
+			// different resource even under a colliding name.
+			if capInfo != nil && !capInfo.captures[alias.Root(e.Path)] {
+				continue
+			}
+			ci, recvHalf, ok := chanOf(e.Path)
+			if !ok || tainted[ci] {
+				continue
+			}
+			if e.Data.Kind == opRecv {
+				if recvHalf && spawnIdx >= 0 && e.Data.Guaranteed {
+					recvs = append(recvs, ctxRecv{chanIdx: ci, ev: e, spawn: spawnIdx})
+				}
+				continue
+			}
+			if recvHalf {
+				continue
+			}
+			after := map[int]bool{}
+			for a := range e.Data.After {
+				if capInfo != nil && !capInfo.captures[alias.Root(a)] {
+					continue
+				}
+				if ai, aRecv, ok := chanOf(a); ok && aRecv {
+					after[ai] = true
+				}
+			}
+			sends = append(sends, ctxSend{chanIdx: ci, after: after, spawn: spawnIdx})
 		}
 	}
+	for si, sp := range info.spawns {
+		*deps = append(*deps, sp.closure)
+		collect(si, sums[sp.closure], infoOf(ctx, sp.closure))
+	}
+	collect(-1, sums[name], nil)
+
+	// A send can wake channel c unless it is stuck behind one of the
+	// two deadlocked recvs.
+	var out []detect.Finding
+	for i := 0; i < len(recvs); i++ {
+		for j := i + 1; j < len(recvs); j++ {
+			ri, rj := recvs[i], recvs[j]
+			if ri.spawn == rj.spawn || ri.chanIdx == rj.chanIdx {
+				continue
+			}
+			crossIJ := false // a send on ri's channel in rj's context behind rj's recv
+			crossJI := false
+			rescued := false
+			for _, s := range sends {
+				switch s.chanIdx {
+				case ri.chanIdx:
+					if s.spawn == rj.spawn && s.after[rj.chanIdx] {
+						crossIJ = true
+					} else if s.spawn != ri.spawn || !s.after[ri.chanIdx] {
+						rescued = true
+					}
+				case rj.chanIdx:
+					if s.spawn == ri.spawn && s.after[ri.chanIdx] {
+						crossJI = true
+					} else if s.spawn != rj.spawn || !s.after[rj.chanIdx] {
+						rescued = true
+					}
+				}
+				if rescued {
+					break
+				}
+			}
+			if rescued || !crossIJ || !crossJI {
+				continue
+			}
+			first, second := ri, rj
+			if ctx.Fset.Compare(second.ev.Span.Start, first.ev.Span.Start) < 0 {
+				first, second = second, first
+			}
+			out = append(out, detect.Finding{
+				Kind:     detect.KindBlocking,
+				Severity: detect.SeverityError,
+				Function: first.ev.Fn,
+				Span:     first.ev.Span,
+				Message: fmt.Sprintf("all ends waiting: recv() in %s and recv() in %s each block until the other sends, and every send is behind the other recv",
+					first.ev.Fn, second.ev.Fn),
+				Notes: []string{
+					fmt.Sprintf("%s blocks on recv at %s; its reply is sent only after %s's recv at %s completes",
+						first.ev.Fn, ctx.Fset.Position(first.ev.Span.Start), second.ev.Fn, ctx.Fset.Position(second.ev.Span.Start)),
+					fmt.Sprintf("both threads are spawned by %s with the channel halves cross-wired; no third sender exists", name),
+					"every thread pulls before it pushes, so no message is ever in flight — the study's all-ends-waiting channel deadlock",
+				},
+			})
+		}
+	}
+	return out
 }
 
 // escapedChannels marks visible channels whose sender or receiver half
 // flows somewhere the all-ends-waiting rule cannot enumerate: an
 // unresolved call, a closure that is never spawned here, a projected
 // store, or a non-closure aggregate.
-func (d *Detector) escapedChannels(ctx *detect.Context, info *funcInfo) map[int]bool {
+func escapedChannels(ctx *detect.Context, info *funcInfo) map[int]bool {
 	spawned := map[string]bool{}
 	for _, sp := range info.spawns {
 		spawned[sp.closure] = true

@@ -256,6 +256,83 @@ func TestBodyOnlyRoundBuildsFactsOnce(t *testing.T) {
 	}
 }
 
+// TestBodyOnlyRoundDerivesPairingsOnce: the global detectors' pairing
+// entries (DerivedAll) are built in a body-only round exactly for the
+// functions whose summaries the round recomputed, and for a spawner
+// whose spawned closure's summary it recomputed, each once; every other
+// entry is the previous round's. The edit is to a helper only spawned
+// closures call, so the spawner itself is neither edited nor a caller.
+func TestBodyOnlyRoundDerivesPairingsOnce(t *testing.T) {
+	files, err := corpus.Files(corpus.GroupAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := map[string]string{}
+	for _, f := range files {
+		tree[f.Path] = f.Content
+	}
+	s := rustprobe.NewSession()
+	if _, err := s.Analyze(tree); err != nil {
+		t.Fatal(err)
+	}
+	const file = "rust/tikv/race_metrics.rs"
+	edited := strings.Replace(tree[file], "SLOW_QUERIES += 1;", "SLOW_QUERIES += 2;", 1)
+	if edited == tree[file] {
+		t.Fatal("the edit matched nothing")
+	}
+	tree[file] = edited
+
+	kinds := []string{"blocking.index", "race.pairs", "lockorder.pairs"}
+	var mu sync.Mutex
+	built := map[string]map[string]int{}
+	restore := detect.SetSharedBuildHook(func(kind, fn string) {
+		mu.Lock()
+		if built[kind] == nil {
+			built[kind] = map[string]int{}
+		}
+		built[kind][fn]++
+		mu.Unlock()
+	})
+	up, err := s.Analyze(tree)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Stats.Full {
+		t.Fatalf("stats %+v, want an incremental round", up.Stats)
+	}
+	ctx := up.Result.Context()
+	recomputed := doublelock.SummarizeAcquisitions(ctx).Recomputed
+	if !recomputed["note_slow"] || len(recomputed) >= len(ctx.Graph.Names())/4 {
+		t.Fatalf("recomputed %v, want the edited note_slow and a small closure", recomputed)
+	}
+	// The functions defining a recomputed closure may read its summary.
+	definers := map[string]bool{}
+	for fn := range recomputed {
+		if i := strings.Index(fn, "::closure#"); i >= 0 {
+			definers[fn[:i]] = true
+		}
+	}
+	for _, kind := range kinds {
+		for fn, n := range built[kind] {
+			if n != 1 {
+				t.Errorf("%s of %s built %d times in one round", kind, fn, n)
+			}
+			if !recomputed[fn] && !definers[fn] {
+				t.Errorf("%s of %s built, but neither its summary nor a closure's it reads was recomputed", kind, fn)
+			}
+		}
+		for fn := range recomputed {
+			if built[kind][fn] != 1 {
+				t.Errorf("%s of recomputed %s built %d times, want 1", kind, fn, built[kind][fn])
+			}
+		}
+	}
+	if built["race.pairs"]["audit_workers"] != 1 {
+		t.Errorf("race.pairs of audit_workers, whose spawned closures call the edited helper, built %d times, want 1", built["race.pairs"]["audit_workers"])
+	}
+}
+
 // TestViewSharesFunctionScope runs every detector at once over a
 // Context and over a callee-closed view of it, which share one
 // per-function scope. Each run must report what the same detector
@@ -347,6 +424,58 @@ func TestDetectorsConcurrentOnOneContext(t *testing.T) {
 		d := i % len(ds)
 		if g != want[d] {
 			t.Errorf("%s on a shared Context diverged:\nalone:\n%s\nshared:\n%s", ds[d].Name(), want[d], g)
+		}
+	}
+}
+
+// TestInheritingContextConcurrentWithPrevious runs every detector at
+// once over a Context and over the next round's, which inherited the
+// per-function facts, summaries and derived pairing entries of the
+// detectors that had run on it while one body object changed. Each run
+// must report what the detector reports alone on a Context of its own;
+// under -race this checks that the two rounds, both still computing,
+// write nothing they share.
+func TestInheritingContextConcurrentWithPrevious(t *testing.T) {
+	ds := append(rustprobe.Detectors(), uaf.NewPrecise(), dfree.NewPrecise(), uninit.NewPrecise())
+	res, err := rustprobe.AnalyzeCorpus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(ds))
+	for i, d := range ds {
+		want[i] = formatFindings(d.Run(detect.NewContext(res.Program, res.Bodies)))
+	}
+	prev := res.Context()
+	for _, d := range ds[:len(ds)/2] {
+		d.Run(prev)
+	}
+	// A copy of note_slow's body is a new object with the same content:
+	// the next round rebuilds its facts and recomputes its callers'
+	// summaries, and every finding stays the same.
+	bodies := make(map[string]*mir.Body, len(res.Bodies))
+	for fn, b := range res.Bodies {
+		bodies[fn] = b
+	}
+	edited := *bodies["note_slow"]
+	bodies["note_slow"] = &edited
+	next := detect.NewContext(res.Program, bodies)
+	next.Inherit(prev, map[string]bool{"note_slow": true})
+
+	ctxs := []*detect.Context{prev, next}
+	got := make([]string, 2*len(ds))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = formatFindings(ds[i/2].Run(ctxs[i%2]))
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i/2] {
+			t.Errorf("%s on the %s Context diverged:\n got: %s\nwant: %s",
+				ds[i/2].Name(), []string{"previous", "inheriting"}[i%2], got[i], want[i/2])
 		}
 	}
 }

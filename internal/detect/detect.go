@@ -6,6 +6,7 @@ package detect
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -91,8 +92,11 @@ func (f Finding) Format(fset *source.FileSet) string {
 // Context inherits the unchanged functions' entries from the previous
 // round's (Inherit). The Context scope holds the whole-program values —
 // the bottom-up summaries (Summary) and dropflow's parameter summaries —
-// and the per-function values that read another function's value
-// (DropFlow); it belongs to one Context.
+// the per-function values that read another function's value (DropFlow)
+// and the per-function values derived from summaries (DerivedAll); it
+// belongs to one Context. A round's Context inherits the previous
+// round's summaries as warm starts and its derived values, each kept
+// only while the summaries it read were not recomputed.
 type Context struct {
 	Program *hir.Program
 	Bodies  map[string]*mir.Body
@@ -110,6 +114,8 @@ type Context struct {
 	warmMu    sync.Mutex
 	warm      map[string]any
 	recompute map[string]bool
+
+	derived derivedMemo // Context scope: DerivedAll's values
 }
 
 // factKey names one memoized fact: its kind and the function it
@@ -166,10 +172,13 @@ func (c *memoCell[V]) get(compute func() V) V {
 // cells, one per kind, with memo's semantics. A stored row is never
 // written — adding a kind stores a longer copy — so a Context that
 // inherits a row shares it with the Context it came from and neither can
-// change what the other sees.
+// change what the other sees. cells counts the cells of all rows, and
+// panicked names the functions a computation panicked for.
 type fnMemo struct {
-	mu   sync.Mutex
-	rows map[string][]kindCell
+	mu       sync.Mutex
+	rows     map[string][]kindCell
+	cells    int
+	panicked map[string]bool
 }
 
 type kindCell struct {
@@ -192,14 +201,48 @@ func (m *fnMemo) get(kind, fn string, compute func() any) any {
 	if c == nil {
 		c = &memoCell[any]{}
 		m.rows[fn] = append(row[:len(row):len(row)], kindCell{kind, c})
+		m.cells++
 	}
 	m.mu.Unlock()
+	defer func() {
+		if !c.done.Load() {
+			m.mu.Lock()
+			if m.panicked == nil {
+				m.panicked = map[string]bool{}
+			}
+			m.panicked[fn] = true
+			m.mu.Unlock()
+		}
+	}()
 	return c.get(compute)
 }
 
 // NewContext builds a Context, precomputing the call graph.
 func NewContext(prog *hir.Program, bodies map[string]*mir.Body) *Context {
 	return NewContextWithGraph(prog, bodies, callgraph.Build(bodies))
+}
+
+// inherit returns the rows a next round takes from m: a copy of its rows
+// less those of the changed functions and the cells whose computation
+// panicked, and the number of cells they hold.
+func (m *fnMemo) inherit(changed map[string]bool) (map[string][]kindCell, int) {
+	notDone := func(kc kindCell) bool { return !kc.cell.done.Load() }
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rows, cells := maps.Clone(m.rows), m.cells
+	for fn := range changed {
+		cells -= len(rows[fn])
+		delete(rows, fn)
+	}
+	for fn := range m.panicked {
+		// A computation that panicked left nothing to take.
+		if row, ok := rows[fn]; ok && slices.ContainsFunc(row, notDone) {
+			kept := slices.DeleteFunc(slices.Clone(row), notDone)
+			cells -= len(row) - len(kept)
+			rows[fn] = kept
+		}
+	}
+	return rows, cells
 }
 
 // NewContextWithGraph builds a Context around a caller-supplied call
@@ -230,38 +273,49 @@ func (c *Context) View(bodies map[string]*mir.Body) *Context {
 // Inherit fills c, a Context no detector has used yet, from prev, the
 // Context of the previous round over the same program interface: c
 // takes prev's per-function facts of every function that is not in
-// dirty and whose body is the object prev held, and prev's summaries as
-// the warm starts of Summary. No other Context-scope value — DropFlow
-// among them — is taken, and c keeps no pointer to prev. It returns the
-// number of facts taken.
+// dirty and whose body is the object prev held, prev's summaries as the
+// warm starts of Summary, and prev's derived values as DerivedAll's
+// candidates. No other Context-scope value — DropFlow among them — is
+// taken, and c keeps no pointer to prev. It returns the number of facts
+// taken.
+//
+// Besides one body comparison per function and copies of prev's rows
+// map and derived-value slices, the work is proportional to the changed
+// functions: the dirty ones, those whose body object differs, and those
+// only one round has. c takes every row but theirs, and a warm start
+// recomputes them and their transitive callers.
 //
 // The caller guarantees that nothing outside function bodies changed
 // between the rounds: a fact embeds call resolution, which a change to
 // the set of function names or to anything outside bodies can flip
 // without touching the caller's body.
 func (c *Context) Inherit(prev *Context, dirty map[string]bool) int {
-	keep := func(fn string) bool {
-		b, ok := c.Bodies[fn]
-		return ok && !dirty[fn] && prev.Bodies[fn] == b
+	changed := maps.Clone(dirty)
+	if changed == nil {
+		changed = map[string]bool{}
 	}
-	notDone := func(kc kindCell) bool { return !kc.cell.done.Load() }
-	taken := 0
-	rows := make(map[string][]kindCell, len(c.Bodies))
-	prev.perFn.mu.Lock()
-	for fn, row := range prev.perFn.rows {
-		if !keep(fn) {
-			continue
+	shared := 0 // functions both rounds have
+	for fn, b := range c.Bodies {
+		if pb, ok := prev.Bodies[fn]; ok {
+			shared++
+			if pb != b {
+				changed[fn] = true
+			}
+		} else {
+			changed[fn] = true
 		}
-		if slices.ContainsFunc(row, notDone) {
-			// A computation that panicked left nothing to take.
-			row = slices.DeleteFunc(slices.Clone(row), notDone)
-		}
-		rows[fn] = row
-		taken += len(row)
 	}
-	prev.perFn.mu.Unlock()
+	if shared < len(prev.Bodies) {
+		for fn := range prev.Bodies {
+			if _, ok := c.Bodies[fn]; !ok {
+				changed[fn] = true
+			}
+		}
+	}
+
+	rows, taken := prev.perFn.inherit(changed)
 	c.perFn.mu.Lock()
-	c.perFn.rows = rows
+	c.perFn.rows, c.perFn.cells = rows, taken
 	c.perFn.mu.Unlock()
 
 	warm := map[string]any{}
@@ -273,8 +327,8 @@ func (c *Context) Inherit(prev *Context, dirty map[string]bool) int {
 	}
 	prev.sums.mu.Unlock()
 	var fresh []string
-	for _, fn := range c.Graph.Names() {
-		if !keep(fn) {
+	for fn := range changed {
+		if _, ok := c.Bodies[fn]; ok {
 			fresh = append(fresh, fn)
 		}
 	}
@@ -285,6 +339,8 @@ func (c *Context) Inherit(prev *Context, dirty map[string]bool) int {
 	c.warmMu.Lock()
 	c.warm, c.recompute = warm, recompute
 	c.warmMu.Unlock()
+
+	c.derived.inherit(&prev.derived, c.Graph.Names(), changed)
 	return taken
 }
 
@@ -331,6 +387,165 @@ func Summary[S any](c *Context, kind string, p *summary.Problem[S]) *summary.Res
 		c.warmMu.Unlock()
 		return res
 	}).(*summary.Result[S])
+}
+
+// derivedMemo is the Context scope's DerivedAll values: by kind, a
+// cell per function of names, the graph's Names(); and for each
+// function whose summary a value read, the values that read it. Once a
+// next round takes readers, neither round writes it: each writes a copy.
+type derivedMemo struct {
+	mu            sync.Mutex
+	names         []string
+	kinds         []derivedKind
+	readers       map[string][]derivedReader
+	readersShared bool
+}
+
+// derivedKind is one kind's cells, aligned with derivedMemo.names.
+// checked is set once the kind's inherited values were checked against
+// this Context's summaries.
+type derivedKind struct {
+	kind    string
+	cells   []*memoCell[any]
+	checked bool
+}
+
+// derivedReader names one DerivedAll value.
+type derivedReader struct{ kind, fn string }
+
+// inherit fills m, which no call has used yet, with prev's values of
+// the functions of names that are not in changed, and prev's readers.
+// Only the kinds prev checked are taken: the values of a kind prev only
+// inherited were never checked against prev's summaries.
+func (m *derivedMemo) inherit(prev *derivedMemo, names []string, changed map[string]bool) {
+	prev.mu.Lock()
+	defer prev.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.names = names
+	for _, pk := range prev.kinds {
+		if !pk.checked {
+			continue
+		}
+		// Both name lists are sorted: walk them together.
+		cells := make([]*memoCell[any], len(names))
+		j := 0
+		for i, fn := range names {
+			for j < len(prev.names) && prev.names[j] < fn {
+				j++
+			}
+			// A computation that panicked left nothing to take.
+			if j < len(prev.names) && prev.names[j] == fn && pk.cells[j].done.Load() {
+				cells[i] = pk.cells[j]
+			}
+		}
+		for fn := range changed {
+			if i, ok := slices.BinarySearch(names, fn); ok {
+				cells[i] = nil
+			}
+		}
+		m.kinds = append(m.kinds, derivedKind{kind: pk.kind, cells: cells})
+	}
+	m.readers = prev.readers
+	m.readersShared = m.readers != nil
+	prev.readersShared = m.readersShared
+}
+
+// cells returns kind's cells, one per function of names. On kind's
+// first call it drops every inherited value that read the summary of a
+// function in recomputed, or every one when recomputed is nil (a cold
+// summary), and gives each function without a value a fresh cell; the
+// slice is never written after.
+func (m *derivedMemo) cells(kind string, names []string, recomputed map[string]bool) []*memoCell[any] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.kinds, func(k derivedKind) bool { return k.kind == kind })
+	if i < 0 {
+		i = len(m.kinds)
+		m.kinds = append(m.kinds, derivedKind{kind: kind})
+	}
+	k := &m.kinds[i]
+	if k.checked {
+		return k.cells
+	}
+	k.checked = true
+	m.names = names
+	if k.cells == nil || recomputed == nil {
+		k.cells = make([]*memoCell[any], len(names))
+	} else {
+		drop := func(fn string) {
+			if i, ok := slices.BinarySearch(names, fn); ok {
+				k.cells[i] = nil
+			}
+		}
+		for fn := range recomputed {
+			drop(fn)
+			for _, r := range m.readers[fn] {
+				if r.kind == kind {
+					drop(r.fn)
+				}
+			}
+		}
+	}
+	missing := 0
+	for _, c := range k.cells {
+		if c == nil {
+			missing++
+		}
+	}
+	block := make([]memoCell[any], missing) // one allocation for every fresh cell
+	for i, c := range k.cells {
+		if c == nil {
+			k.cells[i], block = &block[0], block[1:]
+		}
+	}
+	return k.cells
+}
+
+// read records that kind's value for fn read the summaries of deps.
+func (m *derivedMemo) read(kind, fn string, deps []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := derivedReader{kind, fn}
+	for _, d := range deps {
+		rs := m.readers[d]
+		if slices.Contains(rs, r) {
+			continue
+		}
+		if m.readers == nil || m.readersShared {
+			m.readers, m.readersShared = maps.Clone(m.readers), false
+			if m.readers == nil {
+				m.readers = map[string][]derivedReader{}
+			}
+		}
+		m.readers[d] = append(rs[:len(rs):len(rs)], r)
+	}
+}
+
+// DerivedAll returns kind's value for every function of c.Graph, in
+// Names() order, each computed once per Context: a value derived from
+// the summaries sums. compute(fn) may read fn's per-function facts and
+// summary and, for each function in the deps it returns, that
+// function's per-function facts and summary; callees need no listing,
+// as a callee's recomputation recomputes its callers. A Context that
+// inherited the previous round's values takes fn's when neither fn nor
+// any of its deps is in sums.Recomputed. kind names one value type
+// derived from one summary kind, and every call for kind on a Context
+// passes that Context's result of it. The values are shared by all
+// callers and must be treated as immutable.
+func DerivedAll[V, S any](c *Context, kind string, sums *summary.Result[S], compute func(fn string) (v V, deps []string)) []V {
+	names := c.Graph.Names()
+	cells := c.derived.cells(kind, names, sums.Recomputed)
+	out := make([]V, len(names))
+	for i, fn := range names {
+		out[i] = cells[i].get(func() any {
+			observe(kind, fn)
+			v, deps := compute(fn)
+			c.derived.read(kind, fn, deps)
+			return v
+		}).(V)
+	}
+	return out
 }
 
 // perContext returns (computing once per Context) a Context-scope value.

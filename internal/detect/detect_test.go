@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,4 +233,84 @@ func TestReuseFacts(t *testing.T) {
 	if got := facts(mine); got[factKey{"mine", "d"}] != "mine" || got[factKey{"theirs", "d"}] != nil {
 		t.Errorf("the row was written through another Context: %v", got)
 	}
+}
+
+// TestDerivedAllInheritance is the rule for values derived from
+// summaries: a round's Context takes the previous round's value of a
+// function only when neither its summary nor a summary it declared
+// reading was recomputed, and only from a round that checked it; every
+// value reads as on a Context of its own.
+func TestDerivedAllInheritance(t *testing.T) {
+	prog := hir.NewProgram(source.NewFileSet())
+	// a calls b; c reads b's summary without calling it, as a spawner
+	// reads its closure's; d stands alone.
+	old := map[string]*mir.Body{"a": callBody("b"), "b": callBody(), "c": callBody(), "d": callBody()}
+	weight := map[*mir.Body]int{old["b"]: 1}
+	newB := callBody()
+	weight[newB] = 10
+	prob := func(c *Context) *summary.Problem[int] {
+		return &summary.Problem[int]{
+			Bottom: func(string) int { return 0 },
+			Transfer: func(fn string, get summary.Lookup[int]) int {
+				v := weight[c.Bodies[fn]]
+				for _, e := range c.Graph.Callees[fn] {
+					s, _ := get(e.Callee)
+					v += s
+				}
+				return v
+			},
+			Equal: func(a, b int) bool { return a == b },
+		}
+	}
+	builds := map[string]int{}
+	defer SetSharedBuildHook(func(kind, fn string) {
+		if kind == "derived" {
+			builds[fn]++
+		}
+	})()
+	derive := func(c *Context) []int {
+		sums := Summary(c, "sum", prob(c))
+		return DerivedAll(c, "derived", sums, func(fn string) (int, []string) {
+			if fn == "c" {
+				return sums.Summaries["b"], []string{"b"}
+			}
+			return sums.Summaries[fn], nil
+		})
+	}
+	check := func(round string, c *Context, wantBuilt string) {
+		t.Helper()
+		clear(builds)
+		got := derive(c)
+		built := make([]string, 0, len(builds))
+		for _, fn := range c.Graph.Names() {
+			if builds[fn] > 0 {
+				built = append(built, fn)
+			}
+		}
+		if b := strings.Join(built, ","); b != wantBuilt {
+			t.Errorf("%s: built %s, want %s", round, b, wantBuilt)
+		}
+		if want := derive(NewContext(prog, c.Bodies)); !slices.Equal(got, want) {
+			t.Errorf("%s: values %v, want %v as on a Context of its own", round, got, want)
+		}
+	}
+
+	first := NewContext(prog, old)
+	check("cold", first, "a,b,c,d")
+	bodies := map[string]*mir.Body{"a": old["a"], "b": newB, "c": old["c"], "d": old["d"]}
+	second := NewContext(prog, bodies)
+	second.Inherit(first, nil)
+	check("b replaced", second, "a,b,c")
+	third := NewContext(prog, bodies)
+	third.Inherit(second, nil)
+	check("unchanged", third, "")
+
+	// A round that computed the summary but derived nothing checked
+	// none of the values it inherited, so the next takes none of them.
+	skipped := NewContext(prog, bodies)
+	skipped.Inherit(first, nil)
+	Summary(skipped, "sum", prob(skipped))
+	after := NewContext(prog, bodies)
+	after.Inherit(skipped, nil)
+	check("after a round that derived nothing", after, "a,b,c,d")
 }

@@ -49,18 +49,20 @@ type funcInfo struct {
 
 // Run implements detect.Detector.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	names := ctx.Graph.Names()
-	infos := make(map[string]*funcInfo, len(names))
 	var out []detect.Finding
-	for _, name := range names {
+	var selfRefs []*funcInfo
+	for _, name := range ctx.Graph.Names() {
 		info := detect.Shared(ctx, "interiormut.info", name, func() *funcInfo { return extract(ctx, name) })
-		infos[name] = info
-		if info.selfRef && sharable(ctx, info.selfType) {
+		if !info.selfRef {
+			continue
+		}
+		selfRefs = append(selfRefs, info)
+		if sharable(ctx, info.selfType) {
 			out = append(out, info.perFn...)
 		}
 	}
 	out = append(out, d.checkUnsafeImplWithRawFields(ctx)...)
-	out = append(out, d.checkEscapingRefWithInteriorMut(ctx, infos)...)
+	out = append(out, d.checkEscapingRefWithInteriorMut(selfRefs)...)
 	detect.SortFindings(out)
 	return out
 }
@@ -89,15 +91,11 @@ func extract(ctx *detect.Context, name string) *funcInfo {
 // the conflict because both methods borrow immutably; the reference can
 // dangle. This applies to any type, Sync or not — Figure 5's queue is a
 // single-threaded memory-safety issue.
-func (d *Detector) checkEscapingRefWithInteriorMut(ctx *detect.Context, infos map[string]*funcInfo) []detect.Finding {
+func (d *Detector) checkEscapingRefWithInteriorMut(selfRefs []*funcInfo) []detect.Finding {
 	// Group &self methods by type.
 	escapers := map[string][]string{} // type -> methods returning refs into self
 	mutators := map[string][]*mir.Body{}
-	for _, name := range ctx.Graph.Names() {
-		info := infos[name]
-		if !info.selfRef {
-			continue
-		}
+	for _, info := range selfRefs {
 		if info.escaper {
 			escapers[info.selfType] = append(escapers[info.selfType], info.body.Func.Qualified)
 		}

@@ -36,36 +36,22 @@ type acquisition struct {
 	span          source.Span
 }
 
-// Run implements detect.Detector.
+// Run implements detect.Detector. Each function's acquisition pairs,
+// its own and those inherited at its call sites, are derived once from
+// the acquisition summary (DerivedAll kind lockorder.pairs); Run
+// indexes them in Graph.Names() order.
 func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
-	var sums map[string]doublelock.AcquisitionSummary
-	if !d.IntraOnly {
-		sums = doublelock.SummarizeAcquisitions(ctx).Summaries
-	}
 	var acqs []acquisition
-	add := func(fn string, e *doublelock.Event[doublelock.Acquisition], span source.Span) {
-		ids := make([]string, 0, len(e.Locks))
-		for id := range e.Locks {
-			if id != e.Path {
-				ids = append(ids, id)
-			}
+	if d.IntraOnly {
+		for _, name := range ctx.Graph.Names() {
+			acqs = append(acqs, acquisitionsOf(ctx, name, nil)...)
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			acqs = append(acqs, acquisition{first: id, second: e.Path, fn: fn, span: span})
-		}
-	}
-	for _, name := range ctx.Graph.Names() {
-		f := doublelock.Acquisitions(ctx, name)
-		for _, e := range f.Own {
-			if f.CFG.Reachable(e.Data.At) {
-				add(name, e, e.Span)
-			}
-		}
-		// An acquisition inherited at a call site is attributed to the
-		// call.
-		for _, e := range f.Inherited(sums[name]) {
-			add(name, e, f.CallSpan(e.Data.At))
+	} else {
+		sums := doublelock.SummarizeAcquisitions(ctx)
+		for _, fnAcqs := range detect.DerivedAll(ctx, "lockorder.pairs", sums, func(fn string) ([]acquisition, []string) {
+			return acquisitionsOf(ctx, fn, sums.Summaries[fn]), nil
+		}) {
+			acqs = append(acqs, fnAcqs...)
 		}
 	}
 
@@ -119,4 +105,34 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 	}
 	detect.SortFindings(out)
 	return out
+}
+
+// acquisitionsOf returns function fn's acquisition pairs: each
+// reachable acquisition ordered after every other lock held at it, and
+// each acquisition its summary sum inherits at a call site, attributed
+// to the call.
+func acquisitionsOf(ctx *detect.Context, fn string, sum doublelock.AcquisitionSummary) []acquisition {
+	var acqs []acquisition
+	add := func(e *doublelock.Event[doublelock.Acquisition], span source.Span) {
+		ids := make([]string, 0, len(e.Locks))
+		for id := range e.Locks {
+			if id != e.Path {
+				ids = append(ids, id)
+			}
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			acqs = append(acqs, acquisition{first: id, second: e.Path, fn: fn, span: span})
+		}
+	}
+	f := doublelock.Acquisitions(ctx, fn)
+	for _, e := range f.Own {
+		if f.CFG.Reachable(e.Data.At) {
+			add(e, e.Span)
+		}
+	}
+	for _, e := range f.Inherited(sum) {
+		add(e, f.CallSpan(e.Data.At))
+	}
+	return acqs
 }

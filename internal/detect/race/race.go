@@ -112,14 +112,34 @@ func (d *Detector) Run(ctx *detect.Context) []detect.Finding {
 		},
 	})
 
+	// Each spawner's pairs are derived once (DerivedAll kind race.pairs);
+	// a site pair two spawners both report goes to the first in Names()
+	// order.
 	var out []detect.Finding
 	seen := map[pairKey]bool{}
-	for _, name := range ctx.Graph.Names() {
-		out = append(out, pair(ctx, sums.Summaries, name, seen)...)
+	for _, ps := range detect.DerivedAll(ctx, "race.pairs", sums, func(fn string) (*spawnerPairs, []string) {
+		return pair(ctx, sums.Summaries, fn)
+	}) {
+		for i, f := range ps.findings {
+			if !seen[ps.keys[i]] {
+				seen[ps.keys[i]] = true
+				out = append(out, f)
+			}
+		}
 	}
 	detect.SortFindings(out)
 	return out
 }
+
+// spawnerPairs is one spawning function's race reports, each site pair
+// once, and the site pair of each.
+type spawnerPairs struct {
+	findings []detect.Finding
+	keys     []pairKey
+}
+
+// noPairs is the pairs of every function that spawns nothing.
+var noPairs = &spawnerPairs{}
 
 // infoOf returns (computing once per Context) the intra-procedural facts
 // of one function: its own accesses with locksets, its resolved call
@@ -267,11 +287,16 @@ type spawnCtx struct {
 	inLoop bool
 }
 
-// pair reports conflicting access pairs for one spawning function.
-func pair(ctx *detect.Context, sums map[string]accSummary, name string, seen map[pairKey]bool) []detect.Finding {
+// pair reports conflicting access pairs for one spawning function and
+// returns the spawned closures, whose summaries it reads.
+func pair(ctx *detect.Context, sums map[string]accSummary, name string) (*spawnerPairs, []string) {
 	info := infoOf(ctx, name)
 	if len(info.spawns) == 0 {
-		return nil
+		return noPairs, nil
+	}
+	var deps []string
+	for _, sp := range info.spawns {
+		deps = append(deps, sp.closure)
 	}
 
 	// First pass — thread-escape set: the canonical roots captured by any
@@ -354,7 +379,8 @@ func pair(ctx *detect.Context, sums map[string]accSummary, name string, seen map
 		}
 	}
 
-	var out []detect.Finding
+	out := &spawnerPairs{}
+	seen := map[pairKey]bool{}
 	emit := func(a, b *Access) {
 		root := alias.Root(a.Path)
 		if !escaped[root] && !strings.HasPrefix(root, "static ") &&
@@ -370,7 +396,8 @@ func pair(ctx *detect.Context, sums map[string]accSummary, name string, seen map
 		if !primary.Data.Write {
 			primary, other = other, primary
 		}
-		out = append(out, detect.Finding{
+		out.keys = append(out.keys, key)
+		out.findings = append(out.findings, detect.Finding{
 			Kind:     detect.KindDataRace,
 			Severity: detect.SeverityError,
 			Function: name,
@@ -407,7 +434,7 @@ func pair(ctx *detect.Context, sums map[string]accSummary, name string, seen map
 		}
 		conflicts(ctxs[i].accs, cont, false, emit)
 	}
-	return out
+	return out, deps
 }
 
 // conflicts pairs the accesses of two thread contexts. For a self-pair

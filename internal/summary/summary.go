@@ -14,6 +14,7 @@
 package summary
 
 import (
+	"maps"
 	"strings"
 
 	"rustprobe/internal/callgraph"
@@ -48,14 +49,22 @@ type Problem[S any] struct {
 	MaxIter int
 }
 
-// Result holds the computed summaries.
+// Result holds the computed summaries. A Result is never modified after
+// ComputeFrom returns, so a later warm start may share its entries.
 type Result[S any] struct {
 	Summaries map[string]S
 	// Truncated marks functions whose SCC hit the iteration cap before
 	// converging; their summaries are a sound-so-far under-approximation.
 	Truncated map[string]bool
-	// TruncatedSCCs counts capped components (0 on healthy programs).
+	// TruncatedSCCs counts the capped components this computation ran
+	// (0 on healthy programs).
 	TruncatedSCCs int
+	// Recomputed names, on a warm start, the functions whose summaries
+	// this computation ran Transfer for: the components that hold a
+	// function to recompute or one the previous result lacks. Every
+	// other entry is the previous result's value itself. It is nil on a
+	// cold start, which computes every function.
+	Recomputed map[string]bool
 }
 
 // Compute runs the framework over every function in the call graph.
@@ -66,10 +75,11 @@ func Compute[S any](g *callgraph.Graph, p *Problem[S]) *Result[S] {
 }
 
 // ComputeFrom is Compute with a warm start for incremental re-analysis:
-// functions outside recompute copy their summaries (and truncation marks)
-// from prev instead of re-running Transfer; recomputed functions read the
-// copied callee summaries through the usual lookup. A nil prev reuses
-// nothing.
+// it starts from copies of prev's maps, so functions outside recompute
+// keep prev's summaries (and truncation marks) without re-running
+// Transfer, and recomputed functions read them through the usual lookup.
+// Functions prev holds that g lacks are dropped. A nil prev reuses
+// nothing. prev is not modified.
 //
 // Soundness is the caller's contract: a function may be reused only if
 // its body and the summaries of all its transitive callees are unchanged
@@ -83,6 +93,13 @@ func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], reco
 		maxIter = DefaultMaxIter
 	}
 	res := &Result[S]{Summaries: map[string]S{}, Truncated: map[string]bool{}}
+	if prev != nil {
+		res.Summaries = maps.Clone(prev.Summaries)
+		if len(prev.Truncated) > 0 {
+			res.Truncated = maps.Clone(prev.Truncated)
+		}
+		res.Recomputed = map[string]bool{}
+	}
 	get := func(callee string) (S, bool) {
 		s, ok := res.Summaries[callee]
 		return s, ok
@@ -96,16 +113,14 @@ func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], reco
 			reuse = ok && !recompute[scc.Members[i]]
 		}
 		if reuse {
-			for _, fn := range scc.Members {
-				res.Summaries[fn] = prev.Summaries[fn]
-				if prev.Truncated[fn] {
-					res.Truncated[fn] = true
-				}
-			}
 			continue
 		}
 		for _, fn := range scc.Members {
 			res.Summaries[fn] = p.Bottom(fn)
+			if prev != nil {
+				delete(res.Truncated, fn)
+				res.Recomputed[fn] = true
+			}
 		}
 		if !scc.Recursive {
 			fn := scc.Members[0]
@@ -127,6 +142,16 @@ func ComputeFrom[S any](g *callgraph.Graph, p *Problem[S], prev *Result[S], reco
 			res.TruncatedSCCs++
 			for _, fn := range scc.Members {
 				res.Truncated[fn] = true
+			}
+		}
+	}
+	// Every function of g now has an entry, so any surplus entry is one
+	// prev held for a function g lacks.
+	if len(res.Summaries) > len(g.Bodies) {
+		for fn := range res.Summaries {
+			if _, ok := g.Bodies[fn]; !ok {
+				delete(res.Summaries, fn)
+				delete(res.Truncated, fn)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -342,5 +343,58 @@ func TestComputeFromRecursiveSCCUnit(t *testing.T) {
 
 	if nilPrev := ComputeFrom(g, p, nil, nil); !nilPrev.Summaries["b"]["L"] {
 		t.Error("nil prev did not fall back to full Compute")
+	}
+}
+
+// TestComputeFromCopyOnWrite: a warm start shares every reused entry
+// with prev, recomputes exactly the requested functions widened to their
+// components plus the functions prev lacks, drops the functions the
+// graph lost, and leaves prev as it was.
+func TestComputeFromCopyOnWrite(t *testing.T) {
+	seeds := map[string][]string{"a": {"A"}, "c": {"C"}, "x": {"X"}, "y": {"Y"}, "gone": {"G"}}
+	before := graphOf(map[string][]string{"a": {"b", "c"}, "b": {"a"}, "c": nil, "x": {"y"}, "y": nil, "gone": nil})
+	p := setProblem(seeds)
+	p.Transfer = unionTransfer(before, seeds)
+	prev := Compute(before, p)
+	identity := func(m map[string]bool) uintptr { return reflect.ValueOf(m).Pointer() }
+	prevEntries := map[string]uintptr{}
+	for fn, s := range prev.Summaries {
+		prevEntries[fn] = identity(s)
+	}
+
+	// "gone" vanished and "new" appeared; b is the one function to
+	// recompute, and it shares a component with a.
+	after := graphOf(map[string][]string{"a": {"b", "c"}, "b": {"a"}, "c": nil, "x": {"y"}, "y": nil, "new": {"c"}})
+	p.Transfer = unionTransfer(after, seeds)
+	res := ComputeFrom(after, p, prev, map[string]bool{"b": true})
+
+	if got, want := keys(res.Recomputed), "a,b,new"; got != want {
+		t.Errorf("Recomputed = %s, want %s", got, want)
+	}
+	for _, fn := range []string{"c", "x", "y"} {
+		if identity(res.Summaries[fn]) != prevEntries[fn] {
+			t.Errorf("reused %s is a copy, not the previous entry", fn)
+		}
+	}
+	if _, ok := res.Summaries["gone"]; ok {
+		t.Error("the vanished function kept its summary")
+	}
+	if len(res.Summaries) != len(after.Bodies) {
+		t.Errorf("%d summaries for %d functions", len(res.Summaries), len(after.Bodies))
+	}
+	cold := Compute(after, p)
+	for fn := range after.Bodies {
+		if keys(res.Summaries[fn]) != keys(cold.Summaries[fn]) {
+			t.Errorf("%s: warm %v != cold %v", fn, res.Summaries[fn], cold.Summaries[fn])
+		}
+	}
+
+	if len(prev.Summaries) != len(prevEntries) || prev.Recomputed != nil {
+		t.Fatalf("prev changed: %d summaries, recomputed %v", len(prev.Summaries), prev.Recomputed)
+	}
+	for fn, id := range prevEntries {
+		if identity(prev.Summaries[fn]) != id {
+			t.Errorf("prev's entry for %s was replaced", fn)
+		}
 	}
 }

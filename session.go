@@ -136,12 +136,13 @@ type UpdateStats struct {
 }
 
 // graphCrossCheckEnabled reports whether the debug byte-equality anchor
-// is on: every patched call graph is compared (by fingerprint) against a
-// from-scratch rebuild of the same bodies, and a mismatch panics — the
-// patch is wrong, and silently continuing would poison every downstream
-// detector. Checked per round so tests can flip RUSTPROBE_GRAPH_CHECK in
-// the environment; the equivalence sweeps set it so CI exercises the
-// anchor on every mutation round.
+// is on: every live round compares what it reused against a
+// from-scratch build — the rebound program and patched call graph
+// (crossCheck) and the global detectors' findings (crossCheckDetection)
+// — and a mismatch panics: the reuse is wrong, and silently continuing
+// would poison every later round. Checked per round so tests can flip
+// RUSTPROBE_GRAPH_CHECK in the environment; the equivalence sweeps set
+// it so CI exercises the anchor on every mutation round.
 func graphCrossCheckEnabled() bool { return os.Getenv("RUSTPROBE_GRAPH_CHECK") != "" }
 
 // FileSet compaction thresholds (vars so tests can tighten them): an
@@ -256,6 +257,9 @@ func (s *Session) round(ctx context.Context, files map[string]string) (*Update, 
 	out, err := d.res.detect(ctx, rd)
 	if err != nil {
 		return nil, err
+	}
+	if d.patched && graphCrossCheckEnabled() {
+		crossCheckDetection(d.res)
 	}
 
 	// Every root outside the closure keeps its findings, resolved as
@@ -509,6 +513,31 @@ func crossCheck(arts map[string]*fileArtifact, prog *hir.Program, diags *source.
 	}
 	if d := callgraph.Diff(graph, callgraph.Build(graph.Bodies)); d != "" {
 		panic("rustprobe: patched call graph diverged from rebuild: " + d)
+	}
+}
+
+// crossCheckDetection is the detection half of a live round's debug
+// oracle: each global detector, which ran on per-function facts,
+// summaries and derived values the round's Context inherited, must
+// report on that Context what it reports on a fresh Context over the
+// same program and bodies. A mismatch panics.
+func crossCheckDetection(res *Result) {
+	fresh := detect.NewContext(res.Program, res.Bodies)
+	render := func(fs []Finding) string {
+		lines := make([]string, len(fs))
+		for i, f := range fs {
+			lines[i] = f.Format(res.Fset)
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	for _, d := range detectorRegistry(res.Precise) {
+		if !globalDetectors[d.Name()] {
+			continue
+		}
+		if got, want := render(d.Run(res.Context())), render(d.Run(fresh)); got != want {
+			panic(fmt.Sprintf("rustprobe: %s on the inherited context diverged from a fresh one:\n%s\nwant\n%s", d.Name(), got, want))
+		}
 	}
 }
 

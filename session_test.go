@@ -316,6 +316,93 @@ impl W {
 	}
 }
 
+// TestSessionClosureHelperEditRepairs is the dependency rule of the
+// global detectors' derived values: helpers.rs holds functions only
+// spawned or initializer closures call, so a body edit to one of them
+// recomputes the closures' summaries but neither the spawner's nor the
+// initializing function's. The race, all-ends-waiting and
+// Once-reentrancy findings those functions own must still flip with
+// each edit, exactly as in a from-scratch analysis.
+func TestSessionClosureHelperEditRepairs(t *testing.T) {
+	t.Setenv("RUSTPROBE_GRAPH_CHECK", "1")
+	const spawners = `static mut COUNTER: u64 = 0;
+fn bump() {
+    thread::spawn(move || { touch(); });
+    unsafe { COUNTER += 1; }
+}
+fn pipeline() {
+    let (tx_a, rx_a) = mpsc::channel();
+    let (tx_b, rx_b) = mpsc::channel();
+    thread::spawn(move || { relay_a(rx_a, tx_b); });
+    thread::spawn(move || { relay_b(rx_b, tx_a); });
+}
+fn init(once: Once) {
+    once.call_once(|| {
+        reenter(once);
+    });
+}
+`
+	const buggy = `fn touch() {
+    unsafe { COUNTER += 1; }
+}
+fn relay_a(rx: Receiver<i32>, tx: Sender<i32>) {
+    let job = rx.recv().unwrap();
+    tx.send(job + 1);
+}
+fn relay_b(rx: Receiver<i32>, tx: Sender<i32>) {
+    let job = rx.recv().unwrap();
+    tx.send(job + 2);
+}
+fn reenter(once: Once) {
+    once.call_once(|| {
+        work();
+    });
+}
+`
+	const clean = `fn touch() {
+    work();
+}
+fn relay_a(rx: Receiver<i32>, tx: Sender<i32>) {
+    tx.send(1);
+    let job = rx.recv().unwrap();
+    consume(job);
+}
+fn relay_b(rx: Receiver<i32>, tx: Sender<i32>) {
+    let job = rx.recv().unwrap();
+    tx.send(job + 2);
+}
+fn reenter(once: Once) {
+    work();
+}
+`
+	s := NewSession()
+	for i, helpers := range []string{buggy, clean, buggy, clean} {
+		files := map[string]string{"spawners.rs": spawners, "helpers.rs": helpers}
+		up, err := s.Analyze(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && (up.Stats.Full || up.Stats.FilesReparsed != 1) {
+			t.Fatalf("round %d: a helper body edit was not an incremental round: %+v", i, up.Stats)
+		}
+		got, want := sessionStrings(up), fullDetect(t, files)
+		if !equalStrings(got, want) {
+			t.Fatalf("round %d diverged from a full analysis\n got: %v\nwant: %v", i, got, want)
+		}
+		owners := map[string]bool{}
+		for _, f := range up.Findings {
+			if f.Kind == "data-race" || f.Kind == "blocking" {
+				owners[string(f.Kind)+" in "+f.Function] = true
+			}
+		}
+		for _, owner := range []string{"data-race in bump", "blocking in relay_a", "blocking in init"} {
+			if owners[owner] != (helpers == buggy) {
+				t.Errorf("round %d: %s reported = %t, want %t (findings %v)", i, owner, owners[owner], helpers == buggy, got)
+			}
+		}
+	}
+}
+
 // TestSessionShiftedPositionsMatchFull is the stale-span regression: an
 // edited function sits ABOVE an unrelated buggy function in the same
 // file, so the buggy function's body text is unchanged but its line
