@@ -428,7 +428,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("rustprobed_batch_files_total", "counter", "Files fanned out by batch requests.", float64(st.BatchFiles))
 	metric("rustprobed_batch_file_errors_total", "counter", "Per-file errors isolated inside batch responses.", float64(st.BatchFileErrors))
 	metric("rustprobed_frontend_ms_total", "counter", "Cumulative frontend wall time (ms).", st.FrontendMSTotal)
-	metric("rustprobed_detect_ms_total", "counter", "Cumulative detector fan-out wall time (ms).", st.DetectMSTotal)
+	metric("rustprobed_detect_ms_total", "counter", "Cumulative detector wall time (ms).", st.DetectMSTotal)
 	metric("rustprobed_unsafe_scan_ms_total", "counter", "Cumulative unsafe-scan wall time (ms).", st.UnsafeScanMSTotal)
 	metric("rustprobed_analyze_ms_total", "counter", "Cumulative end-to-end analysis wall time (ms).", st.AnalyzeMSTotal)
 	metric("rustprobed_uptime_seconds", "gauge", "Seconds since the daemon started.", time.Since(s.started).Seconds())

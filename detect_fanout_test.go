@@ -2,9 +2,9 @@ package rustprobe
 
 // White-box tests for the detector runner: panic isolation (a panicking
 // pass becomes a typed *PanicError instead of killing the process or a
-// pool worker), cancellation (a dead request stops the fan-out at
-// detector granularity), and the session's all-or-nothing rounds on top
-// of both. These live in package rustprobe to reach the testDetectors
+// pool worker), cancellation (a dead request stops the round at the next
+// detector boundary), and the session's all-or-nothing rounds on top of
+// both. These live in package rustprobe to reach the testDetectors
 // seam.
 
 import (
@@ -26,6 +26,21 @@ type countingDetector struct{ ran *bool }
 
 func (countingDetector) Name() string                    { return "test-count" }
 func (d countingDetector) Run(*detect.Context) []Finding { *d.ran = true; return nil }
+
+// namedPanicDetector panics with its own name.
+type namedPanicDetector string
+
+func (d namedPanicDetector) Name() string                  { return string(d) }
+func (d namedPanicDetector) Run(*detect.Context) []Finding { panic(string(d)) }
+
+// cancellingDetector cancels the round's ctx from inside its pass.
+type cancellingDetector struct{ cancel context.CancelFunc }
+
+func (cancellingDetector) Name() string { return "test-cancel" }
+func (d cancellingDetector) Run(*detect.Context) []Finding {
+	d.cancel()
+	return nil
+}
 
 func analyzeClean(t *testing.T) *Result {
 	t.Helper()
@@ -74,16 +89,73 @@ func TestDetectCtxCancelled(t *testing.T) {
 
 	res := analyzeClean(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already dead before the fan-out starts
+	cancel() // already dead before the first detector
 	fs, _, err := res.DetectCtx(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if fs != nil {
-		t.Errorf("cancelled fan-out returned findings: %+v", fs)
+		t.Errorf("cancelled round returned findings: %+v", fs)
 	}
 	if ran {
 		t.Error("detector ran despite pre-cancelled context")
+	}
+}
+
+// TestDetectCtxCancelledMidRound: a ctx cancelled while a detector runs
+// stops the round at the next detector boundary: the detector after it
+// never runs, and the round returns context.Canceled and no findings.
+func TestDetectCtxCancelledMidRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := false
+	testDetectors = []Detector{cancellingDetector{cancel: cancel}, countingDetector{ran: &ran}}
+	defer func() { testDetectors = nil }()
+
+	res := analyzeClean(t)
+	fs, times, err := res.DetectCtx(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if fs != nil {
+		t.Errorf("cancelled round returned findings: %+v", fs)
+	}
+	if ran {
+		t.Error("the detector after the cancelling one ran")
+	}
+	if _, ok := times["test-cancel"]; !ok {
+		t.Errorf("the cancelling detector was not timed: %+v", times)
+	}
+	if _, ok := times["use-after-free"]; !ok {
+		t.Errorf("the detectors before the cancellation were not timed: %+v", times)
+	}
+}
+
+// TestDetectCtxFirstPanicInRegistryOrder: with several panicking
+// detectors, every run reports the first of them in registry order, and
+// the detectors after it still run.
+func TestDetectCtxFirstPanicInRegistryOrder(t *testing.T) {
+	ran := false
+	testDetectors = []Detector{namedPanicDetector("test-panic-b"), namedPanicDetector("test-panic-a"), countingDetector{ran: &ran}}
+	defer func() { testDetectors = nil }()
+
+	res := analyzeClean(t)
+	for i := 0; i < 20; i++ {
+		ran = false
+		_, times, err := res.DetectCtx(context.Background())
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("run %d: err = %v, want *PanicError", i, err)
+		}
+		if pe.Detector != "test-panic-b" || pe.Value != "test-panic-b" {
+			t.Fatalf("run %d: reported %s (%v), want the first in registry order, test-panic-b", i, pe.Detector, pe.Value)
+		}
+		if !ran {
+			t.Fatalf("run %d: the detector after the panicking ones did not run", i)
+		}
+		if _, ok := times["test-panic-a"]; !ok {
+			t.Fatalf("run %d: the second panicking detector was not timed: %+v", i, times)
+		}
 	}
 }
 

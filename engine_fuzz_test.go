@@ -2,7 +2,7 @@ package rustprobe_test
 
 // FuzzEngineAnalyze drives arbitrary source text through the full
 // serving path — validation, singleflight, queue, worker pool, frontend,
-// detector fan-out, cache — and fails on the two regressions this
+// detectors, cache — and fails on the two regressions this
 // engine was hardened against: an analysis that panics past the
 // isolation layer (surfacing as *engine.InternalError) and a request
 // that hangs past its deadline (worker loss).

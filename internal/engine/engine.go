@@ -1,9 +1,8 @@
 // Package engine wraps the rustprobe pipeline in a concurrent analysis
 // engine: a bounded worker pool serves independent analysis requests in
-// parallel, each job overlaps its per-detector passes (every detector in
-// rustprobe.Detectors() is independent given the shared detect.Context),
-// and a content-hash LRU cache answers repeated submissions of unchanged
-// code without re-analysis. cmd/rustprobed fronts this engine with an
+// parallel, each job running start to finish on its worker, and a
+// content-hash LRU cache answers repeated submissions of unchanged code
+// without re-analysis. cmd/rustprobed fronts this engine with an
 // HTTP JSON API; cmd and library clients can embed it directly.
 package engine
 
@@ -62,7 +61,7 @@ type Config struct {
 	// store.Open(dir, StoreVersion()).
 	Store *store.Store
 	// TestDetectHook, when non-nil, runs on the worker goroutine after
-	// the frontend and before the detector fan-out. Tests use it to
+	// the frontend and before the detectors. Tests use it to
 	// inject panics and stalls into a job; production never sets it.
 	TestDetectHook func(ctx context.Context, req Request)
 }
@@ -158,12 +157,17 @@ type Engine struct {
 	cache   *lru[*Response] // nil when disabled
 	ctr     counters
 	puts    chan string    // keys with a queued write-behind put; nil without a store
-	storeWG sync.WaitGroup // the store writers and overflow puts
+	storeWG sync.WaitGroup // the store writers
 
-	putMu      sync.Mutex            // guards queued, writing, putsClosed and sends on puts
-	queued     map[string]storeWrite // per key, the latest write not yet started
-	writing    map[string]bool       // keys a writer is putting now
+	// putsMu guards putsClosed vs. sends on puts. It is not mu: a
+	// submit blocked on a full job queue holds mu.RLock, so a worker
+	// waiting on mu behind Close's Lock would stop the pool draining.
+	putsMu     sync.RWMutex
 	putsClosed bool
+
+	putMu   sync.Mutex            // guards queued and writing
+	queued  map[string]storeWrite // per key, the latest write not yet started
+	writing map[string]bool       // keys a writer is putting now
 
 	flightMu sync.Mutex // guards flights
 	flights  map[string]*flight
@@ -244,10 +248,10 @@ func (e *Engine) Close() {
 	// result and session snapshot this engine completed. Later puts are
 	// refused (storePut checks putsClosed under the same lock).
 	if e.puts != nil {
-		e.putMu.Lock()
+		e.putsMu.Lock()
 		e.putsClosed = true
 		close(e.puts)
-		e.putMu.Unlock()
+		e.putsMu.Unlock()
 	}
 	e.storeWG.Wait()
 }
@@ -365,7 +369,8 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 
 // work executes one admitted job on a worker goroutine. A job whose ctx
 // died while it sat in the queue is skipped; a panic anywhere in it —
-// or a detector panic the fan-out isolated — becomes an *InternalError.
+// or a detector panic the detector runner isolated — becomes an
+// *InternalError.
 // Either way done runs exactly once, so callers never block on a lost
 // worker and the pool never shrinks.
 func (e *Engine) work(j *job) {
@@ -407,8 +412,10 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// analyze is an Analyze job's body: frontend, then the detector fan-out
-// and the unsafe scan in parallel.
+// analyze is an Analyze job's body: frontend, detectors, then the §4
+// unsafe scan, all on the worker. A panic in the frontend or the scan
+// reaches runRecovered; a detector's comes back as a
+// *rustprobe.PanicError. work turns either into an *InternalError.
 func (e *Engine) analyze(ctx context.Context, req Request, key string) (*Response, error) {
 	start := time.Now()
 	res, err := analyzeFrontend(req)
@@ -421,37 +428,18 @@ func (e *Engine) analyze(ctx context.Context, req Request, key string) (*Respons
 		hook(ctx, req)
 	}
 
-	// The §4 unsafe scan overlaps the detector fan-out. Its recover
-	// keeps a scanner panic on this side goroutine from killing the
-	// whole process instead of just this job.
-	var (
-		scan      UnsafeSummary
-		scanPanic *InternalError
-		scanDone  = make(chan struct{})
-	)
-	go func() {
-		defer close(scanDone)
-		defer func() {
-			if v := recover(); v != nil {
-				scanPanic = &InternalError{Panic: fmt.Sprint(v), Stack: string(debug.Stack())}
-			}
-		}()
-		t := time.Now()
-		rep := res.ScanUnsafe()
-		scan = UnsafeSummary{Regions: rep.Regions, Fns: rep.Fns, Traits: rep.Traits, Total: rep.TotalUsages()}
-		e.ctr.scanNs.Add(int64(time.Since(t)))
-	}()
 	t := time.Now()
 	findings, times, err := res.DetectCtx(ctx, req.Detectors...)
 	e.ctr.detectNs.Add(int64(time.Since(t)))
 	e.ctr.addDetectorTimes(times)
-	<-scanDone
-	if scanPanic != nil {
-		return nil, scanPanic
-	}
 	if err != nil {
 		return nil, err
 	}
+
+	t = time.Now()
+	rep := res.ScanUnsafe()
+	scan := UnsafeSummary{Regions: rep.Regions, Fns: rep.Fns, Traits: rep.Traits, Total: rep.TotalUsages()}
+	e.ctr.scanNs.Add(int64(time.Since(t)))
 
 	resp := &Response{Findings: rustprobe.ResolveFindings(res.Fset, findings), Unsafe: scan}
 	if e.cache != nil {
@@ -487,9 +475,9 @@ func (e *Engine) storeGet(key string) (*Response, bool) {
 }
 
 // storeWriters goroutines drain up to storeQueue pending write-behind
-// puts. A fixed set of writers bounds the goroutines, and their stacks,
-// that a slow disk holds: on a fresh store the first seconds of cold
-// batches leave about a thousand puts pending.
+// puts; a job that finds the queue full waits for a slot. The queue is
+// sized so the jobs rarely wait: on a fresh store the first seconds of
+// cold batches leave about a thousand puts pending.
 const (
 	storeWriters = 4
 	storeQueue   = 1024
@@ -509,39 +497,38 @@ type storeWrite struct {
 // the same key replaced it while it was still queued.
 var ErrSuperseded = errors.New("engine: superseded by a newer write to the same key")
 
-// storePut queues w write-behind under key: the job's reply never
-// blocks on disk, and Close drains the pending writes. Writes are
-// latest-wins per key: w replaces a write to key that is still queued,
-// and at most one write per key is in flight, so the last write of a
-// key is always its newest. A key whose write is in flight is picked
-// up again by that writer; a full queue hands the key to a goroutine of
-// its own. After Close the write is dropped with ErrClosed.
+// storePut queues w write-behind under key, and Close drains the
+// pending writes. Writes are latest-wins per key: w replaces a write to
+// key that is still queued, and at most one write per key is in flight,
+// so the last write of a key is always its newest. A key whose write is
+// in flight is picked up again by that writer. When the queue is full
+// the caller, a worker job, waits for a writer to take a key, so pending
+// writes never outgrow the queue. After Close the write is dropped with
+// ErrClosed.
 func (e *Engine) storePut(key string, w storeWrite) {
 	if e.puts == nil {
 		return
 	}
-	e.putMu.Lock()
+	// The read lock is held across the send so Close cannot close puts
+	// mid-send; the writers keep draining and take no lock Close holds,
+	// so the send cannot block Close indefinitely.
+	e.putsMu.RLock()
 	if e.putsClosed {
-		e.putMu.Unlock()
+		e.putsMu.RUnlock()
 		if w.done != nil {
 			w.done(ErrClosed)
 		}
 		return
 	}
+	e.putMu.Lock()
 	prev, pending := e.queued[key]
 	e.queued[key] = w
-	if !pending && !e.writing[key] {
-		select {
-		case e.puts <- key:
-		default:
-			e.storeWG.Add(1)
-			go func() {
-				defer e.storeWG.Done()
-				e.drain(key)
-			}()
-		}
-	}
+	send := !pending && !e.writing[key]
 	e.putMu.Unlock()
+	if send {
+		e.puts <- key
+	}
+	e.putsMu.RUnlock()
 	if pending && prev.done != nil {
 		prev.done(ErrSuperseded)
 	}

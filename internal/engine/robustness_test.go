@@ -205,7 +205,7 @@ func TestEngineSingleflight(t *testing.T) {
 }
 
 // TestEngineCancellationFreesWorker: a timed-out client must cancel its
-// job — the worker observes ctx.Done, skips the detector fan-out, and is
+// job — the worker observes ctx.Done, skips the detectors, and is
 // free for the next request instead of burning to completion.
 func TestEngineCancellationFreesWorker(t *testing.T) {
 	cancelled := make(chan struct{}, 1)

@@ -22,7 +22,7 @@ type Stats struct {
 	JobsFailed    uint64 `json:"jobs_failed"`
 	// JobsCanceled counts jobs abandoned by every waiter (timeout or
 	// disconnect) before completion; their analysis work was skipped or
-	// cut short at the fan-out boundary.
+	// cut short at a detector boundary.
 	JobsCanceled uint64 `json:"jobs_canceled"`
 	// Panics counts analysis passes that panicked; each cost only its
 	// own request (HTTP 500), never a pool worker.

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rustprobe/internal/incrstate"
 	"rustprobe/internal/store"
@@ -85,27 +89,220 @@ func TestStorePutLatestWinsPerKey(t *testing.T) {
 	}
 }
 
-// TestStorePutOverflowsFullQueue: when the queue has no room for a key,
-// storePut hands it to a goroutine of its own, which writes it as a
-// writer would and which the store wait group covers.
-func TestStorePutOverflowsFullQueue(t *testing.T) {
+// TestStorePutWaitsOnFullQueue: with every writer blocked and the queue
+// full, storePut makes its caller wait for a slot instead of returning,
+// so the goroutines holding pending writes do not grow with the number
+// of queued keys; once the writers are released every write lands.
+func TestStorePutWaitsOnFullQueue(t *testing.T) {
+	e, st := writeBehindEngine(t)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseWriters := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseWriters) // before the engine's Close, which waits for the writers
+	started := make(chan struct{}, storeWriters)
+	var outcomes sync.WaitGroup
+	var failed atomic.Int32
+	write := func(key string) storeWrite {
+		outcomes.Add(1)
+		return storeWrite{
+			encode: func() ([]byte, error) {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				<-release
+				return []byte(`"` + key + `"`), nil
+			},
+			done: func(err error) {
+				if err != nil {
+					failed.Add(1)
+				}
+				outcomes.Done()
+			},
+		}
+	}
+
+	// One blocked write per writer, then a full queue behind them.
+	var keys []string
+	put := func(key string) {
+		keys = append(keys, key)
+		e.storePut(key, write(key))
+	}
+	for i := 0; i < storeWriters; i++ {
+		put(fmt.Sprintf("busy%d", i))
+		<-started
+	}
+	for i := 0; i < storeQueue; i++ {
+		put(fmt.Sprintf("queued%d", i))
+	}
+
+	const extra = 64
+	base := runtime.NumGoroutine()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for i := 0; i < extra; i++ {
+			put(fmt.Sprintf("extra%d", i))
+		}
+	}()
+	full := "storePut returned although the queue was full and every writer blocked"
+	for queued := false; !queued; runtime.Gosched() {
+		select {
+		case <-returned:
+			t.Fatal(full)
+		default:
+		}
+		e.putMu.Lock()
+		_, queued = e.queued["extra0"]
+		e.putMu.Unlock()
+	}
+	select {
+	case <-returned:
+		t.Fatal(full)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Fatalf("%d goroutines while %d writes wait for a full queue, %d before", n, extra, base)
+	}
+
+	releaseWriters()
+	<-returned
+	outcomes.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d writes failed", n)
+	}
+	for _, key := range keys {
+		if got, ok := st.Get(key); !ok || string(got) != `"`+key+`"` {
+			t.Fatalf("%s holds %q (ok=%v) after the writers were released", key, got, ok)
+		}
+	}
+}
+
+// goroutineIn reports whether some goroutine's stack holds every one of
+// frames, so a test can wait until a goroutine is parked where it wants.
+func goroutineIn(frames ...string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+next:
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, f := range frames {
+			if !strings.Contains(g, f) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestCloseWithStoreWhileSubmitBlocked: Close returns while a caller
+// with a context that never ends is blocked in submit on a full job
+// queue, on a store-backed engine. That caller holds the admission read
+// lock and Close waits for the write lock, so a worker whose write-behind
+// put waited on the same lock would stop draining the queue and Close
+// would never return.
+func TestCloseWithStoreWhileSubmitBlocked(t *testing.T) {
 	st, err := store.Open(t.TempDir(), StoreVersion())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No writers and an unbuffered queue: every send finds it full.
-	e := &Engine{cfg: Config{Store: st}, puts: make(chan string), queued: map[string]storeWrite{}, writing: map[string]bool{}}
-	outcome := errors.New("no outcome")
-	e.storePut("k", storeWrite{
-		encode: func() ([]byte, error) { return []byte(`{"v":1}`), nil },
-		done:   func(err error) { outcome = err },
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	defer openGate()
+	e := New(Config{
+		Workers:       1,
+		QueueDepth:    1,
+		CacheCapacity: -1,
+		Store:         st,
+		TestDetectHook: func(_ context.Context, req Request) {
+			if _, ok := req.Files["held.rs"]; ok {
+				<-gate
+			}
+		},
 	})
-	e.storeWG.Wait()
-	if outcome != nil {
-		t.Fatalf("overflow put outcome: %v", outcome)
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
 	}
-	if got, ok := st.Get("k"); !ok || string(got) != `{"v":1}` {
-		t.Fatalf("stored %q (ok=%v), want the overflow write", got, ok)
+
+	var wg sync.WaitGroup
+	analyze := func(name string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := Request{Files: map[string]string{name + ".rs": "// " + name + "\nfn f() {}\n"}}
+			if _, err := e.Analyze(context.Background(), req); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	analyze("held")
+	wait("the worker to hold a job", func() bool { return e.Stats().JobsInFlight == 1 })
+	analyze("queued")
+	wait("a full job queue", func() bool { return len(e.jobs) == 1 })
+	analyze("blocked")
+	wait("a caller blocked in submit", func() bool { return goroutineIn("engine.(*Engine).submit(") })
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	wait("Close to wait for the admission lock", func() bool {
+		return goroutineIn("sync.(*RWMutex).Lock(", "engine.(*Engine).Close(")
+	})
+	openGate()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the pool stopped draining while a submit was blocked")
+	}
+	wg.Wait()
+	if n := st.Stats().Puts; n != 3 {
+		t.Fatalf("store took %d puts by Close, want 3", n)
+	}
+}
+
+// TestPersistStateRacesClose: a snapshot queued while Close runs is
+// either stored, its done seeing nil, or refused with ErrClosed; the
+// race never sends on the closed queue.
+func TestPersistStateRacesClose(t *testing.T) {
+	st, err := store.Open(t.TempDir(), StoreVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, writers = 20, 8
+	for r := 0; r < rounds; r++ {
+		e := New(Config{Workers: 1, Store: st})
+		outcomes := make([]error, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				key := fmt.Sprintf("r%dw%d", r, w)
+				e.PersistState(key, &incrstate.State{Version: key}, func(err error) { outcomes[w] = err })
+			}(w)
+		}
+		e.Close()
+		wg.Wait()
+		for w, err := range outcomes {
+			key := fmt.Sprintf("r%dw%d", r, w)
+			_, stored := st.Get(key)
+			switch {
+			case err == nil && !stored:
+				t.Fatalf("%s reported stored but is not in the store", key)
+			case errors.Is(err, ErrClosed) && stored:
+				t.Fatalf("%s reported ErrClosed but was stored", key)
+			case err != nil && !errors.Is(err, ErrClosed):
+				t.Fatalf("%s: outcome %v, want nil or ErrClosed", key, err)
+			}
+		}
 	}
 }
 

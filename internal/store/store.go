@@ -56,9 +56,10 @@ type Store struct {
 	quarantined atomic.Uint64
 	entries     atomic.Int64
 
-	// putMu serializes Put per key only coarsely; renames are atomic so
-	// this exists solely to keep the entries counter from double-counting
-	// a concurrent first-write of the same key within one handle.
+	// putMu serializes every Put on this handle, whatever its key, from
+	// the existence check to the rename. Renames are atomic, so it exists
+	// solely to keep the entries counter from double-counting a
+	// concurrent first write of the same key.
 	putMu sync.Mutex
 }
 

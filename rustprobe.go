@@ -506,16 +506,18 @@ func (r *Result) Detect(names ...string) []Finding {
 	return out
 }
 
-// DetectCtx runs the same selection as Detect, each detector on its own
-// goroutine over the shared Context, and also returns a per-detector
-// wall-time breakdown keyed by detector name.
+// DetectCtx runs the same selection as Detect, one detector after
+// another in registry order on the caller's goroutine over the shared
+// Context, and also returns a per-detector wall-time breakdown keyed by
+// detector name.
 //
-// If ctx is cancelled, detectors not yet launched are skipped and the
-// context error is returned once the in-flight passes drain (individual
-// passes are not interruptible; cancellation stops the fan-out at
-// detector granularity). If any pass panics, a *PanicError for the
-// first panicking detector is returned instead of findings. The timing
-// breakdown is valid in every case.
+// ctx is checked before each detector: once it is cancelled the
+// remaining detectors are skipped and the context error is returned
+// (individual passes are not interruptible, so cancellation takes
+// effect at the next detector boundary). If any pass panics, the rest
+// still run, and a *PanicError for the first panicking detector in
+// registry order is returned instead of findings. The timing breakdown
+// is valid in every case.
 func (r *Result) DetectCtx(ctx context.Context, names ...string) ([]Finding, map[string]time.Duration, error) {
 	out, err := r.detect(ctx, detectRound{names: names, full: true})
 	if err != nil {
@@ -525,8 +527,8 @@ func (r *Result) DetectCtx(ctx context.Context, names ...string) ([]Finding, map
 	return out.findings, out.times, nil
 }
 
-// PanicError reports that a detector pass panicked during the fan-out.
-// The recovered value and the panicking goroutine's stack are preserved
+// PanicError reports that a detector pass panicked during a detector
+// round. The recovered value and the panicking pass's stack are preserved
 // so servers can isolate the failure and log it instead of losing the
 // process (or a pool worker) to one bad input.
 type PanicError struct {
@@ -539,8 +541,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("rustprobe: detector %s panicked: %v", e.Detector, e.Value)
 }
 
-// testDetectors is appended to the fan-out's registry by package tests to
-// exercise panic isolation without a real detector that can panic.
+// testDetectors is appended to the runner's registry by package tests to
+// exercise panic isolation and cancellation without a real detector
+// that can panic or cancel.
 var testDetectors []Detector
 
 // detectRound is one run of the detector suite over a Result. A full
@@ -566,9 +569,11 @@ type detectOutcome struct {
 }
 
 // detect is the one detector runner behind Detect, DetectCtx and every
-// Session round. Each selected detector runs on its own goroutine with a
-// recover that turns a panic into a *PanicError, and ctx is checked
-// before each launch. Local detectors run over a view of r.Context()
+// Session round. The selected detectors run in registry order on the
+// caller's goroutine, each under a recover that turns a panic into a
+// *PanicError, and ctx is checked before each one. A fact the detectors
+// share is built by the first one that asks for it, so its cost lands in
+// that detector's time. Local detectors run over a view of r.Context()
 // restricted to the dirty closure when that closure is a strict subset
 // of Bodies (otherwise over r.Context() itself); the view shares the
 // per-function facts, so each is built once per round. Global detectors
@@ -586,7 +591,7 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 	ds = append(ds, testDetectors...)
 
 	out := &detectOutcome{times: make(map[string]time.Duration, len(ds))}
-	rctx := r.Context() // build once, before the fan-out
+	rctx := r.Context()
 	lctx := rctx
 	if !rd.full {
 		out.recomputed = r.dirtyClosure(rctx.Graph, rd.changed)
@@ -601,59 +606,48 @@ func (r *Result) detect(ctx context.Context, rd detectRound) (*detectOutcome, er
 		}
 	}
 
-	results := make([][]Finding, len(ds))
-	elapsed := make([]time.Duration, len(ds))
-	ran := make([]bool, len(ds))
-	var (
-		wg         sync.WaitGroup
-		panicMu    sync.Mutex
-		firstPanic *PanicError
-	)
-	for i, d := range ds {
+	var firstPanic *PanicError
+	for _, d := range ds {
 		if len(want) > 0 && !want[d.Name()] {
 			continue
 		}
 		if ctx.Err() != nil {
-			break // cancelled: skip the rest of the fan-out
+			break // cancelled: stop at this detector boundary
 		}
-		ran[i] = true
-		wg.Add(1)
-		go func(i int, d Detector) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicMu.Lock()
-					if firstPanic == nil {
-						firstPanic = &PanicError{Detector: d.Name(), Value: v, Stack: debug.Stack()}
-					}
-					panicMu.Unlock()
-				}
-			}()
-			t := time.Now()
-			if globalDetectors[d.Name()] {
-				results[i] = d.Run(rctx)
-			} else {
-				results[i] = d.Run(lctx)
+		global := globalDetectors[d.Name()]
+		c := lctx
+		if global {
+			c = rctx
+		}
+		t := time.Now()
+		fs, pe := runDetector(d, c)
+		out.times[d.Name()] = time.Since(t)
+		if pe != nil {
+			if firstPanic == nil {
+				firstPanic = pe
 			}
-			elapsed[i] = time.Since(t)
-		}(i, d)
-	}
-	wg.Wait()
-
-	for i, d := range ds {
-		if !ran[i] {
 			continue
 		}
-		out.times[d.Name()] += elapsed[i]
-		out.findings = append(out.findings, results[i]...)
-		if !globalDetectors[d.Name()] {
-			out.local = append(out.local, results[i]...)
+		out.findings = append(out.findings, fs...)
+		if !global {
+			out.local = append(out.local, fs...)
 		}
 	}
 	if firstPanic != nil {
 		return out, firstPanic
 	}
 	return out, ctx.Err()
+}
+
+// runDetector runs d over c, turning a panic into a *PanicError that
+// carries the panicking pass's stack.
+func runDetector(d Detector, c *detect.Context) (fs []Finding, pe *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe = &PanicError{Detector: d.Name(), Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return d.Run(c), nil
 }
 
 // dirtyClosure computes an incremental round's recompute set from the

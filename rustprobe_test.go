@@ -94,10 +94,12 @@ func TestAnalyzeDirRelativePaths(t *testing.T) {
 	}
 }
 
-// Detect fans the detectors out in parallel; its findings must be
-// identical to running each selected detector serially over the same
-// Context, for every selection shape the engine submits, and DetectCtx
-// must return the same findings with a timing entry per detector run.
+// Detect's runner (recover per detector, ctx checks, the dirty-closure
+// view) must not change what the detectors find: its findings must be
+// identical to calling each selected detector's Run directly over the
+// same Context, for every selection shape the engine submits, and
+// DetectCtx must return the same findings with a timing entry per
+// detector run.
 func TestDetectMatchesSerialRun(t *testing.T) {
 	for _, group := range []string{"detector-eval", "patterns", "unsafe", "all"} {
 		res, err := AnalyzeCorpus(group)
@@ -116,7 +118,7 @@ func TestDetectMatchesSerialRun(t *testing.T) {
 				}
 			}
 			detect.SortFindings(serial)
-			parallel := res.Detect(names...)
+			viaDetect := res.Detect(names...)
 			withCtx, times, err := res.DetectCtx(context.Background(), names...)
 			if err != nil {
 				t.Fatalf("%s %v: DetectCtx: %v", group, names, err)
@@ -124,13 +126,13 @@ func TestDetectMatchesSerialRun(t *testing.T) {
 			if len(want) > 0 && len(times) != len(want) {
 				t.Errorf("%s %v: timed %d detectors: %v", group, names, len(times), times)
 			}
-			for _, got := range [][]Finding{parallel, withCtx} {
+			for _, got := range [][]Finding{viaDetect, withCtx} {
 				if len(serial) != len(got) {
-					t.Fatalf("%s %v: serial %d findings, fan-out %d", group, names, len(serial), len(got))
+					t.Fatalf("%s %v: direct %d findings, runner %d", group, names, len(serial), len(got))
 				}
 				for i := range serial {
 					if serial[i].Format(res.Fset) != got[i].Format(res.Fset) {
-						t.Errorf("%s %v: finding %d diverges:\n serial:  %s\n fan-out: %s",
+						t.Errorf("%s %v: finding %d diverges:\n direct: %s\n runner: %s",
 							group, names, i, serial[i].Format(res.Fset), got[i].Format(res.Fset))
 					}
 				}

@@ -183,9 +183,9 @@ func (s *Session) Analyze(files map[string]string) (*Update, error) {
 
 // AnalyzeCtx runs one round over the given sources, reusing as much of
 // the previous round as the diff allows. Detection runs through the same
-// fan-out as Result.DetectCtx, so a detector panic comes back as a
-// *PanicError and a cancelled ctx stops the round at detector
-// granularity. A round that fails — syntax errors, a detector panic,
+// runner as Result.DetectCtx, so a detector panic comes back as a
+// *PanicError and a cancelled ctx stops the round at the next detector
+// boundary. A round that fails — syntax errors, a detector panic,
 // cancellation, or a panic anywhere in the round — leaves the session
 // exactly at its last good round: a later call diffs against the last
 // successful round, and ExportState is unchanged.
