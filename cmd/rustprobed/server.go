@@ -469,12 +469,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON answers with v as compact JSON: clients parse the body, so
+// no endpoint spends CPU or bytes on indentation.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// The status header and any partial body are already on the
 		// wire; logging is all that makes the truncation diagnosable.
 		log.Printf("rustprobed: response encode failed (status=%d): %v", status, err)

@@ -213,3 +213,79 @@ func TestDaemonRestartServesFromStore(t *testing.T) {
 		t.Fatalf("rustprobed_store_entries = %v, want >= 2", entries)
 	}
 }
+
+// requireCompact checks that body is one compact JSON value and the
+// encoder's newline, and that it holds the same values as the indented
+// encoding rustprobed used to send: decoded into v and indented again,
+// it compacts back to body.
+func requireCompact(t *testing.T, body []byte, v any) {
+	t.Helper()
+	value, ok := bytes.CutSuffix(body, []byte("\n"))
+	if !ok {
+		t.Fatalf("body does not end in a newline: %q", body)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, value); err != nil {
+		t.Fatalf("invalid JSON response: %v\n%s", err, body)
+	}
+	if !bytes.Equal(compact.Bytes(), value) {
+		t.Fatalf("response is not compact:\n%s", body)
+	}
+	if err := json.Unmarshal(value, v); err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact.Reset()
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), value) {
+		t.Fatalf("compact response and its indented encoding differ:\n%s\n%s", value, indented)
+	}
+}
+
+// TestResponsesAreCompact: a batch response and the responses of a full
+// and a diff session push are compact JSON with the values they always
+// carried.
+func TestResponsesAreCompact(t *testing.T) {
+	srv, _ := newSessionServer(t, nil)
+
+	reqBody, err := json.Marshal(engine.BatchRequest{Files: map[string]string{
+		"fig5.rs":   figure5Src,
+		"broken.rs": "fn broken( {",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postBatch(t, srv.URL, string(reqBody))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, body = %s", resp.StatusCode, body)
+	}
+	var batch batchResponse
+	requireCompact(t, body, &batch)
+	if batch.Files != 2 || batch.Errors != 1 || len(batch.Results["fig5.rs"].Findings) != 1 {
+		t.Fatalf("batch response = %+v", batch)
+	}
+
+	for i, req := range []sessionPushRequest{
+		{Files: sessionBaseTree()},
+		{Changed: map[string]string{"util.rs": strings.Replace(sessUtilSrc, "x + 1", "x + 2", 1)}},
+	} {
+		reqBody, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postSessionPush(t, srv.URL, "acme", string(reqBody))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("push %d status = %d, body = %s", i, resp.StatusCode, body)
+		}
+		var push sessionPushResponse
+		requireCompact(t, body, &push)
+		if push.Stats.Full != (i == 0) || len(push.Findings) == 0 {
+			t.Fatalf("push %d response = %+v", i, push)
+		}
+	}
+}

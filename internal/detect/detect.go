@@ -169,11 +169,14 @@ func (c *memoCell[V]) get(compute func() V) V {
 }
 
 // fnMemo is the per-function scope: each function's facts as a row of
-// cells, one per kind, with memo's semantics. A stored row is never
-// written — adding a kind stores a longer copy — so a Context that
-// inherits a row shares it with the Context it came from and neither can
-// change what the other sees. cells counts the cells of all rows, and
-// panicked names the functions a computation panicked for.
+// cells, one per kind, with memo's semantics. A row is allocated once
+// with room for rowKinds kinds and grows in place: a cell is only ever
+// appended past a row's length, never overwritten. An inherited row has
+// its capacity clipped to its length, so the first kind it gains
+// stores a copy; a Context that inherits a row thus shares its cells
+// with the Context it came from and neither can change what the other
+// sees. cells counts the cells of all rows, and panicked names the
+// functions a computation panicked for.
 type fnMemo struct {
 	mu       sync.Mutex
 	rows     map[string][]kindCell
@@ -185,6 +188,12 @@ type kindCell struct {
 	kind string
 	cell *memoCell[any]
 }
+
+// rowKinds is the number of kinds the detectors memoize per function
+// through Shared: cfg, pointsto, alias, doublelock.facts,
+// doublelock.acquisitions, uninit.facts, race.info, blocking.info and
+// interiormut.info. A row needing more grows by one copy.
+const rowKinds = 9
 
 // get returns kind's value for fn, running compute if no earlier call
 // finished.
@@ -200,7 +209,10 @@ func (m *fnMemo) get(kind, fn string, compute func() any) any {
 	}
 	if c == nil {
 		c = &memoCell[any]{}
-		m.rows[fn] = append(row[:len(row):len(row)], kindCell{kind, c})
+		if len(row) == cap(row) {
+			row = append(make([]kindCell, 0, max(rowKinds, len(row)+1)), row...)
+		}
+		m.rows[fn] = append(row, kindCell{kind, c})
 		m.cells++
 	}
 	m.mu.Unlock()
@@ -222,22 +234,26 @@ func NewContext(prog *hir.Program, bodies map[string]*mir.Body) *Context {
 	return NewContextWithGraph(prog, bodies, callgraph.Build(bodies))
 }
 
-// inherit returns the rows a next round takes from m: a copy of its rows
-// less those of the changed functions and the cells whose computation
-// panicked, and the number of cells they hold.
+// inherit returns the rows a next round takes from m: its rows less
+// those of the changed functions and the cells whose computation
+// panicked, each clipped to its length, and the number of cells they
+// hold.
 func (m *fnMemo) inherit(changed map[string]bool) (map[string][]kindCell, int) {
 	notDone := func(kc kindCell) bool { return !kc.cell.done.Load() }
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rows, cells := maps.Clone(m.rows), m.cells
-	for fn := range changed {
-		cells -= len(rows[fn])
-		delete(rows, fn)
+	rows, cells := make(map[string][]kindCell, len(m.rows)), m.cells
+	for fn, row := range m.rows {
+		if changed[fn] {
+			cells -= len(row)
+			continue
+		}
+		rows[fn] = slices.Clip(row)
 	}
 	for fn := range m.panicked {
 		// A computation that panicked left nothing to take.
 		if row, ok := rows[fn]; ok && slices.ContainsFunc(row, notDone) {
-			kept := slices.DeleteFunc(slices.Clone(row), notDone)
+			kept := slices.Clip(slices.DeleteFunc(slices.Clone(row), notDone))
 			cells -= len(row) - len(kept)
 			rows[fn] = kept
 		}

@@ -6,8 +6,9 @@ import (
 )
 
 // lru is a mutex-guarded LRU keyed by request content hash, generic over
-// the cached value (single-file responses and batch set responses each
-// get their own instance). Stored values are immutable; hits hand back a
+// the cached value. The engine keeps one instance, of analysis
+// responses; a batch reads and fills it per file, under each file's own
+// key. Stored values are immutable; hits hand back a
 // deep defensive copy via the configured clone (fresh Findings slice AND
 // fresh Notes backing arrays — see Response.clone) so one caller
 // sorting, filtering, or appending to its response cannot race another's

@@ -168,6 +168,72 @@ func TestStoreTierQuarantineIsolatesPoison(t *testing.T) {
 	}
 }
 
+// TestStoreTierNonJSONPayloadIsMiss: the store serves any payload whose
+// head and checksum match what Put wrote, without re-checking its JSON
+// syntax. An entry whose checksummed payload is not JSON must be a
+// miss to the engine, and the next analysis must overwrite it.
+func TestStoreTierNonJSONPayloadIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	req := engine.Request{Files: map[string]string{"dl.rs": doubleLockSrc}}
+
+	e1 := engine.New(engine.Config{Workers: 1, Store: openStore(t, dir)})
+	want, err := e1.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+
+	st := openStore(t, dir)
+	var keys []string
+	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() || strings.Contains(path, "quarantine") {
+			return err
+		}
+		keys = append(keys, filepath.Base(path))
+		return st.Put(filepath.Base(path), []byte(`{"findings":[`))
+	})
+	if len(keys) == 0 {
+		t.Fatal("no persisted entries to rewrite; write-behind broken?")
+	}
+	for _, k := range keys {
+		if _, ok := st.Get(k); !ok {
+			t.Fatalf("store refused a checksum-valid entry %s", k)
+		}
+	}
+
+	e2 := engine.New(engine.Config{Workers: 1, Store: openStore(t, dir)})
+	got, err := e2.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CacheHit || got.StoreHit {
+		t.Fatal("non-JSON payload served as a hit")
+	}
+	if !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Fatal("re-analysis produced different findings")
+	}
+	if st := e2.Stats(); st.StoreQuarantined != 0 {
+		t.Fatalf("checksum-valid entry quarantined: %+v", st)
+	}
+	e2.Close() // drains the overwriting put
+
+	for _, k := range keys {
+		payload, ok := openStore(t, dir).Get(k)
+		if !ok || !json.Valid(payload) {
+			t.Fatalf("entry %s not overwritten: %q ok=%v", k, payload, ok)
+		}
+	}
+	e3 := engine.New(engine.Config{Workers: 1, Store: openStore(t, dir)})
+	defer e3.Close()
+	third, err := e3.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.StoreHit || !reflect.DeepEqual(third.Findings, want.Findings) {
+		t.Fatalf("overwritten entry: StoreHit=%v findings=%v", third.StoreHit, third.Findings)
+	}
+}
+
 // TestStoreTierVersionMismatchInvalidates writes entries under an old
 // analyzer version and checks a current-version engine refuses them.
 func TestStoreTierVersionMismatchInvalidates(t *testing.T) {

@@ -5,7 +5,9 @@
 // place, so a crash mid-write can never leave a readable-but-wrong
 // entry, and concurrent writers (multiple engines sharing one store
 // directory, or replicas on a shared volume) settle on whichever rename
-// lands last — both wrote the same content for the same key.
+// lands last. For a content-addressed key both wrote the same content;
+// for a key the caller rewrites, such as a session's state snapshot, the
+// last rename wins.
 //
 // Entries carry a version string derived from the analyzer release and
 // the detector registry. A version mismatch means the entry was written
@@ -15,18 +17,27 @@
 // tampering) are detected by the checksum at entry-open time and
 // quarantined the same way — the store never fails startup, and never
 // returns bytes it cannot prove were a complete, matching write.
+//
+// A hit is served without decoding the entry: Get compares the file's
+// head byte for byte with the one Put writes for the key and version,
+// checks the payload's sum, and returns the payload as a slice of the
+// bytes it read. Any other file goes through a full JSON decode, which
+// serves, quarantines or misses it exactly as it always has.
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Stats is a point-in-time snapshot of store activity since Open.
@@ -46,8 +57,11 @@ type Store struct {
 	dir     string
 	version string
 	// versionJSON is version as a JSON string, quoted once at Open for
-	// every envelope Put writes.
-	versionJSON []byte
+	// every envelope Put writes. exactHead reports that it decodes back
+	// to version (true unless version is not valid UTF-8), so a head
+	// that matches it byte for byte proves the entry's version.
+	versionJSON string
+	exactHead   bool
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -58,9 +72,12 @@ type Store struct {
 
 	// putMu serializes every Put on this handle, whatever its key, from
 	// the existence check to the rename. Renames are atomic, so it exists
-	// solely to keep the entries counter from double-counting a
-	// concurrent first write of the same key.
+	// to keep the entries counter from double-counting a concurrent first
+	// write of the same key, and to guard shards.
 	putMu sync.Mutex
+	// shards holds the shard directories known to exist: found at Open
+	// or created by a Put of this handle.
+	shards map[string]bool
 }
 
 // entry is the on-disk JSON shape. Sum is the hex SHA-256 of Payload's
@@ -93,7 +110,13 @@ func Open(dir, version string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, version: version, versionJSON: vj}
+	s := &Store{
+		dir:         dir,
+		version:     version,
+		versionJSON: string(vj),
+		exactHead:   utf8.ValidString(version),
+		shards:      map[string]bool{},
+	}
 	// Sweep temp files abandoned by a crashed writer and count entries.
 	shards, err := os.ReadDir(dir)
 	if err != nil {
@@ -103,6 +126,7 @@ func Open(dir, version string) (*Store, error) {
 		if !sh.IsDir() || sh.Name() == quarantineDir {
 			continue
 		}
+		s.shards[sh.Name()] = true
 		files, err := os.ReadDir(filepath.Join(dir, sh.Name()))
 		if err != nil {
 			continue
@@ -124,14 +148,17 @@ func (s *Store) Dir() string { return s.dir }
 // Version returns the entry version this handle reads and writes.
 func (s *Store) Version() string { return s.version }
 
-// path shards entries two hex characters deep so one directory never
-// holds the whole fleet's keys.
-func (s *Store) path(key string) string {
-	shard := "xx"
+// shard spreads entries over directories named by a key's first two
+// characters, so one directory never holds the whole fleet's keys.
+func shard(key string) string {
 	if len(key) >= 2 {
-		shard = key[:2]
+		return key[:2]
 	}
-	return filepath.Join(s.dir, shard, key)
+	return "xx"
+}
+
+func (s *Store) path(key string) string {
+	return filepath.Join(s.dir, shard(key), key)
 }
 
 // validKey keeps keys usable as file names (the engine's SHA-256 hex
@@ -153,7 +180,8 @@ func validKey(key string) bool {
 // Get returns the stored payload for key. A missing entry is a plain
 // miss. An unreadable, truncated, corrupt, wrong-key or version-
 // mismatched entry is quarantined (moved aside, never deleted — the
-// bytes stay inspectable) and reported as a miss.
+// bytes stay inspectable) and reported as a miss. The payload is a
+// slice of a buffer no one else holds; the caller may keep it.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		s.misses.Add(1)
@@ -165,25 +193,58 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
+	payload, ok := s.exactPayload(key, data)
+	if !ok {
+		var reason string
+		if payload, reason = s.decodeEntry(key, data); reason != "" {
+			s.quarantine(key, p, reason)
+			s.misses.Add(1)
+			return nil, false
+		}
+	}
+	s.hits.Add(1)
+	return payload, true
+}
+
+// exactPayload is Get's hit path: it returns data's payload when data
+// is byte for byte what Put writes for that payload under key and this
+// handle's version, and the payload neither starts nor ends with JSON
+// whitespace. It does not check that the payload is JSON (see Put); if
+// it is, decodeEntry serves the identical bytes.
+func (s *Store) exactPayload(key string, data []byte) ([]byte, bool) {
+	head := len(`{"version":,"key":"","sum":"","payload":`) + len(s.versionJSON) + len(key) + 2*sha256.Size
+	if !s.exactHead || len(data) < head+2 || data[len(data)-1] != '}' {
+		return nil, false
+	}
+	payload := data[head : len(data)-1 : len(data)-1]
+	if isSpace(payload[0]) || isSpace(payload[len(payload)-1]) ||
+		string(data[:head]) != string(s.envelopeHead(key, payload)) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+}
+
+// decodeEntry is Get's full decode of data, the path of every entry
+// exactPayload does not serve. It returns the payload, or the reason
+// to quarantine the entry: "version" or "corrupt".
+func (s *Store) decodeEntry(key string, data []byte) ([]byte, string) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
-		s.quarantine(key, p, "corrupt")
-		s.misses.Add(1)
-		return nil, false
+		return nil, "corrupt"
 	}
 	sum := sha256.Sum256(e.Payload)
 	switch {
 	case e.Version != s.version:
-		s.quarantine(key, p, "version")
-		s.misses.Add(1)
-		return nil, false
+		return nil, "version"
 	case e.Key != key || e.Sum != hex.EncodeToString(sum[:]) || len(e.Payload) == 0:
-		s.quarantine(key, p, "corrupt")
-		s.misses.Add(1)
-		return nil, false
+		return nil, "corrupt"
 	}
-	s.hits.Add(1)
-	return e.Payload, true
+	return e.Payload, ""
 }
 
 // quarantine moves a bad entry into the quarantine directory under a
@@ -213,13 +274,18 @@ func (s *Store) quarantine(key, path, reason string) {
 }
 
 // Put writes payload under key: temp file in the entry's shard
-// directory, then an atomic rename into place. Losing a rename race to
-// a concurrent writer of the same key is fine — same key, same content.
+// directory, then an atomic rename into place. Of concurrent writers of
+// one key, the last rename wins: for a content-addressed key they wrote
+// the same content, and for a rewritten key, such as a session's state
+// snapshot, any of them is a complete entry.
 //
 // payload must be one JSON value without surrounding whitespace; it is
 // written verbatim, so Get returns it byte-identical whether it is
-// compact or indented. Bytes that are not such a value fail Get's
-// decode or checksum and are quarantined, never served.
+// compact or indented. Get does not re-check its JSON syntax: it serves
+// any payload whose head and checksum match what Put wrote, so bytes
+// that are not JSON, if put, come back as a hit, and the caller's own
+// decode must treat them as a miss. A payload with surrounding
+// whitespace fails the full decode's checksum and is quarantined.
 func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		s.putErrors.Add(1)
@@ -230,16 +296,26 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("store: empty payload for key %s", key)
 	}
 	head := s.envelopeHead(key, payload)
-	p := s.path(key)
-	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.putErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
+	sh := shard(key)
+	dir := filepath.Join(s.dir, sh)
+	p := filepath.Join(dir, key)
 	s.putMu.Lock()
 	defer s.putMu.Unlock()
+	if !s.shards[sh] {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			s.putErrors.Add(1)
+			return fmt.Errorf("store: %w", err)
+		}
+		s.shards[sh] = true
+	}
 	_, statErr := os.Stat(p)
 	tmp, err := os.CreateTemp(dir, tmpPrefix+"*")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The shard directory was removed under the store.
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, tmpPrefix+"*")
+		}
+	}
 	if err != nil {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: %w", err)

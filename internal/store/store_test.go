@@ -357,3 +357,31 @@ func TestCompactEnvelopeMatchesMarshal(t *testing.T) {
 		t.Fatalf("envelope diverged from json.Marshal\n got: %s\nwant: %s", got, want)
 	}
 }
+
+// TestPutRecreatesRemovedShard: Put creates a shard directory once per
+// handle, and remakes it when it was removed under the store.
+func TestPutRecreatesRemovedShard(t *testing.T) {
+	s, err := Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := "ab"+key("one")[2:], "ab"+key("two")[2:]
+	if err := s.Put(k1, []byte(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Dir(s.path(k1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k2, []byte(`2`)); err != nil {
+		t.Fatalf("put after the shard was removed: %v", err)
+	}
+	if got, ok := s.Get(k2); !ok || string(got) != "2" {
+		t.Fatalf("got %q ok=%v, want the second payload", got, ok)
+	}
+	if _, ok := s.Get(k1); ok {
+		t.Fatal("entry of the removed shard still served")
+	}
+	if st := s.Stats(); st.Puts != 2 || st.PutErrors != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
